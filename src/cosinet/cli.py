@@ -13,26 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
-from . import baselines, corpus, metrics, model, training
+from . import baselines, corpus, embeddings, metrics, model, training
 
-TRAIN_DEFAULTS = {
-    "loss": "listwise",
-    "context": "none",
-    "epochs": 3,
-    "seed": 0,
-    "embedding_dim": 300,
-    "conv_hidden": 300,
-    "kernel_width": 5,
-    "context_hidden": None,
-    "max_lr": None,
-    "cut_frac": 0.1,
-    "ratio": 32.0,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "batch_size": 64,
-}
+TRAIN_DEFAULTS = {**asdict(model.CosinetConfig()), **asdict(training.TrainConfig())}
 
 
 def _load_groups(path):
@@ -86,14 +71,8 @@ def _merged_train_settings(args) -> dict:
 
 def cmd_train(args) -> None:
     s = _merged_train_settings(args)
-    cfg = model.CosinetConfig(
-        embedding_dim=s["embedding_dim"], conv_hidden=s["conv_hidden"],
-        kernel_width=s["kernel_width"], context=s["context"],
-        context_hidden=s["context_hidden"], seed=s["seed"])
-    tc = training.TrainConfig(
-        loss=s["loss"], epochs=s["epochs"], max_lr=s["max_lr"],
-        cut_frac=s["cut_frac"], ratio=s["ratio"], beta1=s["beta1"],
-        beta2=s["beta2"], eps=s["eps"], batch_size=s["batch_size"], seed=s["seed"])
+    cfg, tc = (cls(**{f.name: s[f.name] for f in fields(cls)})
+               for cls in (model.CosinetConfig, training.TrainConfig))
 
     train_groups = _load_groups(args.train)
     dev_groups = _load_groups(args.dev) if args.dev else None
@@ -104,7 +83,8 @@ def cmd_train(args) -> None:
             vocab.update(g.question_tokens)
             for c in g.candidates:
                 vocab.update(c.tokens)
-    table = corpus_embeddings(args.embeddings, vocab, cfg.embedding_dim)
+    table = embeddings.load_embeddings(args.embeddings, vocab_filter=vocab,
+                                       dimension=cfg.embedding_dim)
 
     params = model.CosinetParams(cfg)
     report = training.fit(train_groups, table, params, cfg, tc, dev_groups=dev_groups)
@@ -114,12 +94,6 @@ def cmd_train(args) -> None:
     out.update({"loss": s["loss"], "context": s["context"], "seed": s["seed"],
                 "model": args.out})
     _emit(out)
-
-
-def corpus_embeddings(path, vocab, dimension):
-    from .embeddings import load_embeddings
-
-    return load_embeddings(path, vocab_filter=vocab, dimension=dimension)
 
 
 def cmd_eval(args) -> None:

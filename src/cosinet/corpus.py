@@ -74,15 +74,15 @@ class IngestReport:
         return dict(self.__dict__)
 
 
-def _build_groups(raw_groups, report: IngestReport) -> list[QuestionGroup]:
-    """Shared tail of every ingestion path.
+def _build_groups(raw_groups):
+    """Shared tail of every ingestion path; returns (groups, IngestReport).
 
     ``raw_groups`` is an ordered list of (question_id, question_text,
     [(sentence, label), ...]). Drops empty-after-tokenization candidates
     (ranks recompacted), questions that tokenize to nothing, and groups
     without a single positive label.
     """
-    groups = []
+    groups, report = [], IngestReport()
     for qid, question, rows in raw_groups:
         report.total_questions += 1
         report.total_candidates += len(rows)
@@ -104,7 +104,7 @@ def _build_groups(raw_groups, report: IngestReport) -> list[QuestionGroup]:
         groups.append(QuestionGroup(question_id=qid, question=question,
                                     question_tokens=q_tokens, candidates=tuple(cands)))
     report.kept_groups = len(groups)
-    return groups
+    return groups, report
 
 
 def _parse_label(value, where: str) -> int:
@@ -147,9 +147,7 @@ def ingest_wikiqa(tsv_path):
                 by_qid[qid] = (row[qq], [])
                 order.append(qid)
             by_qid[qid][1].append((row[qs], label))
-    report = IngestReport()
-    raw = [(qid, by_qid[qid][0], by_qid[qid][1]) for qid in order]
-    return _build_groups(raw, report), report
+    return _build_groups([(qid, by_qid[qid][0], by_qid[qid][1]) for qid in order])
 
 
 def ingest_jsonl(path):
@@ -169,21 +167,21 @@ def ingest_jsonl(path):
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
             try:
                 qid = str(rec["question_id"])
-                question = rec["question"]
-                cand_list = rec["candidates"]
+                question, cand_list = rec["question"], rec["candidates"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            if not isinstance(cand_list, list):
-                raise ValueError(f"{path}:{lineno}: candidates must be a list")
+            if not isinstance(question, str) or not isinstance(cand_list, list):
+                raise ValueError(f"{path}:{lineno}: question must be a string, candidates a list")
             rows = []
             for c in cand_list:
                 try:
                     rows.append((c["text"], _parse_label(c["label"], f"{path}:{lineno}")))
                 except (KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad candidate record ({exc})") from exc
+                if not isinstance(rows[-1][0], str):
+                    raise ValueError(f"{path}:{lineno}: candidate text must be a string")
             raw.append((qid, question, rows))
-    report = IngestReport()
-    return _build_groups(raw, report), report
+    return _build_groups(raw)
 
 
 def export_jsonl(groups, path) -> None:

@@ -1,7 +1,7 @@
 """Frozen pretrained word embeddings loaded from whitespace-separated text.
 
-The table is immutable after load and stays fixed during training. Lookups
-are total: unknown tokens map to the all-zero vector, never an error.
+The table is immutable after load and stays fixed during training.
+``embed_sequence`` is total: unknown tokens map to the all-zero vector.
 """
 
 from __future__ import annotations
@@ -23,20 +23,12 @@ class EmbeddingTable:
         self.vocabulary = dict(vocabulary)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.matrix.setflags(write=False)
-        self.oov_vector = np.zeros(dimension, dtype=np.float32)
-        self.oov_vector.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.vocabulary)
 
     def __contains__(self, token: str) -> bool:
         return token in self.vocabulary
-
-    def lookup(self, token: str) -> np.ndarray:
-        idx = self.vocabulary.get(token)
-        if idx is None:
-            return self.oov_vector
-        return self.matrix[idx]
 
     def tokens_in_order(self) -> list[str]:
         """Vocabulary tokens ordered by row index (for serialization)."""

@@ -184,9 +184,8 @@ def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, q_mask=None, c_mask=None):
 
     def normalize(m):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
-        out = np.divide(m, norms, out=np.zeros_like(m, dtype=np.result_type(m, np.float32)),
-                        where=norms > 0)
-        return out
+        return np.divide(m, norms, out=np.zeros_like(m, dtype=np.result_type(m, np.float32)),
+                         where=norms > 0)
 
     r = normalize(q_emb) @ normalize(c_emb).T
     r_q = np.zeros(q_emb.shape[0], dtype=r.dtype)
@@ -366,35 +365,36 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
 
 
 def load_model(path):
-    """Read a model container back; returns (config, params, table)."""
+    """Read a model container back; returns (config, params, table) or raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    if len(blob) < 20 + 32 or blob[:8] != MAGIC:
+        raise ValueError(f"{path}: not a model file (too short or bad magic)")
+    version, header_len = struct.unpack_from("<IQ", blob, 8)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, 12)
     header_end = 20 + header_len
-    header = json.loads(blob[20:header_end].decode("utf-8"))
+    if header_end > len(blob) - 32:
+        raise ValueError(f"{path}: header length {header_len} runs past the end of the file")
     payload = blob[header_end:-32]
     if hashlib.sha256(payload).digest() != blob[-32:]:
         raise ValueError(f"{path}: payload checksum mismatch (corrupt file)")
 
-    config = CosinetConfig(**header["config"])
-    offset = 0
-    arrays = {}
-    for name, shape in header["tensors"]:
-        size = int(np.prod(shape)) * 4
-        arr = np.frombuffer(payload[offset:offset + size], dtype="<f4").reshape(shape).copy()
-        arrays[name] = arr
-        offset += size
-    if offset != len(payload):
-        raise ValueError(f"{path}: payload length mismatch")
-
-    vocab = {tok: i for i, tok in enumerate(header["vocab"])}
-    table = EmbeddingTable(vocab, arrays.pop("embedding_matrix"), header["embedding_dim"])
-    params = CosinetParams(config, dtype=np.float32)
+    try:
+        header = json.loads(blob[20:header_end].decode("utf-8"))
+        config = CosinetConfig(**header["config"])
+        offset, arrays = 0, {}
+        for name, shape in header["tensors"]:
+            size = int(np.prod(shape)) * 4
+            arrays[name] = np.frombuffer(payload[offset:offset + size], "<f4").reshape(shape).copy()
+            offset += size
+        if offset != len(payload):
+            raise ValueError(f"{path}: payload length mismatch")
+        vocab = {tok: i for i, tok in enumerate(header["vocab"])}
+        table = EmbeddingTable(vocab, arrays.pop("embedding_matrix"), header["embedding_dim"])
+        params = CosinetParams(config, dtype=np.float32)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header ({exc})") from exc
     for name in params.names():
         if name not in arrays:
             raise ValueError(f"{path}: missing tensor {name}")

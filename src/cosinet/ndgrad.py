@@ -44,10 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def tape_id(self) -> int:
-        return self.tape.id
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tape={self.tape.id}, requires_grad={self.requires_grad})"
 
@@ -188,21 +184,10 @@ def tanh(x: Tensor) -> Tensor:
     return _unary("tanh", x, np.tanh, lambda g, xd, od: g * (1.0 - od * od))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    def fwd(xd):
-        # split by sign to avoid overflow in exp
-        out = np.empty_like(xd)
-        pos = xd >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-        ex = np.exp(xd[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    return _unary("sigmoid", x, fwd, lambda g, xd, od: g * od * (1.0 - od))
-
-
-def log(x: Tensor) -> Tensor:
-    return _unary("log", x, np.log, lambda g, xd, od: g / xd)
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow in exp, in the dtype of ``v``."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(v.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +256,30 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor; rows sum to 1, outputs strictly positive."""
-    if x.data.ndim != 2:
-        raise _shape_error("softmax_rows", x.data.shape)
-    tape = x.tape
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+def kl_logits(scores: Tensor, target) -> Tensor:
+    """KL(target || softmax(scores)) summed over rows, as a (1, 1) tensor.
+
+    ``target`` is a plain array of the scores' shape whose rows are
+    probability distributions; 0 ln 0 counts as 0. The loss comes from the
+    max-shifted log-softmax, so it stays finite at any score gap, and the
+    gradient is the closed form softmax(scores) - target (ListNet top-1).
+    """
+    s = scores.data
+    g = np.asarray(target, dtype=s.dtype)
+    if s.ndim != 2 or g.shape != s.shape:
+        raise _shape_error("kl_logits", s.shape, g.shape)
+    tape = scores.tape
+    shifted = s - s.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = tape._output(p)
+    z = e.sum(axis=1, keepdims=True)
+    pos = g > 0
+    kl = (g[pos] * (np.log(g[pos]) - (shifted - np.log(z))[pos])).sum()
+    out = tape._output(np.asarray(kl, dtype=s.dtype).reshape(1, 1))
 
     def backward():
-        if out.grad is None or not _wants_grad(x):
+        if out.grad is None or not _wants_grad(scores):
             return
-        g = out.grad
-        _acc(x, p * (g - (g * p).sum(axis=1, keepdims=True)))
+        _acc(scores, out.grad[0, 0] * (e / z - g))
 
     tape._record(backward)
     return out
@@ -421,15 +415,10 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     tape = _tape_of("lstm_cell", x, h, c, w_ih, w_hh, b)
 
     pre = x.data @ w_ih.data + h.data @ w_hh.data + b.data
-
-    def sig(v):
-        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v)))).astype(v.dtype)
-
-    i = sig(pre[:, :hdim])
-    f = sig(pre[:, hdim:2 * hdim])
+    i = _sigmoid(pre[:, :hdim])
+    f = _sigmoid(pre[:, hdim:2 * hdim])
     g = np.tanh(pre[:, 2 * hdim:3 * hdim])
-    o = sig(pre[:, 3 * hdim:])
+    o = _sigmoid(pre[:, 3 * hdim:])
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
     h_out = tape._output(o * tc)
@@ -485,9 +474,7 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     def backward():
         if out.grad is None or not _wants_grad(scores):
             return
-        p = np.where(s >= 0, 1.0 / (1.0 + np.exp(-np.abs(s))),
-                     np.exp(-np.abs(s)) / (1.0 + np.exp(-np.abs(s))))
-        _acc(scores, out.grad[0, 0] * (p.astype(s.dtype) - y) / n)
+        _acc(scores, out.grad[0, 0] * (_sigmoid(s) - y) / n)
 
     tape._record(backward)
     return out

@@ -3,7 +3,8 @@
 Listwise training takes one optimizer step per question group (softmax over
 the group's scores against the normalized gold labels); pointwise training
 shuffles individual question/candidate pairs into fixed-size batches under
-mean binary cross-entropy. Either way the embedding table stays untouched.
+mean binary cross-entropy. Both score every batch through ``score_pairs``;
+either way the embedding table stays untouched.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, ndgrad
-from .model import (CosinetConfig, CosinetParams, encode_pair, make_scorer,
-                    prepare_group, prepare_pair, score_pairs)
+from .model import CosinetConfig, CosinetParams, make_scorer, prepare_pair, score_pairs
 from .ndgrad import Tape
 
 LOSS_KINDS = ("pointwise", "listwise")
@@ -89,12 +89,7 @@ def listwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
     if scores.data.shape != g.shape:
         raise ValueError(f"listwise_loss: scores shape {scores.data.shape} "
                          f"does not match {g.shape[1]} labels")
-    pos = g > 0
-    entropy = float((g[pos] * np.log(g[pos])).sum())
-    tape = scores.tape
-    p = ndgrad.softmax_rows(scores)
-    cross = ndgrad.sum_all(ndgrad.mul(tape.constant(g), ndgrad.log(p)))
-    return ndgrad.sub(tape.constant([[entropy]]), cross)
+    return ndgrad.kl_logits(scores, g)
 
 
 def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
@@ -173,13 +168,19 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     adam = Adam(params.names(), params.arrays, train_config.beta1,
                 train_config.beta2, train_config.eps)
     max_lr = train_config.resolved_max_lr
+    listwise = train_config.loss == "listwise"
+    objective = listwise_loss if listwise else pointwise_loss
+    size = train_config.batch_size
+    pairs = [(gi, ci) for gi, g in enumerate(groups) for ci in range(len(g.candidates))]
+    total_steps = train_config.epochs * (len(groups) if listwise else math.ceil(len(pairs) / size))
 
-    if train_config.loss == "listwise":
-        steps_per_epoch = len(groups)
-    else:
-        pairs = [(gi, ci) for gi, g in enumerate(groups) for ci in range(len(g.candidates))]
-        steps_per_epoch = math.ceil(len(pairs) / train_config.batch_size)
-    total_steps = train_config.epochs * steps_per_epoch
+    def epoch_batches():
+        """Lists of (group, candidate) indices: whole groups, or shuffled pair batches."""
+        if listwise:
+            return [[(gi, ci) for ci in range(len(groups[gi].candidates))]
+                    for gi in rng.permutation(len(groups))]
+        order = rng.permutation(len(pairs))
+        return [[pairs[i] for i in order[lo:lo + size]] for lo in range(0, len(order), size)]
 
     report = TrainingReport(wall_seconds=0.0, steps=0, epochs=train_config.epochs,
                             parameter_count=params.count())
@@ -188,43 +189,18 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     t0 = time.perf_counter()
     for _ in range(train_config.epochs):
         epoch_losses = []
-        if train_config.loss == "listwise":
-            for gi in rng.permutation(len(groups)):
-                g = groups[gi]
-                tape = Tape(dtype=params.dtype)
-                leaves = params.as_leaves(tape)
-                row = score_pairs(prepare_group(g, table, config), config, leaves, tape)
-                loss = listwise_loss(row, g.labels)
-                tape.backward(loss)
-                adam.step(params.arrays, {n: leaves[n].grad for n in params.names()},
-                          stlr(step, total_steps, train_config.cut_frac,
-                               train_config.ratio, max_lr))
-                step += 1
-                epoch_losses.append(float(loss.data[0, 0]))
-        else:
-            order = rng.permutation(len(pairs))
-            for lo in range(0, len(order), train_config.batch_size):
-                batch = [pairs[i] for i in order[lo:lo + train_config.batch_size]]
-                tape = Tape(dtype=params.dtype)
-                leaves = params.as_leaves(tape)
-                vecs = []
-                labels = []
-                for gi, ci in batch:
-                    g = groups[gi]
-                    cand = g.candidates[ci]
-                    pair = prepare_pair(g.question_tokens, cand.tokens, table,
-                                        config.kernel_width)
-                    vecs.append(encode_pair(pair, leaves, tape))
-                    labels.append(cand.label)
-                stacked = vecs[0] if len(vecs) == 1 else ndgrad.concat(vecs, axis=0)
-                col = ndgrad.add(ndgrad.matmul(stacked, leaves["head_w"]), leaves["head_b"])
-                loss = pointwise_loss(ndgrad.transpose(col), labels)
-                tape.backward(loss)
-                adam.step(params.arrays, {n: leaves[n].grad for n in params.names()},
-                          stlr(step, total_steps, train_config.cut_frac,
-                               train_config.ratio, max_lr))
-                step += 1
-                epoch_losses.append(float(loss.data[0, 0]))
+        for batch in epoch_batches():
+            tape = Tape(dtype=params.dtype)
+            leaves = params.as_leaves(tape)
+            cands = [(groups[gi], groups[gi].candidates[ci]) for gi, ci in batch]
+            inputs = [prepare_pair(g.question_tokens, c.tokens, table, config.kernel_width)
+                      for g, c in cands]
+            loss = objective(score_pairs(inputs, config, leaves, tape), [c.label for _, c in cands])
+            tape.backward(loss)
+            adam.step(params.arrays, {n: leaves[n].grad for n in params.names()},
+                      stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr))
+            step += 1
+            epoch_losses.append(float(loss.data[0, 0]))
         report.loss_curve.extend(epoch_losses)
         report.epoch_mean_loss.append(float(np.mean(epoch_losses)))
         if dev_groups:

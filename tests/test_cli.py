@@ -130,6 +130,16 @@ class TestBaseline:
         for key in ("map", "mrr", "p_at_1", "n_questions"):
             assert got[key] == want[key]
 
+    @pytest.mark.parametrize("question,text", [(5, "t."), ("q?", 5)])
+    def test_non_string_text_fails_cleanly(self, tmp_path, capsys, question, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"question_id": "a", "question": question,
+                                    "candidates": [{"text": text, "label": 1}]}) + "\n")
+        rc, out, err = run(["baseline", "--method", "rr", "--data", str(path)], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "bad.jsonl:1:" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_accepts_raw_tsv(self, mini_wikiqa_tsv, capsys):
         got = run_json(["baseline", "--method", "rr",
                         "--data", str(mini_wikiqa_tsv)], capsys)
@@ -268,6 +278,17 @@ class TestEvalPredict:
             run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
                       "--scores-out", str(p)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("keep", [15, 60, -1])
+    def test_eval_truncated_model_fails_cleanly(self, trained_model, toy_jsonl,
+                                                tmp_path, capsys, keep):
+        path = tmp_path / "cut.bin"
+        with open(trained_model, "rb") as fh:
+            path.write_bytes(fh.read()[:keep])
+        rc, out, err = run(["eval", "--model", str(path), "--data", toy_jsonl], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_eval_missing_model_fails(self, toy_jsonl, tmp_path, capsys):
         rc, _, err = run(["eval", "--model", str(tmp_path / "nope.bin"),

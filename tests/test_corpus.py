@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cosinet.corpus import (
@@ -189,6 +189,19 @@ class TestJsonl:
         with pytest.raises(ValueError, match="label"):
             ingest_jsonl(path)
 
+    @pytest.mark.parametrize("question,text", [
+        (5, "t."), (None, "t."), (["q?"], "t."), ("q?", 5), ("q?", {"t": 1}),
+    ])
+    def test_non_string_text_names_line(self, tmp_path, question, text):
+        path = tmp_path / "in.jsonl"
+        ok = {"question_id": "a", "question": "q?",
+              "candidates": [{"text": "t.", "label": 1}]}
+        bad = {"question_id": "b", "question": question,
+               "candidates": [{"text": "t.", "label": 1}, {"text": text, "label": 0}]}
+        path.write_text(json.dumps(ok) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"in\.jsonl:2: .*string"):
+            ingest_jsonl(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_text('\n{"question_id": "a", "question": "q?", '
@@ -204,3 +217,23 @@ class TestJsonl:
         p2 = tmp_path / "two.jsonl"
         export_jsonl(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(question=JSON_VALUES, text=JSON_VALUES)
+def test_type_confused_record_is_a_value_error(tmp_path, question, text):
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps({"question_id": "a", "question": question,
+                                "candidates": [{"text": text, "label": 1}]}) + "\n")
+    if isinstance(question, str) and isinstance(text, str):
+        ingest_jsonl(path)
+    else:
+        with pytest.raises(ValueError, match=":1:"):
+            ingest_jsonl(path)

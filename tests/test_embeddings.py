@@ -15,6 +15,10 @@ def write_lines(tmp_path, lines, name="vecs.txt"):
     return path
 
 
+def row(table, token):
+    return table.matrix[table.vocabulary[token]]
+
+
 def parse_reference(lines, dimension):
     """Independent parse: dict of token -> float32 vector, first wins."""
     out = {}
@@ -35,8 +39,8 @@ class TestLoad:
         lines = ["cat 1.0 2.0 3.0", "dog -1.5 0.25 4.0"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
         assert len(table) == 2
-        np.testing.assert_array_equal(table.lookup("cat"), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(table.lookup("dog"), [-1.5, 0.25, 4.0])
+        np.testing.assert_array_equal(row(table, "cat"), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(row(table, "dog"), [-1.5, 0.25, 4.0])
 
     def test_count_dim_header_is_skipped(self, tmp_path):
         lines = ["2 3", "cat 1 2 3", "dog 4 5 6"]
@@ -54,7 +58,7 @@ class TestLoad:
         lines = ["cat 1 1 1", "cat 9 9 9", f"{CONCEPT_PREFIX}cat 5 5 5"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
         assert len(table) == 1
-        np.testing.assert_array_equal(table.lookup("cat"), [1, 1, 1])
+        np.testing.assert_array_equal(row(table, "cat"), [1, 1, 1])
 
     def test_vocab_filter_applied_after_prefix_strip(self, tmp_path):
         lines = [f"{CONCEPT_PREFIX}cat 1 2 3", "dog 4 5 6", "eel 7 8 9"]
@@ -88,20 +92,20 @@ class TestLoad:
         want = parse_reference(lines, 4)
         assert set(table.tokens_in_order()) == set(want)
         for tok, vec in want.items():
-            np.testing.assert_array_equal(table.lookup(tok), vec)
+            np.testing.assert_array_equal(row(table, tok), vec)
 
 
 class TestTable:
     def test_lookup_is_total(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
-        np.testing.assert_array_equal(table.lookup("unseen"), np.zeros(3))
+        mat, oov = embed_sequence(["unseen"], table)
+        np.testing.assert_array_equal(mat, np.zeros((1, 3)))
+        np.testing.assert_array_equal(oov, [1])
 
     def test_matrix_is_frozen(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 99.0
-        with pytest.raises(ValueError):
-            table.oov_vector[0] = 1.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
@@ -118,7 +122,7 @@ class TestTable:
         toks = table.tokens_in_order()
         assert toks == ["cat", "dog", "eel"]
         for i, tok in enumerate(toks):
-            np.testing.assert_array_equal(table.matrix[i], table.lookup(tok))
+            assert table.vocabulary[tok] == i
 
     def test_checksum_tracks_content(self, tmp_path):
         t1 = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"], "a.txt"), dimension=3)

@@ -1,5 +1,13 @@
+import functools
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cosinet.ndgrad as nd
 from cosinet.model import (
@@ -508,3 +516,86 @@ class TestSerialization:
         save_model(p1, config, params, table)
         save_model(p2, config, params, table)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_short_file_rejected(self, tmp_path):
+        blob = saved_model_bytes()
+        path = tmp_path / "m.bin"
+        for n in (0, 15, 20 + 31):  # the preamble plus the digest is 52 bytes
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="too short"):
+                load_model(path)
+
+    def test_header_length_past_end_rejected(self, tmp_path):
+        blob = bytearray(saved_model_bytes())
+        path = tmp_path / "m.bin"
+        for bad in (len(blob) - 20 - 31, 2 ** 64 - 1):
+            blob[12:20] = struct.pack("<Q", bad)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match="header length"):
+                load_model(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        blob = saved_model_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, 12)
+        header = json.loads(blob[20:20 + hlen])
+        header["config"]["dropout"] = 0.5
+        raw = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.bin"
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + hlen:])
+        with pytest.raises(ValueError, match="dropout"):
+            load_model(path)
+
+
+@functools.lru_cache(maxsize=None)
+def saved_model_bytes():
+    config, params, table = TestSerialization.build()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.bin"
+        save_model(path, config, params, table)
+        return path.read_bytes()
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(st.data())
+def test_truncated_model_file_is_a_value_error(tmp_path, data):
+    blob = saved_model_bytes()
+    path = tmp_path / "m.bin"
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+@FUZZ
+@given(st.data())
+def test_bit_flip_outside_header_is_a_value_error(tmp_path, data):
+    # preamble, payload and digest: every single-bit flip is caught
+    blob = bytearray(saved_model_bytes())
+    (hlen,) = struct.unpack_from("<Q", blob, 12)
+    pos = data.draw(st.integers(0, len(blob) - hlen - 1))
+    pos += hlen if pos >= 20 else 0
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+@FUZZ
+@given(st.data())
+def test_header_bit_flip_never_escapes_as_another_error(tmp_path, data):
+    # the digest covers the payload only, so a flip that keeps the header
+    # valid (say, inside a vocabulary token) still loads; anything else
+    # must surface as ValueError
+    blob = bytearray(saved_model_bytes())
+    (hlen,) = struct.unpack_from("<Q", blob, 12)
+    blob[data.draw(st.integers(20, 20 + hlen - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        load_model(path)
+    except ValueError:
+        pass

@@ -91,18 +91,6 @@ def case_tanh(rng):
     return [x], lambda t, lv: weighted(t, nd.tanh(lv[0]), w)
 
 
-def case_sigmoid(rng):
-    x = rng.uniform(-3, 3, (4, 5))
-    w = rng.uniform(-1, 1, (4, 5))
-    return [x], lambda t, lv: weighted(t, nd.sigmoid(lv[0]), w)
-
-
-def case_log(rng):
-    x = rng.uniform(0.5, 2.5, (4, 5))
-    w = rng.uniform(-1, 1, (4, 5))
-    return [x], lambda t, lv: weighted(t, nd.log(lv[0]), w)
-
-
 def case_matmul(rng):
     a = rng.uniform(-1, 1, (4, 3))
     b = rng.uniform(-1, 1, (3, 5))
@@ -133,10 +121,18 @@ def case_sum_all(rng):
     return [x], lambda t, lv: nd.sum_all(lv[0])
 
 
-def case_softmax(rng):
+def random_targets(rng, shape):
+    """Rows of probability distributions, each with some exact zeros."""
+    t = rng.uniform(0, 1, shape)
+    t[t < 0.4] = 0.0
+    t[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = 1.0
+    return t / t.sum(axis=1, keepdims=True)
+
+
+def case_kl_logits(rng):
     x = rng.uniform(-2, 2, (3, 5))
-    w = rng.uniform(-1, 1, (3, 5))
-    return [x], lambda t, lv: weighted(t, nd.softmax_rows(lv[0]), w)
+    target = random_targets(rng, (3, 5))
+    return [x], lambda t, lv: nd.kl_logits(lv[0], target)
 
 
 def case_conv1d(rng):
@@ -192,8 +188,8 @@ def case_bce(rng):
 
 ALL_CASES = [
     case_add, case_add_row, case_sub, case_sub_row, case_mul, case_mul_row,
-    case_tanh, case_sigmoid, case_log, case_matmul, case_transpose,
-    case_concat_rows, case_concat_cols, case_sum_all, case_softmax,
+    case_tanh, case_matmul, case_transpose,
+    case_concat_rows, case_concat_cols, case_sum_all, case_kl_logits,
     case_conv1d, case_masked_max_pool, case_rnn_cell, case_lstm_cell, case_bce,
 ]
 
@@ -342,24 +338,51 @@ class TestPrimitiveSemantics:
         np.testing.assert_array_equal(x.grad, [[0.0], [1.0], [0.0]])
 
     def test_softmax_rows_normalized_and_positive(self):
+        # the kl_logits gradient is softmax(s) - g, so adding g back must
+        # give strictly positive rows that sum to one
         rng = np.random.default_rng(3)
+        target = random_targets(rng, (4, 6))
         tape = nd.Tape(dtype=np.float64)
-        p = nd.softmax_rows(tape.leaf(rng.uniform(-5, 5, (4, 6)))).data
+        s = tape.leaf(rng.uniform(-5, 5, (4, 6)), requires_grad=True)
+        loss = nd.kl_logits(s, target)
+        tape.backward(loss)
+        p = s.grad + target
         assert (p > 0).all()
         np.testing.assert_allclose(p.sum(axis=1), np.ones(4), atol=1e-12)
+        assert loss.data[0, 0] > 0
 
     def test_softmax_handles_large_inputs(self):
         tape = nd.Tape(dtype=np.float32)
-        p = nd.softmax_rows(tape.leaf([[1000.0, 1000.0, 999.0]])).data
-        assert np.isfinite(p).all()
-        np.testing.assert_allclose(p.sum(), 1.0, rtol=1e-6)
+        s = tape.leaf([[1000.0, 1000.0, 999.0]], requires_grad=True)
+        loss = nd.kl_logits(s, [[0.5, 0.5, 0.0]])
+        tape.backward(loss)
+        assert np.isfinite(loss.data).all() and np.isfinite(s.grad).all()
+        e = np.exp([[0.0, 0.0, -1.0]])
+        np.testing.assert_allclose(loss.data[0, 0], np.log(e.sum() / 2), rtol=1e-5)
+        np.testing.assert_allclose(s.grad, e / e.sum() - [[0.5, 0.5, 0.0]], atol=1e-6)
+
+    def test_kl_logits_zero_when_distributions_match(self):
+        target = np.array([[0.25, 0.75, 0.0]])
+        tape = nd.Tape(dtype=np.float64)
+        s = tape.leaf(np.log([[1.0, 3.0, 1e-300]]) + 7.0, requires_grad=True)
+        loss = nd.kl_logits(s, target)
+        tape.backward(loss)
+        assert abs(loss.data[0, 0]) < 1e-12
+        np.testing.assert_allclose(s.grad, np.zeros((1, 3)), atol=1e-12)
+
+    def test_kl_logits_shape_mismatch(self):
+        tape = nd.Tape()
+        with pytest.raises(ValueError, match="kl_logits"):
+            nd.kl_logits(tape.leaf(np.zeros((1, 3))), np.ones((1, 2)) / 2)
 
     def test_sigmoid_extremes_stay_in_unit_interval(self):
-        tape = nd.Tape(dtype=np.float32)
-        out = nd.sigmoid(tape.leaf([[-80.0, -1.0, 0.0, 1.0, 80.0]])).data
+        # the stable logistic shared by lstm_cell and bce_logits_mean
+        out = nd._sigmoid(np.array([[-80.0, -1.0, 0.0, 1.0, 80.0]], dtype=np.float32))
+        assert out.dtype == np.float32
         assert np.isfinite(out).all()
         assert (out >= 0).all() and (out <= 1).all()
         np.testing.assert_allclose(out[0, 2], 0.5)
+        np.testing.assert_allclose(out[0, 1] + out[0, 3], 1.0, rtol=1e-6)
 
     def test_bce_matches_naive_formula_for_moderate_scores(self):
         rng = np.random.default_rng(4)
@@ -394,8 +417,16 @@ class TestPrimitiveSemantics:
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8),
        st.floats(-20, 20))
 def test_softmax_shift_invariance(row, shift):
-    tape = nd.Tape(dtype=np.float64)
+    # kl_logits sees scores only through their softmax
     x = np.asarray([row])
-    a = nd.softmax_rows(tape.leaf(x)).data
-    b = nd.softmax_rows(tape.leaf(x + shift)).data
-    np.testing.assert_allclose(a, b, atol=1e-9)
+    target = np.zeros_like(x)
+    target[0, 0] = 1.0
+    results = []
+    for scores in (x, x + shift):
+        tape = nd.Tape(dtype=np.float64)
+        s = tape.leaf(scores, requires_grad=True)
+        loss = nd.kl_logits(s, target)
+        tape.backward(loss)
+        results.append((loss.data[0, 0], s.grad))
+    np.testing.assert_allclose(results[0][0], results[1][0], atol=1e-9)
+    np.testing.assert_allclose(results[0][1], results[1][1], atol=1e-9)

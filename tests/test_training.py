@@ -89,6 +89,27 @@ class TestListwiseLoss:
             g = (labels / labels.sum()).reshape(1, -1)
             np.testing.assert_allclose(s.grad, p - g, atol=1e-6)
 
+    @pytest.mark.parametrize("scores,labels,want", [
+        pytest.param([200.0, 0.0, 0.0], [1, 0, 0], 0.0, id="right-by-200"),
+        pytest.param([0.0, 200.0, 0.0], [1, 0, 0], 200.0, id="wrong-by-200"),
+        pytest.param([-200.0, 0.0, 0.0], [1, 0, 0], 200.0 + math.log(2.0), id="low-by-200"),
+        pytest.param([200.0, 200.0, 0.0], [1, 1, 0], 0.0, id="two-right-by-200"),
+    ])
+    def test_finite_at_large_score_gaps(self, scores, labels, want):
+        # float32 exp underflows at a gap of 200; the loss and its gradient
+        # must still come out finite and exact
+        tape = Tape(dtype=np.float32)
+        s = tape.leaf([scores], requires_grad=True)
+        loss = listwise_loss(s, labels)
+        tape.backward(loss)
+        assert np.isfinite(loss.data).all() and np.isfinite(s.grad).all()
+        np.testing.assert_allclose(loss.data[0, 0], want, atol=1e-4)
+        x = np.asarray([scores], dtype=np.float64)
+        p = np.exp(x - x.max())
+        p /= p.sum()
+        g = np.asarray([labels], dtype=np.float64) / sum(labels)
+        np.testing.assert_allclose(s.grad, p - g, atol=1e-6)
+
     def test_rejects_all_negative_labels(self):
         tape = Tape(dtype=np.float64)
         with pytest.raises(ValueError, match="no positive"):
