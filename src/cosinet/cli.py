@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict, fields
 
 from . import baselines, corpus, embeddings, metrics, model, training
 
 TRAIN_DEFAULTS = {**asdict(model.CosinetConfig()), **asdict(training.TrainConfig())}
+TRAIN_TYPES = {**typing.get_type_hints(model.CosinetConfig),
+               **typing.get_type_hints(training.TrainConfig)}
 
 
 def _load_groups(path):
@@ -58,9 +61,18 @@ def _merged_train_settings(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: settings must be a JSON object")
         unknown = set(file_cfg) - set(TRAIN_DEFAULTS)
         if unknown:
             raise ValueError(f"{args.config}: unknown settings {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            want = TRAIN_TYPES[key]
+            allowed = typing.get_args(want) or (want,)
+            allowed += (int,) if float in allowed else ()  # JSON may write 1.0 as 1
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"{args.config}: setting {key!r} must be "
+                                 f"{getattr(want, '__name__', want)}, got {json.dumps(value)}")
         settings.update(file_cfg)
     for key in ("loss", "context", "epochs", "seed"):
         value = getattr(args, key, None)

@@ -47,10 +47,12 @@ def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingT
     the "/c/en/" concept prefix are stored with the prefix stripped.
     Duplicate tokens keep the first occurrence. When ``vocab_filter`` is
     given, only those tokens are kept (checked after prefix stripping).
-    Any other line with the wrong number of fields is rejected by line number.
+    Any other line with the wrong number of fields, or with a value that is
+    not a finite number, is rejected by line number.
     """
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    linenos: list[int] = []  # source line of each row, for error messages
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -82,7 +84,11 @@ def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingT
                 raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
             vocab[token] = len(rows)
             rows.append(vec)
+            linenos.append(lineno)
     matrix = np.vstack(rows) if rows else np.zeros((0, dimension), dtype=np.float32)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return EmbeddingTable(vocab, matrix, dimension)
 
 

@@ -78,8 +78,9 @@ class RankingMetrics:
 def evaluate(scorer, groups) -> RankingMetrics:
     """Score every group and average AP / RR / P@1 (unweighted, x100).
 
-    ``scorer(group) -> per-candidate scores`` must be deterministic; groups
-    must already be filtered to have at least one positive each.
+    ``scorer(group) -> per-candidate scores`` must be deterministic and
+    return one finite score per candidate; groups must already be filtered
+    to have at least one positive each.
     """
     groups = list(groups)
     if not groups:
@@ -88,6 +89,11 @@ def evaluate(scorer, groups) -> RankingMetrics:
     aps, rrs, p1s = [], [], []
     for g in groups:
         scores = np.asarray(scorer(g), dtype=np.float64)
+        if scores.shape != (len(g.candidates),):
+            raise ValueError(f"evaluate: scorer returned shape {scores.shape} for question "
+                             f"{g.question_id} with {len(g.candidates)} candidates")
+        if not np.isfinite(scores).all():
+            raise ValueError(f"evaluate: non-finite score for question {g.question_id}")
         ranks = [c.original_rank for c in g.candidates]
         labels = g.labels
         aps.append(average_precision(scores, labels, ranks))

@@ -1,11 +1,13 @@
 """The Cosinet ranking model.
 
-Per question/candidate pair: each word gets a relatedness feature (its best
-cosine match against the other text), the augmented embeddings go through a
-per-side CNN with masked global max pooling, and the two sentence vectors
-combine into a pair embedding [q * c; q - c]. Candidate pair embeddings can
-then be contextualized along the original rank by a recurrent layer before
-a single linear head produces one score per candidate.
+Each word gets a relatedness feature (its best cosine match against the
+other text of its pair). The layers then work on a whole batch of pairs at
+once: every side is zero-padded to the batch's longest, one CNN per side
+with masked global max pooling turns the batch into sentence vectors, and
+each pair combines into [q * c; q - c]. The (n, 2H) pair embeddings can then
+be contextualized along the original rank by a recurrent layer, one tape op
+per direction, before a single linear head produces one score per
+candidate.
 
 Relatedness features are computed outside the tape: embeddings are frozen,
 so nothing back-propagates through them.
@@ -204,10 +206,10 @@ class PairInput:
     c_win_valid: np.ndarray
 
 
-def _augment_and_pad(emb: np.ndarray, rel: np.ndarray, kernel_width: int, extra_pad: int):
+def _augment_and_pad(emb: np.ndarray, rel: np.ndarray, kernel_width: int):
     n = emb.shape[0]
     aug = np.concatenate([emb, rel[:, None]], axis=1)
-    target = max(n + extra_pad, kernel_width)
+    target = max(n, kernel_width)
     if target > n:
         aug = np.vstack([aug, np.zeros((target - n, aug.shape[1]), dtype=aug.dtype)])
     # valid windows are those of a valid convolution over the real tokens
@@ -218,89 +220,71 @@ def _augment_and_pad(emb: np.ndarray, rel: np.ndarray, kernel_width: int, extra_
     return aug, win_valid
 
 
-def prepare_pair_matrices(q_emb, c_emb, kernel_width: int, pad_q: int = 0, pad_c: int = 0) -> PairInput:
-    """Relatedness-augment both sides and zero-pad to at least the kernel width.
-
-    ``pad_q``/``pad_c`` append extra padding rows (output must be invariant
-    to them thanks to the window-validity pooling masks).
-    """
+def prepare_pair_matrices(q_emb, c_emb, kernel_width: int) -> PairInput:
+    """Relatedness-augment both sides and zero-pad to at least the kernel width."""
     q_emb = np.asarray(q_emb, dtype=np.float32)
     c_emb = np.asarray(c_emb, dtype=np.float32)
     r_q, r_c = relatedness(q_emb, c_emb)
-    q_x, q_valid = _augment_and_pad(q_emb, r_q, kernel_width, pad_q)
-    c_x, c_valid = _augment_and_pad(c_emb, r_c, kernel_width, pad_c)
+    q_x, q_valid = _augment_and_pad(q_emb, r_q, kernel_width)
+    c_x, c_valid = _augment_and_pad(c_emb, r_c, kernel_width)
     return PairInput(q_x, c_x, q_valid, c_valid)
 
 
-def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable, kernel_width: int,
-                 pad_q: int = 0, pad_c: int = 0) -> PairInput:
+def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable, kernel_width: int) -> PairInput:
     q_emb, _ = embed_sequence(q_tokens, table)
     c_emb, _ = embed_sequence(c_tokens, table)
-    return prepare_pair_matrices(q_emb, c_emb, kernel_width, pad_q, pad_c)
+    return prepare_pair_matrices(q_emb, c_emb, kernel_width)
 
 
-def encode_pair(pair: PairInput, leaves: dict, tape: Tape) -> ndgrad.Tensor:
-    """CNN + masked max pool per side, combined as [q * c; q - c] (1, 2H)."""
-    qx = tape.constant(pair.q_x)
-    cx = tape.constant(pair.c_x)
-    q_conv = ndgrad.conv1d(qx, leaves["q_conv_w"], leaves["q_conv_b"])
-    c_conv = ndgrad.conv1d(cx, leaves["c_conv_w"], leaves["c_conv_b"])
-    q_e = ndgrad.masked_max_pool(q_conv, pair.q_win_valid)
-    c_e = ndgrad.masked_max_pool(c_conv, pair.c_win_valid)
+def _pad_batch(xs, masks, dtype):
+    """Stack (T_i, D) inputs and their window masks, zero- and False-padded to the longest."""
+    t_max = max(x.shape[0] for x in xs)
+    n_win = t_max - xs[0].shape[0] + masks[0].shape[0]
+    x = np.zeros((len(xs), t_max, xs[0].shape[1]), dtype=dtype)
+    mask = np.zeros((len(xs), n_win), dtype=bool)
+    for i, (xi, mi) in enumerate(zip(xs, masks)):
+        x[i, :xi.shape[0]] = xi
+        mask[i, :mi.shape[0]] = mi
+    return x, mask
+
+
+def encode_pair(pairs, leaves: dict, tape: Tape) -> ndgrad.Tensor:
+    """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
+    def tower(side, xs, masks):
+        x, mask = _pad_batch(xs, masks, tape.dtype)
+        conv = ndgrad.conv1d(tape.constant(x), leaves[f"{side}_conv_w"], leaves[f"{side}_conv_b"])
+        return ndgrad.masked_max_pool(conv, mask)
+
+    q_e = tower("q", [p.q_x for p in pairs], [p.q_win_valid for p in pairs])
+    c_e = tower("c", [p.c_x for p in pairs], [p.c_win_valid for p in pairs])
     return ndgrad.concat([ndgrad.mul(q_e, c_e), ndgrad.sub(q_e, c_e)], axis=1)
 
 
-def contextualize(pair_vecs, config: CosinetConfig, leaves: dict, tape: Tape):
-    """Run the configured recurrence over the rank-ordered pair embeddings.
+def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
+    """Run the configured recurrence down the rank-ordered (n, 2H) pair embeddings.
 
-    Returns one context vector per candidate: the inputs unchanged for
-    ``none``, per-step hidden states for rnn/lstm, and the forward/backward
-    concatenation for the bidirectional variants. Initial states are zero.
+    Returns one context row per candidate: the input unchanged for ``none``,
+    the hidden states for rnn/lstm, and the forward/backward concatenation
+    for the bidirectional variants. Initial states are zero.
     """
     kind = config.context
     if kind == "none":
-        return list(pair_vecs)
-    ch = config.context_hidden
-
-    def run_rnn(vecs, w_ih, w_hh, b):
-        h = tape.constant(np.zeros((1, ch)))
-        out = []
-        for x in vecs:
-            h = ndgrad.rnn_cell(x, h, w_ih, w_hh, b)
-            out.append(h)
-        return out
-
-    def run_lstm(vecs, w_ih, w_hh, b):
-        h = tape.constant(np.zeros((1, ch)))
-        c = tape.constant(np.zeros((1, ch)))
-        out = []
-        for x in vecs:
-            h, c = ndgrad.lstm_cell(x, h, c, w_ih, w_hh, b)
-            out.append(h)
-        return out
-
+        return pair_vecs
+    cell = ndgrad.lstm_cell if kind.endswith("lstm") else ndgrad.rnn_cell
     if kind == "rnn":
         b = ndgrad.add(leaves["ctx_b_ih"], leaves["ctx_b_hh"])
-        return run_rnn(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], b)
+        return cell(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], b)
     if kind == "lstm":
-        return run_lstm(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], leaves["ctx_b"])
-    if kind == "birnn":
-        fw = run_rnn(pair_vecs, leaves["ctx_fw_w_ih"], leaves["ctx_fw_w_hh"], leaves["ctx_fw_b"])
-        bw = run_rnn(list(reversed(pair_vecs)), leaves["ctx_bw_w_ih"],
-                     leaves["ctx_bw_w_hh"], leaves["ctx_bw_b"])[::-1]
-    else:  # bilstm
-        fw = run_lstm(pair_vecs, leaves["ctx_fw_w_ih"], leaves["ctx_fw_w_hh"], leaves["ctx_fw_b"])
-        bw = run_lstm(list(reversed(pair_vecs)), leaves["ctx_bw_w_ih"],
-                      leaves["ctx_bw_w_hh"], leaves["ctx_bw_b"])[::-1]
-    return [ndgrad.concat([f, b], axis=1) for f, b in zip(fw, bw)]
+        return cell(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], leaves["ctx_b"])
+    return ndgrad.concat([cell(pair_vecs, leaves[f"ctx_{d}_w_ih"], leaves[f"ctx_{d}_w_hh"],
+                               leaves[f"ctx_{d}_b"], reverse=d == "bw")
+                          for d in ("fw", "bw")], axis=1)
 
 
 def score_pairs(pairs, config: CosinetConfig, leaves: dict, tape: Tape) -> ndgrad.Tensor:
     """Forward a rank-ordered list of PairInput to a (1, n) score row."""
-    vecs = [encode_pair(p, leaves, tape) for p in pairs]
-    ctx = contextualize(vecs, config, leaves, tape)
-    stacked = ctx[0] if len(ctx) == 1 else ndgrad.concat(ctx, axis=0)
-    col = ndgrad.add(ndgrad.matmul(stacked, leaves["head_w"]), leaves["head_b"])
+    ctx = contextualize(encode_pair(pairs, leaves, tape), config, leaves)
+    col = ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
     return ndgrad.transpose(col)
 
 

@@ -10,12 +10,15 @@ Conventions:
   - ``Tape.backward`` resets all gradients first, then fills them, so
     repeated calls never silently accumulate;
   - gradients are only propagated into tensors that require them or that
-    were produced by an operation (frozen leaves stay grad-free).
+    were produced by an operation (frozen leaves stay grad-free);
+  - a tensor refers to its tape weakly, so the tape (records, tensors and
+    their buffers) is freed as soon as the caller drops it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -30,22 +33,28 @@ class Tensor:
     first backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "tape", "op_output")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "op_output")
 
     def __init__(self, data: np.ndarray, tape: "Tape", requires_grad: bool = False,
                  op_output: bool = False):
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.op_output = op_output
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape this tensor was recorded on, or None once it is freed."""
+        return self._tape()
 
     @property
     def shape(self):
         return self.data.shape
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, tape={self.tape.id}, requires_grad={self.requires_grad})"
+        tape_id = getattr(self.tape, "id", None)
+        return f"Tensor(shape={self.data.shape}, tape={tape_id}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -110,6 +119,8 @@ def _acc(t: Tensor, g) -> None:
 
 def _tape_of(name: str, *tensors: Tensor) -> Tape:
     tape = tensors[0].tape
+    if tape is None:
+        raise ValueError(f"{name}: input tensor outlived its tape")
     for t in tensors[1:]:
         if t.tape is not tape:
             raise ValueError(f"{name}: inputs recorded on different tapes")
@@ -166,24 +177,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def _unary(name, x: Tensor, fwd, bwd) -> Tensor:
-    tape = x.tape
-    out_data = fwd(x.data)
-    out = tape._output(out_data)
-
-    def backward():
-        if out.grad is None or not _wants_grad(x):
-            return
-        _acc(x, bwd(out.grad, x.data, out_data))
-
-    tape._record(backward)
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _unary("tanh", x, np.tanh, lambda g, xd, od: g * (1.0 - od * od))
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function without overflow in exp, in the dtype of ``v``."""
     e = np.exp(-np.abs(v))
@@ -216,8 +209,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise _shape_error("transpose", x.data.shape)
-    return _unary("transpose", x, lambda xd: np.ascontiguousarray(xd.T),
-                  lambda g, xd, od: g.T)
+    tape = _tape_of("transpose", x)
+    out = tape._output(np.ascontiguousarray(x.data.T))
+
+    def backward():
+        if out.grad is not None and _wants_grad(x):
+            _acc(x, out.grad.T)
+
+    tape._record(backward)
+    return out
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -244,7 +244,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce every element to a (1, 1) scalar tensor."""
-    tape = x.tape
+    tape = _tape_of("sum_all", x)
     out = tape._output(x.data.sum(dtype=x.data.dtype).reshape(1, 1))
 
     def backward():
@@ -268,7 +268,7 @@ def kl_logits(scores: Tensor, target) -> Tensor:
     g = np.asarray(target, dtype=s.dtype)
     if s.ndim != 2 or g.shape != s.shape:
         raise _shape_error("kl_logits", s.shape, g.shape)
-    tape = scores.tape
+    tape = _tape_of("kl_logits", scores)
     shifted = s - s.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
@@ -290,15 +290,15 @@ def kl_logits(scores: Tensor, target) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid 1-d convolution over time.
+    """Valid 1-d convolution over time, for a batch of sequences at once.
 
-    ``x`` is (T, C_in), ``w`` is (K, C_in, C_out), ``b`` is (C_out,).
-    Output is (T - K + 1, C_out); requires T >= K (pad the input first).
+    ``x`` is (N, T, C_in), ``w`` is (K, C_in, C_out), ``b`` is (C_out,).
+    Output is (N, T - K + 1, C_out); requires T >= K (pad the input first).
     """
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
+    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
         raise _shape_error("conv1d", x.data.shape, w.data.shape)
     k, c_in, c_out = w.data.shape
-    t_len = x.data.shape[0]
+    n, t_len = x.data.shape[:2]
     if t_len < k:
         raise ValueError(f"conv1d: input length {t_len} shorter than kernel width {k}")
     if b.data.shape != (c_out,):
@@ -306,25 +306,25 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     tape = _tape_of("conv1d", x, w, b)
 
     t_out = t_len - k + 1
-    # im2col: (t_out, K*C_in) rows of flattened windows, matching w.reshape(K*C_in, C_out)
-    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)  # (t_out, C_in, K)
-    win2d = np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(t_out, k * c_in)
+    # im2col: (N * t_out, K*C_in) rows of flattened windows, matching w.reshape(K*C_in, C_out)
+    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)  # (N, t_out, C_in, K)
+    win2d = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(n * t_out, k * c_in)
     w_flat = w.data.reshape(k * c_in, c_out)
-    out = tape._output(win2d @ w_flat + b.data)
+    out = tape._output((win2d @ w_flat + b.data).reshape(n, t_out, c_out))
 
     def backward():
         if out.grad is None:
             return
-        g = out.grad
+        g = out.grad.reshape(n * t_out, c_out)
         if _wants_grad(w):
             _acc(w, (win2d.T @ g).reshape(k, c_in, c_out))
         if _wants_grad(b):
             _acc(b, g.sum(axis=0))
         if _wants_grad(x):
-            dwin = (g @ w_flat.T).reshape(t_out, k, c_in)
+            dwin = (g @ w_flat.T).reshape(n, t_out, k, c_in)
             dx = np.zeros_like(x.data)
             for j in range(k):
-                dx[j:j + t_out] += dwin[:, j, :]
+                dx[:, j:j + t_out] += dwin[:, :, j]
             _acc(x, dx)
 
     tape._record(backward)
@@ -332,130 +332,122 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def masked_max_pool(x: Tensor, mask) -> Tensor:
-    """Global max over time restricted to positions where ``mask`` is nonzero.
+    """Per-sequence max over time restricted to positions where ``mask`` is true.
 
-    ``x`` is (T, C), ``mask`` a length-T binary vector (plain array, not a
-    tensor). Output is (1, C). Values at masked positions never influence
-    the output or the gradient.
+    ``x`` is (N, T, C), ``mask`` an (N, T) boolean array (plain array, not
+    a tensor) with at least one true entry per row. Output is (N, C). Values
+    at masked positions never influence the output or the gradient; among
+    equal maxima the first position takes the gradient.
     """
-    mask = np.asarray(mask)
-    if x.data.ndim != 2 or mask.shape != (x.data.shape[0],):
+    mask = np.asarray(mask, dtype=bool)
+    if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
         raise _shape_error("masked_max_pool", x.data.shape, mask.shape)
-    valid = np.flatnonzero(mask)
-    if valid.size == 0:
+    if not mask.any(axis=1).all():
         raise ValueError("masked_max_pool: mask has no valid timestep")
-    tape = x.tape
-    cols = np.arange(x.data.shape[1])
-    rows = valid[np.argmax(x.data[valid], axis=0)]  # first max among valid rows
-    out = tape._output(x.data[rows, cols][None, :].copy())
+    tape = _tape_of("masked_max_pool", x)
+    rows = np.argmax(np.where(mask[:, :, None], x.data, -np.inf), axis=1)[:, None, :]
+    out = tape._output(np.take_along_axis(x.data, rows, axis=1)[:, 0, :])
 
     def backward():
         if out.grad is None or not _wants_grad(x):
             return
         dx = np.zeros_like(x.data)
-        np.add.at(dx, (rows, cols), out.grad[0])
+        np.put_along_axis(dx, rows, out.grad[:, None, :], axis=1)
         _acc(x, dx)
 
     tape._record(backward)
     return out
 
 
-def rnn_cell(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
-    """One step of a simple recurrence: tanh(x @ w_ih + h @ w_hh + b).
+def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: int,
+                reverse: bool, cell, cell_back) -> Tensor:
+    """Run a recurrence over the rows of ``x`` from a zero state as one tape op.
 
-    ``x`` is (1, In), ``h`` is (1, H), ``w_ih`` (In, H), ``w_hh`` (H, H),
-    ``b`` (1, H).
+    The input projection ``x @ w_ih + b`` is one matmul for all steps. Per
+    step, ``cell(pre, c) -> (h, c, saved)`` maps the pre-activation and the
+    carried cell state to the new hidden and cell state, and
+    ``cell_back(dh, dc, saved) -> (dpre, dc_prev)`` is its derivative. Output
+    row t is the hidden state after row t, whichever way the rows are read.
     """
-    if (x.data.ndim != 2 or h.data.ndim != 2
-            or x.data.shape[1] != w_ih.data.shape[0]
-            or h.data.shape[1] != w_hh.data.shape[0]
-            or w_ih.data.shape[1] != w_hh.data.shape[1]
-            or b.data.shape != (1, w_hh.data.shape[1])):
-        raise _shape_error("rnn_cell", x.data.shape, h.data.shape,
-                           w_ih.data.shape, w_hh.data.shape, b.data.shape)
-    tape = _tape_of("rnn_cell", x, h, w_ih, w_hh, b)
-    out_data = np.tanh(x.data @ w_ih.data + h.data @ w_hh.data + b.data)
-    out = tape._output(out_data)
+    hdim = w_hh.data.shape[0] if w_hh.data.ndim == 2 else -1
+    if (x.data.ndim != 2 or w_ih.data.shape != (x.data.shape[1], gates * hdim)
+            or w_hh.data.shape != (hdim, gates * hdim) or b.data.shape != (1, gates * hdim)):
+        raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape, b.data.shape)
+    tape = _tape_of(name, x, w_ih, w_hh, b)
+    order = slice(None, None, -1) if reverse else slice(None)
+    xs = x.data[order]
+    pre_x = xs @ w_ih.data + b.data
+    hs = np.zeros((xs.shape[0] + 1, hdim), dtype=pre_x.dtype)  # hs[t]: state before step t
+    c = np.zeros(hdim, dtype=pre_x.dtype)
+    saved = []
+    for t in range(xs.shape[0]):
+        hs[t + 1], c, s = cell(pre_x[t] + hs[t] @ w_hh.data, c)
+        saved.append(s)
+    out = tape._output(np.ascontiguousarray(hs[1:][order]))
 
     def backward():
         if out.grad is None:
             return
-        dpre = out.grad * (1.0 - out_data * out_data)
+        g = out.grad[order]
+        dpre = np.empty_like(pre_x)
+        dh = np.zeros(hdim, dtype=pre_x.dtype)
+        dc = np.zeros(hdim, dtype=pre_x.dtype)
+        for t in reversed(range(xs.shape[0])):
+            dpre[t], dc = cell_back(g[t] + dh, dc, saved[t])
+            dh = dpre[t] @ w_hh.data.T
         if _wants_grad(x):
-            _acc(x, dpre @ w_ih.data.T)
-        if _wants_grad(h):
-            _acc(h, dpre @ w_hh.data.T)
+            _acc(x, (dpre @ w_ih.data.T)[order])
         if _wants_grad(w_ih):
-            _acc(w_ih, x.data.T @ dpre)
+            _acc(w_ih, xs.T @ dpre)
         if _wants_grad(w_hh):
-            _acc(w_hh, h.data.T @ dpre)
+            _acc(w_hh, hs[:-1].T @ dpre)
         if _wants_grad(b):
-            _acc(b, dpre)
+            _acc(b, dpre.sum(axis=0, keepdims=True))
 
     tape._record(backward)
     return out
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
-              b: Tensor):
-    """One step of a standard 4-gate LSTM; returns (h_new, c_new).
+def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """Simple recurrence h_t = tanh(x_t @ w_ih + h_{t-1} @ w_hh + b) over all rows.
+
+    ``x`` is (N, In), ``w_ih`` (In, H), ``w_hh`` (H, H), ``b`` (1, H); the
+    output is the (N, H) hidden states. ``reverse`` reads the rows last to
+    first.
+    """
+    def cell(pre, c):
+        h = np.tanh(pre)
+        return h, c, h
+
+    def cell_back(dh, dc, h):
+        return dh * (1.0 - h * h), dc
+
+    return _recurrence("rnn_cell", x, w_ih, w_hh, b, 1, reverse, cell, cell_back)
+
+
+def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """Standard 4-gate LSTM over all rows; returns the (N, H) hidden states.
 
     Gate layout along the last axis of ``w_ih``/``w_hh``/``b`` is
     [input, forget, cell-candidate, output], each of width H.
-    ``x`` is (1, In), ``h`` and ``c`` are (1, H), ``w_ih`` (In, 4H),
-    ``w_hh`` (H, 4H), ``b`` (1, 4H).
+    ``x`` is (N, In), ``w_ih`` (In, 4H), ``w_hh`` (H, 4H), ``b`` (1, 4H).
+    ``reverse`` reads the rows last to first.
     """
-    hdim = h.data.shape[1] if h.data.ndim == 2 else -1
-    if (x.data.ndim != 2 or h.data.ndim != 2 or c.data.shape != h.data.shape
-            or w_ih.data.shape != (x.data.shape[1], 4 * hdim)
-            or w_hh.data.shape != (hdim, 4 * hdim)
-            or b.data.shape != (1, 4 * hdim)):
-        raise _shape_error("lstm_cell", x.data.shape, h.data.shape, c.data.shape,
-                           w_ih.data.shape, w_hh.data.shape, b.data.shape)
-    tape = _tape_of("lstm_cell", x, h, c, w_ih, w_hh, b)
+    def cell(pre, c):
+        i, f, g, o = np.split(pre, 4)
+        i, f, g, o = _sigmoid(i), _sigmoid(f), np.tanh(g), _sigmoid(o)
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        return o * tc, c_new, (i, f, g, o, c, tc)
 
-    pre = x.data @ w_ih.data + h.data @ w_hh.data + b.data
-    i = _sigmoid(pre[:, :hdim])
-    f = _sigmoid(pre[:, hdim:2 * hdim])
-    g = np.tanh(pre[:, 2 * hdim:3 * hdim])
-    o = _sigmoid(pre[:, 3 * hdim:])
-    c_new = f * c.data + i * g
-    tc = np.tanh(c_new)
-    h_out = tape._output(o * tc)
-    c_out = tape._output(c_new.copy())
-
-    def backward():
-        dh = h_out.grad
-        dc_in = c_out.grad
-        if dh is None and dc_in is None:
-            return
-        dtype = pre.dtype
-        dh = dh if dh is not None else np.zeros((1, hdim), dtype=dtype)
-        dc = dc_in if dc_in is not None else np.zeros((1, hdim), dtype=dtype)
-        do = dh * tc
+    def cell_back(dh, dc, saved):
+        i, f, g, o, c, tc = saved
         dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c.data
-        dg = dc * i
-        dpre = np.concatenate([di * i * (1.0 - i),
-                               df * f * (1.0 - f),
-                               dg * (1.0 - g * g),
-                               do * o * (1.0 - o)], axis=1)
-        if _wants_grad(x):
-            _acc(x, dpre @ w_ih.data.T)
-        if _wants_grad(h):
-            _acc(h, dpre @ w_hh.data.T)
-        if _wants_grad(c):
-            _acc(c, dc * f)
-        if _wants_grad(w_ih):
-            _acc(w_ih, x.data.T @ dpre)
-        if _wants_grad(w_hh):
-            _acc(w_hh, h.data.T @ dpre)
-        if _wants_grad(b):
-            _acc(b, dpre)
+        dpre = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                               dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
+        return dpre, dc * f
 
-    tape._record(backward)
-    return h_out, c_out
+    return _recurrence("lstm_cell", x, w_ih, w_hh, b, 4, reverse, cell, cell_back)
 
 
 def bce_logits_mean(scores: Tensor, labels) -> Tensor:
@@ -464,7 +456,7 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     Numerically stabilized form max(s,0) - s*y + log1p(exp(-|s|)); ``labels``
     is a plain array broadcastable to ``scores``. Output is (1, 1).
     """
-    tape = scores.tape
+    tape = _tape_of("bce_logits_mean", scores)
     y = np.asarray(labels, dtype=scores.data.dtype).reshape(scores.data.shape)
     s = scores.data
     per = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))

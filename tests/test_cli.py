@@ -219,6 +219,44 @@ class TestTrain:
         assert rc == 1
         assert "dropout" in err
 
+    @pytest.mark.parametrize("settings,key", [
+        ({"epochs": "3"}, "epochs"),
+        ({"max_lr": "1e-3"}, "max_lr"),
+        ({"context_hidden": 2.5}, "context_hidden"),
+        ({"batch_size": True}, "batch_size"),
+    ])
+    def test_wrongly_typed_config_value_rejected(self, toy_jsonl, toy_vocab, tmp_path,
+                                                  capsys, settings, key):
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"embedding_dim": 16, **settings}))
+        out = tmp_path / "m.bin"
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", str(bad), "--out", str(out)], capsys)
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error:") and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["3", "null", "[]"])
+    def test_non_object_config_rejected(self, toy_jsonl, toy_vocab, tmp_path, capsys, text):
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc, _, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                          "--config", str(bad), "--out", str(tmp_path / "m.bin")], capsys)
+        assert rc == 1 and err.startswith("error:") and "JSON object" in err
+
+    def test_null_and_integral_config_values_accepted(self, toy_jsonl, toy_vocab,
+                                                      tmp_path, capsys):
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedding_dim": 16, "conv_hidden": 8, "kernel_width": 3,
+                                   "epochs": 1, "max_lr": None, "context_hidden": None,
+                                   "ratio": 32}))
+        rep = run_json(["train", "--train", toy_jsonl, "--embeddings", emb,
+                        "--config", str(cfg), "--out", str(tmp_path / "m.bin")], capsys)
+        assert rep["steps"] == 3
+
     def test_pointwise_with_context_rejected(self, toy_jsonl, toy_vocab,
                                              small_settings, tmp_path, capsys):
         emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)

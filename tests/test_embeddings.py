@@ -76,6 +76,12 @@ class TestLoad:
         with pytest.raises(ValueError, match=":2:"):
             load_embeddings(write_lines(tmp_path, lines), dimension=3)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        lines = ["cat 1 2 3", f"dog 4 {bad} 6"]
+        with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite"):
+            load_embeddings(write_lines(tmp_path, lines), dimension=3)
+
     def test_missing_file_is_a_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             load_embeddings(tmp_path / "nope.txt")

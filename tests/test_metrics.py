@@ -141,6 +141,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(score_rr, [])
 
+    @pytest.mark.parametrize("bad", [
+        lambda g: [np.nan] + [0.0] * (len(g.candidates) - 1),
+        lambda g: [np.inf] * len(g.candidates),
+    ])
+    def test_non_finite_score_rejected(self, toy_groups, bad):
+        with pytest.raises(ValueError, match="non-finite score for question q1"):
+            evaluate(bad, toy_groups)
+
+    @pytest.mark.parametrize("bad", [
+        lambda g: [0.0] * (len(g.candidates) - 1),
+        lambda g: [0.0] * (len(g.candidates) + 1),
+        lambda g: np.zeros((len(g.candidates), 1)),
+    ])
+    def test_wrong_score_count_rejected(self, toy_groups, bad):
+        with pytest.raises(ValueError, match="question q1 with 3 candidates"):
+            evaluate(bad, toy_groups)
+
     def test_to_dict_rounds(self):
         m = RankingMetrics(map=64.214999, mrr=64.26, p_at_1=46.09,
                            n_questions=243, wall_seconds=0.123456)

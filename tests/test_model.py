@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import struct
@@ -154,16 +155,15 @@ class TestPreparePair:
         assert pair.q_win_valid.all()
 
     def test_window_validity_covers_real_tokens_only(self):
+        # an n-token side has max(1, n - K + 1) windows, all of them valid;
+        # the windows that batch padding appends are covered by
+        # TestForward.test_padding_invariance
         rng = np.random.default_rng(2)
-        q = rng.standard_normal((3, 4))
-        c = rng.standard_normal((3, 4))
-        pair = prepare_pair_matrices(q, c, kernel_width=2, pad_q=4)
-        # 7 rows, 6 windows; a 3-token input has 2 valid convolution windows
-        assert pair.q_x.shape == (7, 5)
-        np.testing.assert_array_equal(pair.q_win_valid,
-                                      [True, True, False, False, False, False])
-        base = prepare_pair_matrices(q, c, kernel_width=2)
-        assert base.q_win_valid.sum() == pair.q_win_valid.sum()
+        for n, k in [(3, 2), (7, 3), (2, 5), (5, 5)]:
+            q = rng.standard_normal((n, 4))
+            pair = prepare_pair_matrices(q, q, kernel_width=k)
+            assert pair.q_x.shape == (max(n, k), 5)
+            np.testing.assert_array_equal(pair.q_win_valid, np.ones(max(1, n - k + 1), dtype=bool))
 
     def test_prepare_pair_uses_table_lookup(self, toy_table):
         pair = prepare_pair(["plants", "unknowntoken"], ["plants", "."],
@@ -174,7 +174,32 @@ class TestPreparePair:
 
 
 # ---------------------------------------------------------------------------
-# forward oracle: plain-loop convolution + pool + combine + head
+# forward oracle: plain per-pair convolution + pool + combine, per-step
+# recurrences along the rank, then the head
+
+
+def np_sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def np_rnn(xs, w_ih, w_hh, b):
+    h, out = np.zeros(w_hh.shape[0]), []
+    for x in xs:
+        h = np.tanh(x @ w_ih + h @ w_hh + b[0])
+        out.append(h)
+    return np.array(out)
+
+
+def np_lstm(xs, w_ih, w_hh, b):
+    hd = w_hh.shape[0]
+    h, c, out = np.zeros(hd), np.zeros(hd), []
+    for x in xs:
+        pre = x @ w_ih + h @ w_hh + b[0]
+        i, f, o = np_sigmoid(pre[:hd]), np_sigmoid(pre[hd:2 * hd]), np_sigmoid(pre[3 * hd:])
+        c = f * c + i * np.tanh(pre[2 * hd:3 * hd])
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.array(out)
 
 
 def np_forward_scores(pairs, params, config):
@@ -183,20 +208,30 @@ def np_forward_scores(pairs, params, config):
         t_out = x.shape[0] - k + 1
         out = np.zeros((t_out, w.shape[2]))
         for t in range(t_out):
-            acc = b.astype(np.float64).copy()
+            acc = b.copy()
             for j in range(k):
-                acc += x[t + j].astype(np.float64) @ w[j].astype(np.float64)
+                acc += x[t + j].astype(np.float64) @ w[j]
             out[t] = acc
         return out
 
-    a = params.arrays
+    a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
     feats = []
     for p in pairs:
         qv = conv(p.q_x, a["q_conv_w"], a["q_conv_b"])[p.q_win_valid.astype(bool)].max(axis=0)
         cv = conv(p.c_x, a["c_conv_w"], a["c_conv_b"])[p.c_win_valid.astype(bool)].max(axis=0)
         feats.append(np.concatenate([qv * cv, qv - cv]))
     feats = np.stack(feats)
-    return feats @ a["head_w"].astype(np.float64)[:, 0] + float(a["head_b"][0, 0])
+    kind = config.context
+    run = np_lstm if kind.endswith("lstm") else np_rnn
+    if kind == "rnn":
+        feats = run(feats, a["ctx_w_ih"], a["ctx_w_hh"], a["ctx_b_ih"] + a["ctx_b_hh"])
+    elif kind == "lstm":
+        feats = run(feats, a["ctx_w_ih"], a["ctx_w_hh"], a["ctx_b"])
+    elif kind != "none":
+        fw = run(feats, a["ctx_fw_w_ih"], a["ctx_fw_w_hh"], a["ctx_fw_b"])
+        bw = run(feats[::-1], a["ctx_bw_w_ih"], a["ctx_bw_w_hh"], a["ctx_bw_b"])[::-1]
+        feats = np.concatenate([fw, bw], axis=1)
+    return feats @ a["head_w"][:, 0] + a["head_b"][0, 0]
 
 
 def random_pairs(rng, config, n_pairs, max_len=6):
@@ -210,40 +245,75 @@ def random_pairs(rng, config, n_pairs, max_len=6):
 
 class TestForward:
     def test_encode_matches_loop_oracle(self):
-        config = tiny_config("none")
+        # every context kind, candidates of mixed lengths in one call
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            params = CosinetParams(config)
-            pairs = random_pairs(rng, config, n_pairs=3)
-            tape = Tape(dtype=np.float32)
-            got = score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
-            want = np_forward_scores(pairs, params, config)
-            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+            for kind in CONTEXT_KINDS:
+                config = tiny_config(kind, seed=seed)
+                rng = np.random.default_rng(seed)
+                params = CosinetParams(config)
+                pairs = random_pairs(rng, config, n_pairs=4, max_len=8)
+                tape = Tape(dtype=np.float32)
+                got = score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
+                want = np_forward_scores(pairs, params, config)
+                np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5, err_msg=kind)
 
     def test_pair_embedding_width(self):
         config = tiny_config("none")
         params = CosinetParams(config)
-        pair = random_pairs(np.random.default_rng(0), config, 1)[0]
+        pairs = random_pairs(np.random.default_rng(0), config, 3)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair(pair, params.as_leaves(tape), tape)
-        assert vec.shape == (1, 2 * config.conv_hidden)
+        vec = encode_pair(pairs, params.as_leaves(tape), tape)
+        assert vec.shape == (3, 2 * config.conv_hidden)
 
     def test_padding_invariance(self):
-        # extra zero padding on either side must not move any score
+        # a pair scores the same alone as in a batch padded to longer pairs;
+        # not bitwise, since BLAS may sum a row differently in a larger matmul
         config = tiny_config("none", kernel_width=3)
         params = CosinetParams(config)
         rng = np.random.default_rng(5)
-        q = rng.standard_normal((4, config.embedding_dim))
-        c = rng.standard_normal((5, config.embedding_dim))
 
-        def run(pad_q, pad_c):
-            pair = prepare_pair_matrices(q, c, config.kernel_width, pad_q, pad_c)
+        def pair(q_len, c_len):
+            q = rng.standard_normal((q_len, config.embedding_dim))
+            c = rng.standard_normal((c_len, config.embedding_dim))
+            return prepare_pair_matrices(q, c, config.kernel_width)
+
+        def run(pairs):
             tape = Tape(dtype=np.float32)
-            return score_pairs([pair], config, params.as_leaves(tape), tape).data.copy()
+            return score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
 
-        base = run(0, 0)
-        for pad_q, pad_c in [(1, 0), (0, 1), (3, 2), (7, 7)]:
-            np.testing.assert_array_equal(run(pad_q, pad_c), base)
+        for q_len, c_len in [(4, 5), (2, 1), (1, 3)]:
+            alone = pair(q_len, c_len)
+            base = run([alone])
+            for longer in [(q_len + 1, c_len), (q_len, c_len + 1), (q_len + 3, c_len + 2),
+                           (q_len + 7, c_len + 7)]:
+                scores = run([pair(*longer), alone, pair(q_len + 2, 1)])
+                np.testing.assert_allclose(scores[1], base[0], rtol=1e-6, atol=1e-6)
+
+    def test_one_tape_op_per_layer_per_batch(self, monkeypatch):
+        # conv and pool once per tower, each recurrence direction once,
+        # and a tape whose length does not grow with the candidate count
+        calls = collections.Counter()
+        for name in ("conv1d", "masked_max_pool", "rnn_cell", "lstm_cell"):
+            def counted(*args, _fn=getattr(nd, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(nd, name, counted)
+        rng = np.random.default_rng(12)
+        for kind in CONTEXT_KINDS:
+            config = tiny_config(kind)
+            params = CosinetParams(config)
+            cell = "lstm_cell" if kind.endswith("lstm") else "rnn_cell"
+            want = {"conv1d": 2, "masked_max_pool": 2}
+            if kind != "none":
+                want[cell] = 2 if config.bidirectional else 1
+            records = set()
+            for n in (1, 2, 7):
+                calls.clear()
+                tape = Tape(dtype=np.float32)
+                score_pairs(random_pairs(rng, config, n), config, params.as_leaves(tape), tape)
+                assert dict(calls) == want, (kind, n)
+                records.add(len(tape._records))
+            assert len(records) == 1, (kind, records)
 
     def test_identical_sides_with_shared_towers_have_zero_difference(self):
         # with the candidate tower forced equal to the question tower, the
@@ -256,7 +326,7 @@ class TestForward:
         x = rng.standard_normal((4, config.embedding_dim))
         pair = prepare_pair_matrices(x, x, config.kernel_width)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair(pair, params.as_leaves(tape), tape).data[0]
+        vec = encode_pair([pair], params.as_leaves(tape), tape).data[0]
         h = config.conv_hidden
         np.testing.assert_array_equal(vec[h:], np.zeros(h))
         np.testing.assert_array_equal(vec[:h], vec[:h])
