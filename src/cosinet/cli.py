@@ -119,7 +119,7 @@ def cmd_predict(args) -> None:
     cfg, params, table = model.load_model(args.model)
     groups = _load_groups(args.data)
     n = 0
-    with open(args.scores_out, "w", encoding="utf-8", newline="\n") as fh:
+    with corpus.atomic_open(args.scores_out, "w", encoding="utf-8", newline="\n") as fh:
         for g in groups:
             for s in model.score_group(g, table, params, cfg):
                 fh.write(f"{float(s):.8g}\n")

@@ -9,8 +9,11 @@ removed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import secrets
 from dataclasses import dataclass, field
 
 WIKIQA_COLUMNS = ("QuestionID", "Question", "DocumentID", "DocumentTitle",
@@ -184,9 +187,28 @@ def ingest_jsonl(path):
     return _build_groups(raw)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a fresh temporary file beside ``path`` for writing.
+
+    When the block completes, the file replaces ``path`` in one
+    ``os.replace``; when it raises, the file is removed. Either way no
+    partial ``path`` and no temporary file is left behind.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def export_jsonl(groups, path) -> None:
     """Write groups to the interchange format; export then ingest round-trips."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for g in groups:
             rec = {
                 "question_id": g.question_id,

@@ -2,8 +2,9 @@
 
 Each word gets a relatedness feature (its best cosine match against the
 other text of its pair). The layers then work on a whole batch of pairs at
-once: every side is zero-padded to the batch's longest, one CNN per side
-with masked global max pooling turns the batch into sentence vectors, and
+once: every side is zero-padded to the batch's longest, one CNN per side,
+run at the windows over real tokens only, with global max pooling over
+those windows turns the batch into sentence vectors, and
 each pair combines into [q * c; q - c]. The (n, 2H) pair embeddings can then
 be contextualized along the original rank by a recurrent layer, one tape op
 per direction, before a single linear head produces one score per
@@ -16,6 +17,7 @@ so nothing back-propagates through them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -23,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ndgrad
+from .corpus import atomic_open
 from .embeddings import EmbeddingTable, embed_sequence
 from .ndgrad import Tape
 
@@ -252,8 +255,8 @@ def encode_pair(pairs, leaves: dict, tape: Tape) -> ndgrad.Tensor:
     """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
     def tower(side, xs, masks):
         x, mask = _pad_batch(xs, masks, tape.dtype)
-        conv = ndgrad.conv1d(tape.constant(x), leaves[f"{side}_conv_w"], leaves[f"{side}_conv_b"])
-        return ndgrad.masked_max_pool(conv, mask)
+        rows = ndgrad.conv1d(x, leaves[f"{side}_conv_w"], leaves[f"{side}_conv_b"], mask)
+        return ndgrad.masked_max_pool(rows, mask)
 
     q_e = tower("q", [p.q_x for p in pairs], [p.q_win_valid for p in pairs])
     c_e = tower("c", [p.c_x for p in pairs], [p.c_win_valid for p in pairs])
@@ -313,7 +316,7 @@ def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTa
 # serialization
 
 MAGIC = b"COSINET\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 1 files (digest over the payload only) still load
 
 
 def save_model(path, config: CosinetConfig, params: CosinetParams, table: EmbeddingTable) -> None:
@@ -321,7 +324,8 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
 
     Payload tensors are 32-bit little-endian floats: the frozen embedding
     matrix first, then every trainable array in declaration order. A
-    SHA-256 over the payload closes the file.
+    SHA-256 over every byte before it (preamble, header and payload) closes
+    the file. The file appears at ``path`` only once it is complete.
     """
     vocab = table.tokens_in_order()
     manifest = [["embedding_matrix", list(table.matrix.shape)]]
@@ -334,18 +338,15 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
         "tensors": manifest,
     }, ensure_ascii=False).encode("utf-8")
 
-    payload = bytearray()
-    payload += np.ascontiguousarray(table.matrix, dtype="<f4").tobytes()
-    for name in params.names():
-        payload += np.ascontiguousarray(params.arrays[name], dtype="<f4").tobytes()
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+    arrays = [table.matrix] + [params.arrays[name] for name in params.names()]
+    parts = itertools.chain([MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)), header],
+                            (np.ascontiguousarray(a, dtype="<f4") for a in arrays))
+    digest = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def load_model(path):
@@ -355,14 +356,15 @@ def load_model(path):
     if len(blob) < 20 + 32 or blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a model file (too short or bad magic)")
     version, header_len = struct.unpack_from("<IQ", blob, 8)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported format version {version}")
     header_end = 20 + header_len
     if header_end > len(blob) - 32:
         raise ValueError(f"{path}: header length {header_len} runs past the end of the file")
-    payload = blob[header_end:-32]
-    if hashlib.sha256(payload).digest() != blob[-32:]:
-        raise ValueError(f"{path}: payload checksum mismatch (corrupt file)")
+    body = memoryview(blob)[:-32]
+    payload = body[header_end:]
+    if hashlib.sha256(payload if version == 1 else body).digest() != blob[-32:]:
+        raise ValueError(f"{path}: checksum mismatch (corrupt file)")
 
     try:
         header = json.loads(blob[20:header_end].decode("utf-8"))

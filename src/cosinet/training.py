@@ -98,13 +98,21 @@ def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
 
 
 class Adam:
-    """Adam with bias correction; one state slot per named parameter."""
+    """Adam with bias correction; one state slot per named parameter.
+
+    ``step`` works in place through two scratch buffers shared by all
+    parameters, in the operation order of m += (1-b1)(g-m),
+    v += (1-b2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + eps), so its
+    updates are bit for bit those of that expression.
+    """
 
     def __init__(self, names, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {n: np.zeros_like(arrays[n]) for n in names}
         self.v = {n: np.zeros_like(arrays[n]) for n in names}
+        size = max(arrays[n].size for n in names)
+        self._scratch = np.empty((2, size), dtype=np.result_type(*(arrays[n] for n in names)))
 
     def step(self, arrays: dict, grads: dict, lr: float) -> None:
         self.t += 1
@@ -114,9 +122,21 @@ class Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            arr -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            s, u = (buf[:arr.size].reshape(arr.shape) for buf in self._scratch)
+            np.subtract(g, m, out=s)
+            s *= 1.0 - self.beta1
+            m += s
+            np.multiply(g, g, out=s)
+            s -= v
+            s *= 1.0 - self.beta2
+            v += s
+            np.divide(v, b2c, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, b1c, out=u)
+            u *= lr
+            u /= s
+            arr -= u
 
 
 @dataclass

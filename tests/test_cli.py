@@ -317,6 +317,28 @@ class TestEvalPredict:
                       "--scores-out", str(p)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_predict_leaves_no_partial_file(self, trained_model, toy_jsonl,
+                                                   tmp_path, capsys, monkeypatch):
+        # scoring fails on the second group, after the first group's scores
+        # were written
+        out_dir = tmp_path / "scores"
+        out_dir.mkdir()
+        calls = []
+
+        def failing(group, *args):
+            calls.append(group)
+            if len(calls) == 2:
+                raise ValueError("scorer failed")
+            return score_group(group, *args)
+
+        score_group = model.score_group
+        monkeypatch.setattr(model, "score_group", failing)
+        rc, out, err = run(["predict", "--model", trained_model, "--data", toy_jsonl,
+                            "--scores-out", str(out_dir / "s.txt")], capsys)
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert len(calls) == 2
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("keep", [15, 60, -1])
     def test_eval_truncated_model_fails_cleanly(self, trained_model, toy_jsonl,
                                                 tmp_path, capsys, keep):

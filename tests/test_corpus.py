@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -141,6 +142,23 @@ class TestJsonl:
         export_jsonl(groups, p1)
         export_jsonl(groups, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_export_leaves_no_partial_file(self, mini_wikiqa_tsv, tmp_path, existing):
+        # the last group fails to serialize after the others were written;
+        # an older file at the path stays as it was
+        groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
+        out_dir = tmp_path / "export"
+        out_dir.mkdir()
+        out = out_dir / "out.jsonl"
+        if existing:
+            out.write_text("old\n")
+        bad = dataclasses.replace(groups[-1], question_id=object())
+        with pytest.raises(TypeError):
+            export_jsonl(groups[:-1] + [bad], out)
+        assert [p.name for p in out_dir.iterdir()] == (["out.jsonl"] if existing else [])
+        if existing:
+            assert out.read_text() == "old\n"
 
     def test_export_one_object_per_line(self, mini_wikiqa_tsv, tmp_path):
         groups, _ = ingest_wikiqa(mini_wikiqa_tsv)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import json
 import struct
 import tempfile
@@ -536,13 +537,14 @@ class TestSerialization:
         blob = path.read_bytes()
         assert blob[:8] == b"COSINET\x00"
         (version,) = struct.unpack_from("<I", blob, 8)
-        assert version == 1
+        assert version == 2
         (hlen,) = struct.unpack_from("<Q", blob, 12)
         header = json.loads(blob[20:20 + hlen])
         assert header["tensors"][0][0] == "embedding_matrix"
         assert [t[0] for t in header["tensors"][1:]] == params.names()
         n_floats = table.matrix.size + params.count()
         assert len(blob) == 20 + hlen + 4 * n_floats + 32
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
     def test_payload_corruption_detected(self, tmp_path):
         config, params, table = self.build()
@@ -605,15 +607,57 @@ class TestSerialization:
                 load_model(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        blob = saved_model_bytes()
-        (hlen,) = struct.unpack_from("<Q", blob, 12)
-        header = json.loads(blob[20:20 + hlen])
+        header, payload = split_model_file(saved_model_bytes())
         header["config"]["dropout"] = 0.5
-        raw = json.dumps(header).encode("utf-8")
         path = tmp_path / "m.bin"
-        path.write_bytes(blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + hlen:])
+        path.write_bytes(model_file(header, payload, version=2))
         with pytest.raises(ValueError, match="dropout"):
             load_model(path)
+
+    def test_version_1_file_loads(self, tmp_path):
+        # version 1: the same layout, with the digest over the payload only
+        config, params, table = self.build(seed=4)
+        path = tmp_path / "m.bin"
+        save_model(path, config, params, table)
+        header, payload = split_model_file(path.read_bytes())
+        header["format_version"] = 1
+        path.write_bytes(model_file(header, payload, version=1))
+        config2, params2, table2 = load_model(path)
+        assert config2 == config
+        for name in params.names():
+            np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
+        np.testing.assert_array_equal(table2.matrix, table.matrix)
+        assert table2.vocabulary == table.vocabulary
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, existing):
+        # the last tensor fails to convert after the header and the other
+        # tensors were written; an older file at the path stays as it was
+        config, params, table = self.build()
+        path = tmp_path / "m.bin"
+        if existing:
+            save_model(path, config, params, table)
+        before = path.read_bytes() if existing else None
+        params.arrays["head_b"] = np.array([["not a float"]])
+        with pytest.raises(ValueError, match="not a float"):
+            save_model(path, config, params, table)
+        assert [p.name for p in tmp_path.iterdir()] == (["m.bin"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
+
+def split_model_file(blob):
+    """(header object, payload bytes) of a model file."""
+    (hlen,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20:20 + hlen]), blob[20 + hlen:-32]
+
+
+def model_file(header, payload, version):
+    """A model file written by hand: version 1 digests the payload only,
+    version 2 every byte before the digest."""
+    raw = json.dumps(header).encode("utf-8")
+    body = b"COSINET\x00" + struct.pack("<IQ", version, len(raw)) + raw + payload
+    return body + hashlib.sha256(payload if version == 1 else body).digest()
 
 
 @functools.lru_cache(maxsize=None)
@@ -657,15 +701,12 @@ def test_bit_flip_outside_header_is_a_value_error(tmp_path, data):
 @FUZZ
 @given(st.data())
 def test_header_bit_flip_never_escapes_as_another_error(tmp_path, data):
-    # the digest covers the payload only, so a flip that keeps the header
-    # valid (say, inside a vocabulary token) still loads; anything else
-    # must surface as ValueError
+    # the digest covers the header too, so even a flip that keeps the JSON
+    # valid (inside a vocabulary token, or the config seed) is caught
     blob = bytearray(saved_model_bytes())
     (hlen,) = struct.unpack_from("<Q", blob, 12)
     blob[data.draw(st.integers(20, 20 + hlen - 1))] ^= 1 << data.draw(st.integers(0, 7))
     path = tmp_path / "m.bin"
     path.write_bytes(bytes(blob))
-    try:
+    with pytest.raises(ValueError):
         load_model(path)
-    except ValueError:
-        pass

@@ -132,20 +132,28 @@ def case_kl_logits(rng):
     return [x], lambda t, lv: nd.kl_logits(lv[0], target)
 
 
+def random_mask(rng, n, t):
+    """(n, t) mask with a random, usually not prefix-shaped, non-empty set per row."""
+    mask = np.zeros((n, t), dtype=bool)
+    for row in mask:
+        row[rng.choice(t, size=rng.integers(1, t + 1), replace=False)] = True
+    return mask
+
+
 def case_conv1d(rng):
+    # x is a plain array: the model's conv input takes no gradient
     x = rng.uniform(-1, 1, (2, 7, 3))
+    mask = random_mask(rng, 2, 5)
     w = rng.uniform(-1, 1, (3, 3, 4))
     b = rng.uniform(-1, 1, (4,))
-    probe = rng.uniform(-1, 1, (2, 5, 4))
-    return [x, w, b], lambda t, lv: weighted(t, nd.conv1d(lv[0], lv[1], lv[2]), probe)
+    probe = rng.uniform(-1, 1, (mask.sum(), 4))
+    return [w, b], lambda t, lv: weighted(t, nd.conv1d(x, lv[0], lv[1], mask), probe)
 
 
 def case_masked_max_pool(rng):
     # well separated values keep the argmax stable under the fd perturbation
-    x = spaced_values(rng, (3, 5, 4))
-    mask = np.zeros((3, 5), dtype=bool)
-    for row in mask:
-        row[rng.choice(5, size=rng.integers(1, 6), replace=False)] = True
+    mask = random_mask(rng, 3, 5)
+    x = spaced_values(rng, (mask.sum(), 4))
     w = rng.uniform(-1, 1, (3, 4))
     return [x], lambda t, lv: weighted(t, nd.masked_max_pool(lv[0], mask), w)
 
@@ -299,18 +307,30 @@ class TestShapeErrors:
 
     def test_conv1d_input_shorter_than_kernel(self):
         tape = nd.Tape()
-        x = tape.leaf(np.zeros((2, 2, 3)))
         w = tape.leaf(np.zeros((5, 3, 4)))
         b = tape.leaf(np.zeros(4))
         with pytest.raises(ValueError, match="shorter than kernel"):
-            nd.conv1d(x, w, b)
+            nd.conv1d(np.zeros((2, 2, 3)), w, b, np.ones((2, 1), dtype=bool))
+
+    def test_conv1d_mask_must_cover_every_window(self):
+        tape = nd.Tape()
+        w = tape.leaf(np.zeros((3, 2, 4)))
+        b = tape.leaf(np.zeros(4))
+        with pytest.raises(ValueError, match="conv1d mask"):
+            nd.conv1d(np.zeros((2, 6, 2)), w, b, np.ones((2, 6), dtype=bool))
 
     def test_masked_max_pool_empty_mask(self):
         # one row of the batch without a valid timestep is enough
         tape = nd.Tape()
-        x = tape.leaf(np.zeros((2, 3, 2)))
+        x = tape.leaf(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="no valid timestep"):
             nd.masked_max_pool(x, [[True, False, False], [False, False, False]])
+
+    def test_masked_max_pool_needs_one_row_per_true_entry(self):
+        tape = nd.Tape()
+        x = tape.leaf(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="masked_max_pool"):
+            nd.masked_max_pool(x, [[True, False, True], [False, False, True], [True, False, False]])
 
 
 class TestPrimitiveSemantics:
@@ -319,44 +339,85 @@ class TestPrimitiveSemantics:
         tape = nd.Tape(dtype=np.float64)
         rng = np.random.default_rng(0)
         xd = rng.uniform(-1, 1, (2, 6, 3))
-        x = tape.leaf(xd)
         w = tape.leaf(np.eye(3)[None, :, :])
         b = tape.leaf(np.zeros(3))
-        out = nd.conv1d(x, w, b)
-        np.testing.assert_allclose(out.data, xd, atol=1e-12)
+        out = nd.conv1d(xd, w, b, np.ones((2, 6), dtype=bool))
+        np.testing.assert_allclose(out.data, xd.reshape(12, 3), atol=1e-12)
 
     def test_conv1d_matches_direct_sum(self):
+        # one packed row per true window, in row-major mask order
         rng = np.random.default_rng(1)
         xd = rng.uniform(-1, 1, (3, 7, 2))
         wd = rng.uniform(-1, 1, (3, 2, 4))
         bd = rng.uniform(-1, 1, 4)
+        mask = np.array([[1, 0, 1, 1, 0], [0, 0, 0, 0, 1], [0, 1, 0, 1, 0]], dtype=bool)
         tape = nd.Tape(dtype=np.float64)
-        out = nd.conv1d(tape.leaf(xd), tape.leaf(wd), tape.leaf(bd)).data
-        assert out.shape == (3, 5, 4)
-        for n in range(3):
-            for t in range(5):
-                want = bd + sum(xd[n, t + k] @ wd[k] for k in range(3))
-                np.testing.assert_allclose(out[n, t], want, atol=1e-12)
+        out = nd.conv1d(xd, tape.leaf(wd), tape.leaf(bd), mask).data
+        windows = list(zip(*np.nonzero(mask)))
+        assert out.shape == (len(windows), 4)
+        for row, (n, t) in zip(out, windows):
+            want = bd + sum(xd[n, t + k] @ wd[k] for k in range(3))
+            np.testing.assert_allclose(row, want, atol=1e-12)
+
+    def test_conv1d_work_tracks_real_windows(self):
+        # one 60-token candidate padded with nine 5-token ones: 56 + 9 rows,
+        # not the 10 x 56 windows of the padded batch
+        k, dim = 5, 3
+        lengths = [60] + [5] * 9
+        x = np.zeros((10, 60, dim))
+        mask = np.zeros((10, 60 - k + 1), dtype=bool)
+        for i, n in enumerate(lengths):
+            x[i, :n] = 1.0
+            mask[i, :n - k + 1] = True
+        tape = nd.Tape(dtype=np.float64)
+        w = tape.leaf(np.ones((k, dim, 2)), requires_grad=True)
+        b = tape.leaf(np.zeros(2), requires_grad=True)
+        rows = nd.conv1d(x, w, b, mask)
+        assert rows.shape == (mask.sum(), 2) == (65, 2)
+        np.testing.assert_array_equal(rows.data, np.full((65, 2), k * dim))
+        tape.backward(nd.sum_all(nd.masked_max_pool(rows, mask)))
+        np.testing.assert_array_equal(b.grad, [10.0, 10.0])
 
     def test_masked_values_never_leak(self):
+        # inputs that only masked-out windows cover change nothing
         rng = np.random.default_rng(2)
-        xd = rng.uniform(-1, 1, (2, 5, 4))
-        mask = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 1, 1]], dtype=bool)
-        poisoned = xd.copy()
-        poisoned[~mask] = 1e9
-        tape = nd.Tape(dtype=np.float64)
-        a = nd.masked_max_pool(tape.leaf(xd), mask).data
-        b = nd.masked_max_pool(tape.leaf(poisoned), mask).data
-        np.testing.assert_array_equal(a, b)
+        xd = rng.uniform(-1, 1, (2, 6, 3))
+        wd = rng.uniform(-1, 1, (2, 3, 4))
+        bd = rng.uniform(-1, 1, 4)
+        mask = np.array([[1, 1, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=bool)
+        covered = np.zeros((2, 6), dtype=bool)
+        for j in range(2):
+            covered[:, j:j + 5] |= mask
+        poisoned = np.where(covered[:, :, None], xd, 1e9)
+        pooled = []
+        for x in (xd, poisoned):
+            tape = nd.Tape(dtype=np.float64)
+            rows = nd.conv1d(x, tape.leaf(wd), tape.leaf(bd), mask)
+            pooled.append(nd.masked_max_pool(rows, mask).data)
+        np.testing.assert_array_equal(pooled[0], pooled[1])
         for n in range(2):
-            np.testing.assert_array_equal(a[n], xd[n][mask[n]].max(axis=0))
+            full = np.stack([bd + xd[n, t] @ wd[0] + xd[n, t + 1] @ wd[1] for t in range(5)])
+            np.testing.assert_allclose(pooled[0][n], full[mask[n]].max(axis=0), atol=1e-12)
 
     def test_max_pool_tie_routes_gradient_to_first(self):
+        # packed rows: [1, 3, 3] for the first sequence, [2, 2] for the second
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[[1.0], [3.0], [3.0]], [[2.0], [2.0], [5.0]]], requires_grad=True)
-        mask = [[True, True, True], [True, True, False]]
+        x = tape.leaf([[1.0, 0.0], [3.0, 0.0], [3.0, 0.0], [2.0, 7.0], [2.0, 7.0]],
+                      requires_grad=True)
+        mask = [[True, True, True], [False, True, True]]
         tape.backward(nd.sum_all(nd.masked_max_pool(x, mask)))
-        np.testing.assert_array_equal(x.grad, [[[0.0], [1.0], [0.0]], [[1.0], [0.0], [0.0]]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0],
+                                               [1.0, 1.0], [0.0, 0.0]])
+
+    def test_nan_window_gives_nan_not_index_error(self):
+        # a NaN window pools to NaN and takes the gradient, as np.argmax would
+        tape = nd.Tape(dtype=np.float64)
+        x = tape.leaf([[1.0, np.nan], [2.0, 0.5], [np.nan, 3.0]], requires_grad=True)
+        mask = [[True, False, True], [False, True, False]]
+        out = nd.masked_max_pool(x, mask)
+        np.testing.assert_array_equal(out.data, [[2.0, np.nan], [np.nan, 3.0]])
+        tape.backward(nd.sum_all(out))
+        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_softmax_rows_normalized_and_positive(self):
         # the kl_logits gradient is softmax(s) - g, so adding g back must

@@ -220,6 +220,33 @@ class TestAdam:
         np.testing.assert_array_equal(arrays["b"], np.ones(3))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_matches_reference_expression_bitwise(self, dtype):
+        # parameters of different sizes share the scratch buffers
+        rng = np.random.default_rng(9)
+        shapes = {"w": (7, 5), "b": (5,), "big": (4, 3, 6), "s": (1, 1)}
+        arrays = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+        ref = {n: a.copy() for n, a in arrays.items()}
+        ref_m = {n: np.zeros_like(a) for n, a in arrays.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in arrays.items()}
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        adam = Adam(list(shapes), arrays, b1, b2, eps)
+        for t in range(1, 6):
+            grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+            lr = 1e-3 * t
+            adam.step(arrays, grads, lr)
+            b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n, g in grads.items():
+                ref_m[n] += (1.0 - b1) * (g - ref_m[n])
+                ref_v[n] += (1.0 - b2) * (g * g - ref_v[n])
+                ref[n] -= lr * (ref_m[n] / b1c) / (np.sqrt(ref_v[n] / b2c) + eps)
+            for n in shapes:
+                assert arrays[n].dtype == dtype
+                np.testing.assert_array_equal(arrays[n], ref[n], err_msg=n)
+                np.testing.assert_array_equal(adam.m[n], ref_m[n], err_msg=n)
+                np.testing.assert_array_equal(adam.v[n], ref_v[n], err_msg=n)
+
+
 class TestTrainConfig:
     def test_defaults(self):
         tc = TrainConfig()
