@@ -191,16 +191,25 @@ def ingest_jsonl(path):
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a fresh temporary file beside ``path`` for writing.
 
-    When the block completes, the file replaces ``path`` in one
-    ``os.replace``; when it raises, the file is removed. Either way no
-    partial ``path`` and no temporary file is left behind.
+    When the block completes, the file is flushed and fsynced, replaces
+    ``path`` in one ``os.replace``, and the directory is fsynced, so the new
+    file survives a power loss whole; when the block raises, the file is
+    removed. Either way no partial ``path`` and no temporary file is left
+    behind.
     """
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

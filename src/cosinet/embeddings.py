@@ -24,12 +24,6 @@ class EmbeddingTable:
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.matrix.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.vocabulary)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocabulary
-
     def tokens_in_order(self) -> list[str]:
         """Vocabulary tokens ordered by row index (for serialization)."""
         return sorted(self.vocabulary, key=self.vocabulary.get)
@@ -92,21 +86,16 @@ def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingT
     return EmbeddingTable(vocab, matrix, dimension)
 
 
-def embed_sequence(tokens, table: EmbeddingTable):
-    """Map a non-empty token list to a (len, dim) matrix plus an OOV mask.
+def embed_sequence(tokens, table: EmbeddingTable) -> np.ndarray:
+    """Map a non-empty token list to a (len, dim) matrix.
 
-    Row i is the table vector for token i; ``oov_mask[i]`` is 1 where the
-    token was unknown (zero-vector row).
+    Row i is the table vector for token i, or zeros where the token is
+    unknown.
     """
     if not tokens:
         raise ValueError("embed_sequence: empty token list (pad before calling)")
     mat = np.empty((len(tokens), table.dimension), dtype=np.float32)
-    oov = np.zeros(len(tokens), dtype=np.int8)
     for i, tok in enumerate(tokens):
         idx = table.vocabulary.get(tok)
-        if idx is None:
-            mat[i] = 0.0
-            oov[i] = 1
-        else:
-            mat[i] = table.matrix[idx]
-    return mat, oov
+        mat[i] = 0.0 if idx is None else table.matrix[idx]
+    return mat

@@ -65,11 +65,11 @@ class RankingMetrics:
     n_questions: int
     wall_seconds: float
 
-    def to_dict(self, digits: int = 2) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "map": round(self.map, digits),
-            "mrr": round(self.mrr, digits),
-            "p_at_1": round(self.p_at_1, digits),
+            "map": round(self.map, 2),
+            "mrr": round(self.mrr, 2),
+            "p_at_1": round(self.p_at_1, 2),
             "n_questions": self.n_questions,
             "wall_seconds": round(self.wall_seconds, 4),
         }

@@ -2,16 +2,16 @@
 
 Each word gets a relatedness feature (its best cosine match against the
 other text of its pair). The layers then work on a whole batch of pairs at
-once: every side is zero-padded to the batch's longest, one CNN per side,
-run at the windows over real tokens only, with global max pooling over
-those windows turns the batch into sentence vectors, and
-each pair combines into [q * c; q - c]. The (n, 2H) pair embeddings can then
-be contextualized along the original rank by a recurrent layer, one tape op
-per direction, before a single linear head produces one score per
-candidate.
+once: ``encode_pair`` zero-pads every side to the batch's longest (and to at
+least the kernel width), one CNN per side, run at the windows that start at
+a real token only, with global max pooling over those windows turns the
+batch into sentence vectors, and each pair combines into [q * c; q - c].
+The (n, 2H) pair embeddings can then be contextualized along the original
+rank by a recurrent layer, one tape op per direction, before a single
+linear head produces an (n, 1) column of scores, one per candidate.
 
 Relatedness features are computed outside the tape: embeddings are frozen,
-so nothing back-propagates through them.
+so they enter as plain arrays and nothing back-propagates through them.
 """
 
 from __future__ import annotations
@@ -162,19 +162,19 @@ class CosinetParams:
         return list(self.arrays)
 
     def as_leaves(self, tape: Tape) -> dict[str, ndgrad.Tensor]:
-        return {name: tape.leaf(arr, requires_grad=True) for name, arr in self.arrays.items()}
+        return {name: tape.leaf(arr) for name, arr in self.arrays.items()}
 
 
 # ---------------------------------------------------------------------------
 # forward pieces
 
 
-def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, q_mask=None, c_mask=None):
-    """Per-word best cosine match against the other text's real tokens.
+def relatedness(q_emb: np.ndarray, c_emb: np.ndarray):
+    """Per-word best cosine match against every word of the other text.
 
-    Returns (r_q, r_c): r_q[i] = max over real j of cos(q_i, c_j), and
-    symmetrically for r_c. Cosine with a zero-norm vector (OOV or padding)
-    is defined as 0. Masks mark real tokens; None means all rows are real.
+    Returns (r_q, r_c): r_q[i] = max over j of cos(q_i, c_j), and
+    symmetrically for r_c. Cosine with a zero-norm (OOV) vector is defined
+    as 0.
     """
     q_emb = np.asarray(q_emb)
     c_emb = np.asarray(c_emb)
@@ -182,10 +182,6 @@ def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, q_mask=None, c_mask=None):
         raise ValueError(f"relatedness: bad shapes {q_emb.shape} vs {c_emb.shape}")
     if q_emb.shape[0] == 0 or c_emb.shape[0] == 0:
         raise ValueError("relatedness: empty side")
-    q_real = np.arange(q_emb.shape[0]) if q_mask is None else np.flatnonzero(np.asarray(q_mask))
-    c_real = np.arange(c_emb.shape[0]) if c_mask is None else np.flatnonzero(np.asarray(c_mask))
-    if q_real.size == 0 or c_real.size == 0:
-        raise ValueError("relatedness: side consists only of padding")
 
     def normalize(m):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -193,73 +189,47 @@ def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, q_mask=None, c_mask=None):
                          where=norms > 0)
 
     r = normalize(q_emb) @ normalize(c_emb).T
-    r_q = np.zeros(q_emb.shape[0], dtype=r.dtype)
-    r_c = np.zeros(c_emb.shape[0], dtype=r.dtype)
-    r_q[q_real] = r[np.ix_(q_real, c_real)].max(axis=1)
-    r_c[c_real] = r[np.ix_(q_real, c_real)].max(axis=0)
-    return r_q, r_c
+    return r.max(axis=1), r.max(axis=0)
 
 
 @dataclass
 class PairInput:
-    """Constant (frozen) inputs of one pair: augmented matrices + pool masks."""
-    q_x: np.ndarray       # (Tq, dim+1) embeddings with relatedness column, zero-padded
+    """Frozen inputs of one pair: each side's embeddings plus a relatedness column."""
+    q_x: np.ndarray       # (Tq, dim+1)
     c_x: np.ndarray       # (Tc, dim+1)
-    q_win_valid: np.ndarray  # conv-output window validity (windows over the real tokens)
-    c_win_valid: np.ndarray
 
 
-def _augment_and_pad(emb: np.ndarray, rel: np.ndarray, kernel_width: int):
-    n = emb.shape[0]
-    aug = np.concatenate([emb, rel[:, None]], axis=1)
-    target = max(n, kernel_width)
-    if target > n:
-        aug = np.vstack([aug, np.zeros((target - n, aug.shape[1]), dtype=aug.dtype)])
-    # valid windows are those of a valid convolution over the real tokens
-    # (padded up to the kernel width when shorter); trailing padding only
-    # ever adds invalid windows, so pooled outputs are padding-invariant
-    win_valid = np.zeros(target - kernel_width + 1, dtype=bool)
-    win_valid[:max(1, n - kernel_width + 1)] = True
-    return aug, win_valid
-
-
-def prepare_pair_matrices(q_emb, c_emb, kernel_width: int) -> PairInput:
-    """Relatedness-augment both sides and zero-pad to at least the kernel width."""
+def prepare_pair_matrices(q_emb, c_emb) -> PairInput:
+    """Append each word's relatedness to its embedding, on both sides."""
     q_emb = np.asarray(q_emb, dtype=np.float32)
     c_emb = np.asarray(c_emb, dtype=np.float32)
     r_q, r_c = relatedness(q_emb, c_emb)
-    q_x, q_valid = _augment_and_pad(q_emb, r_q, kernel_width)
-    c_x, c_valid = _augment_and_pad(c_emb, r_c, kernel_width)
-    return PairInput(q_x, c_x, q_valid, c_valid)
+    return PairInput(np.column_stack([q_emb, r_q]), np.column_stack([c_emb, r_c]))
 
 
-def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable, kernel_width: int) -> PairInput:
-    q_emb, _ = embed_sequence(q_tokens, table)
-    c_emb, _ = embed_sequence(c_tokens, table)
-    return prepare_pair_matrices(q_emb, c_emb, kernel_width)
-
-
-def _pad_batch(xs, masks, dtype):
-    """Stack (T_i, D) inputs and their window masks, zero- and False-padded to the longest."""
-    t_max = max(x.shape[0] for x in xs)
-    n_win = t_max - xs[0].shape[0] + masks[0].shape[0]
-    x = np.zeros((len(xs), t_max, xs[0].shape[1]), dtype=dtype)
-    mask = np.zeros((len(xs), n_win), dtype=bool)
-    for i, (xi, mi) in enumerate(zip(xs, masks)):
-        x[i, :xi.shape[0]] = xi
-        mask[i, :mi.shape[0]] = mi
-    return x, mask
+def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> PairInput:
+    return prepare_pair_matrices(embed_sequence(q_tokens, table), embed_sequence(c_tokens, table))
 
 
 def encode_pair(pairs, leaves: dict, tape: Tape) -> ndgrad.Tensor:
     """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
-    def tower(side, xs, masks):
-        x, mask = _pad_batch(xs, masks, tape.dtype)
-        rows = ndgrad.conv1d(x, leaves[f"{side}_conv_w"], leaves[f"{side}_conv_b"], mask)
+    def tower(side, xs):
+        # zero-pad every side to the batch's longest, and to at least the
+        # kernel width K; an n-token side pools its max(1, n - K + 1) windows
+        # that start at a real token, so padding never changes a score
+        w = leaves[f"{side}_conv_w"]
+        k = w.data.shape[0]
+        t_max = max(k, max(len(xi) for xi in xs))
+        x = np.zeros((len(xs), t_max, xs[0].shape[1]), dtype=tape.dtype)
+        mask = np.zeros((len(xs), t_max - k + 1), dtype=bool)
+        for i, xi in enumerate(xs):
+            x[i, :len(xi)] = xi
+            mask[i, :max(1, len(xi) - k + 1)] = True
+        rows = ndgrad.conv1d(x, w, leaves[f"{side}_conv_b"], mask)
         return ndgrad.masked_max_pool(rows, mask)
 
-    q_e = tower("q", [p.q_x for p in pairs], [p.q_win_valid for p in pairs])
-    c_e = tower("c", [p.c_x for p in pairs], [p.c_win_valid for p in pairs])
+    q_e = tower("q", [p.q_x for p in pairs])
+    c_e = tower("c", [p.c_x for p in pairs])
     return ndgrad.concat([ndgrad.mul(q_e, c_e), ndgrad.sub(q_e, c_e)], axis=1)
 
 
@@ -285,15 +255,13 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
 
 
 def score_pairs(pairs, config: CosinetConfig, leaves: dict, tape: Tape) -> ndgrad.Tensor:
-    """Forward a rank-ordered list of PairInput to a (1, n) score row."""
+    """Forward a rank-ordered list of PairInput to an (n, 1) score column."""
     ctx = contextualize(encode_pair(pairs, leaves, tape), config, leaves)
-    col = ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
-    return ndgrad.transpose(col)
+    return ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
 
 
-def prepare_group(group, table: EmbeddingTable, config: CosinetConfig) -> list[PairInput]:
-    return [prepare_pair(group.question_tokens, c.tokens, table, config.kernel_width)
-            for c in group.candidates]
+def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
+    return [prepare_pair(group.question_tokens, c.tokens, table) for c in group.candidates]
 
 
 def score_group(group, table: EmbeddingTable, params: CosinetParams,
@@ -301,8 +269,7 @@ def score_group(group, table: EmbeddingTable, params: CosinetParams,
     """Inference-only scores for one group, in candidate order."""
     tape = Tape(dtype=params.dtype)
     leaves = params.as_leaves(tape)
-    row = score_pairs(prepare_group(group, table, config), config, leaves, tape)
-    return row.data[0].copy()
+    return score_pairs(prepare_group(group, table), config, leaves, tape).data[:, 0]
 
 
 def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTable):

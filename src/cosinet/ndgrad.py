@@ -9,20 +9,17 @@ Conventions:
     tape), so the record list is already in topological order;
   - ``Tape.backward`` resets all gradients first, then fills them, so
     repeated calls never silently accumulate;
-  - gradients are only propagated into tensors that require them or that
-    were produced by an operation (frozen leaves stay grad-free);
+  - every tensor on a tape takes a gradient: leaves are trainable
+    parameters, and frozen inputs are passed as plain arrays instead;
   - a tensor refers to its tape weakly, so the tape (records, tensors and
     their buffers) is freed as soon as the caller drops it.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 
 import numpy as np
-
-_tape_ids = itertools.count()
 
 
 class Tensor:
@@ -33,15 +30,12 @@ class Tensor:
     first backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "op_output")
+    __slots__ = ("data", "grad", "_tape")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", requires_grad: bool = False,
-                 op_output: bool = False):
+    def __init__(self, data: np.ndarray, tape: "Tape"):
         self.data = data
         self.grad = None
-        self.requires_grad = requires_grad
         self._tape = weakref.ref(tape)
-        self.op_output = op_output
 
     @property
     def tape(self) -> "Tape | None":
@@ -52,10 +46,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        tape_id = getattr(self.tape, "id", None)
-        return f"Tensor(shape={self.data.shape}, tape={tape_id}, requires_grad={self.requires_grad})"
-
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.
@@ -65,22 +55,15 @@ class Tape:
     """
 
     def __init__(self, dtype=np.float32):
-        self.id = next(_tape_ids)
         self.dtype = np.dtype(dtype)
         self._records = []      # backward closures, appended in forward order
         self._tensors = []      # every tensor created on this tape
 
-    def leaf(self, data, requires_grad: bool = False) -> Tensor:
-        arr = np.ascontiguousarray(data, dtype=self.dtype)
-        t = Tensor(arr, self, requires_grad=requires_grad)
-        self._tensors.append(t)
-        return t
-
-    def constant(self, data) -> Tensor:
-        return self.leaf(data, requires_grad=False)
+    def leaf(self, data) -> Tensor:
+        return self._output(np.ascontiguousarray(data, dtype=self.dtype))
 
     def _output(self, data: np.ndarray) -> Tensor:
-        t = Tensor(data, self, requires_grad=False, op_output=True)
+        t = Tensor(data, self)
         self._tensors.append(t)
         return t
 
@@ -88,10 +71,11 @@ class Tape:
         self._records.append(fn)
 
     def backward(self, loss: Tensor) -> None:
-        """Fill ``grad`` on every reachable tensor with d(loss)/d(tensor).
+        """Fill ``grad`` on every tensor of the tape with d(loss)/d(tensor).
 
         Resets all gradients on the tape first, then walks the records once
-        in reverse. ``loss`` must be a single-element tensor.
+        in reverse; a tensor the loss does not depend on gets zeros.
+        ``loss`` must be a single-element tensor.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss tensor belongs to a different tape")
@@ -103,12 +87,8 @@ class Tape:
         for fn in reversed(self._records):
             fn()
         for t in self._tensors:
-            if t.requires_grad and t.grad is None:
+            if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t.op_output
 
 
 def _acc(t: Tensor, g) -> None:
@@ -150,13 +130,9 @@ def _binary(name, a: Tensor, b: Tensor, fwd, bwd_a, bwd_b) -> Tensor:
         if out.grad is None:
             return
         g = out.grad
-        if _wants_grad(a):
-            _acc(a, bwd_a(g, a.data, b.data))
-        if _wants_grad(b):
-            gb = bwd_b(g, a.data, b.data)
-            if broadcast_b:
-                gb = gb.sum(axis=0, keepdims=True)
-            _acc(b, gb)
+        _acc(a, bwd_a(g, a.data, b.data))
+        gb = bwd_b(g, a.data, b.data)
+        _acc(b, gb.sum(axis=0, keepdims=True) if broadcast_b else gb)
 
     tape._record(backward)
     return out
@@ -196,25 +172,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        g = out.grad
-        if _wants_grad(a):
-            _acc(a, g @ b.data.T)
-        if _wants_grad(b):
-            _acc(b, a.data.T @ g)
-
-    tape._record(backward)
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise _shape_error("transpose", x.data.shape)
-    tape = _tape_of("transpose", x)
-    out = tape._output(np.ascontiguousarray(x.data.T))
-
-    def backward():
-        if out.grad is not None and _wants_grad(x):
-            _acc(x, out.grad.T)
+        _acc(a, out.grad @ b.data.T)
+        _acc(b, a.data.T @ out.grad)
 
     tape._record(backward)
     return out
@@ -233,53 +192,38 @@ def concat(tensors, axis: int) -> Tensor:
         if out.grad is None:
             return
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if _wants_grad(t):
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                _acc(t, out.grad[tuple(idx)])
-
-    tape._record(backward)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Reduce every element to a (1, 1) scalar tensor."""
-    tape = _tape_of("sum_all", x)
-    out = tape._output(x.data.sum(dtype=x.data.dtype).reshape(1, 1))
-
-    def backward():
-        if out.grad is None or not _wants_grad(x):
-            return
-        _acc(x, np.full_like(x.data, out.grad[0, 0]))
+            idx = [slice(None)] * out.grad.ndim
+            idx[axis] = slice(lo, hi)
+            _acc(t, out.grad[tuple(idx)])
 
     tape._record(backward)
     return out
 
 
 def kl_logits(scores: Tensor, target) -> Tensor:
-    """KL(target || softmax(scores)) summed over rows, as a (1, 1) tensor.
+    """KL(target || softmax(scores)) over all entries of ``scores``, as a (1, 1) tensor.
 
-    ``target`` is a plain array of the scores' shape whose rows are
-    probability distributions; 0 ln 0 counts as 0. The loss comes from the
-    max-shifted log-softmax, so it stays finite at any score gap, and the
-    gradient is the closed form softmax(scores) - target (ListNet top-1).
+    ``target`` is a plain array with one probability per score (it is
+    reshaped to the scores' shape); 0 ln 0 counts as 0. The loss comes from
+    the max-shifted log-softmax, so it stays finite at any score gap, and
+    the gradient is the closed form softmax(scores) - target (ListNet top-1).
     """
     s = scores.data
     g = np.asarray(target, dtype=s.dtype)
-    if s.ndim != 2 or g.shape != s.shape:
+    if g.size != s.size:
         raise _shape_error("kl_logits", s.shape, g.shape)
+    g = g.reshape(s.shape)
     tape = _tape_of("kl_logits", scores)
-    shifted = s - s.max(axis=1, keepdims=True)
+    shifted = s - s.max()
     e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    z = e.sum()
     pos = g > 0
     kl = (g[pos] * (np.log(g[pos]) - (shifted - np.log(z))[pos])).sum()
     out = tape._output(np.asarray(kl, dtype=s.dtype).reshape(1, 1))
 
     def backward():
-        if out.grad is None or not _wants_grad(scores):
-            return
-        _acc(scores, out.grad[0, 0] * (e / z - g))
+        if out.grad is not None:
+            _acc(scores, out.grad[0, 0] * (e / z - g))
 
     tape._record(backward)
     return out
@@ -321,10 +265,8 @@ def conv1d(x, w: Tensor, b: Tensor, mask) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        if _wants_grad(w):
-            _acc(w, (win2d.T @ out.grad).reshape(k, c_in, c_out))
-        if _wants_grad(b):
-            _acc(b, out.grad.sum(axis=0))
+        _acc(w, (win2d.T @ out.grad).reshape(k, c_in, c_out))
+        _acc(b, out.grad.sum(axis=0))
 
     tape._record(backward)
     return out
@@ -354,7 +296,7 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
     out = tape._output(np.stack([x[s].max(axis=0) for s in segments]))
 
     def backward():
-        if out.grad is None or not _wants_grad(rows):
+        if out.grad is None:
             return
         first = np.stack([x[s].argmax(axis=0) + s.start for s in segments])
         dx = np.zeros_like(x)
@@ -401,14 +343,10 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
         for t in reversed(range(xs.shape[0])):
             dpre[t], dc = cell_back(g[t] + dh, dc, saved[t])
             dh = dpre[t] @ w_hh.data.T
-        if _wants_grad(x):
-            _acc(x, (dpre @ w_ih.data.T)[order])
-        if _wants_grad(w_ih):
-            _acc(w_ih, xs.T @ dpre)
-        if _wants_grad(w_hh):
-            _acc(w_hh, hs[:-1].T @ dpre)
-        if _wants_grad(b):
-            _acc(b, dpre.sum(axis=0, keepdims=True))
+        _acc(x, (dpre @ w_ih.data.T)[order])
+        _acc(w_ih, xs.T @ dpre)
+        _acc(w_hh, hs[:-1].T @ dpre)
+        _acc(b, dpre.sum(axis=0, keepdims=True))
 
     tape._record(backward)
     return out
@@ -470,9 +408,8 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     out = tape._output(np.asarray(per.mean(), dtype=s.dtype).reshape(1, 1))
 
     def backward():
-        if out.grad is None or not _wants_grad(scores):
-            return
-        _acc(scores, out.grad[0, 0] * (_sigmoid(s) - y) / n)
+        if out.grad is not None:
+            _acc(scores, out.grad[0, 0] * (_sigmoid(s) - y) / n)
 
     tape._record(backward)
     return out

@@ -78,18 +78,18 @@ def stlr(step: int, total: int, cut_frac: float, ratio: float, max_lr: float) ->
 def listwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
     """KL divergence from normalized gold labels to softmax(scores).
 
-    ``scores`` is a (1, n) tensor, ``labels`` binary with at least one
-    positive. Loss = sum_i g_i (ln g_i - ln p_i) with 0 ln 0 = 0; always
-    >= 0 and 0 exactly when the distributions match.
+    ``scores`` holds one score per label (``score_pairs`` gives an (n, 1)
+    column), ``labels`` binary with at least one positive. Loss =
+    sum_i g_i (ln g_i - ln p_i) with 0 ln 0 = 0; always >= 0 and 0 exactly
+    when the distributions match.
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.sum() < 1:
         raise ValueError("listwise_loss: group has no positive label")
-    g = (y / y.sum()).reshape(1, -1)
-    if scores.data.shape != g.shape:
+    if scores.data.size != y.size:
         raise ValueError(f"listwise_loss: scores shape {scores.data.shape} "
-                         f"does not match {g.shape[1]} labels")
-    return ndgrad.kl_logits(scores, g)
+                         f"does not match {y.size} labels")
+    return ndgrad.kl_logits(scores, y / y.sum())
 
 
 def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
@@ -213,8 +213,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
             tape = Tape(dtype=params.dtype)
             leaves = params.as_leaves(tape)
             cands = [(groups[gi], groups[gi].candidates[ci]) for gi, ci in batch]
-            inputs = [prepare_pair(g.question_tokens, c.tokens, table, config.kernel_width)
-                      for g, c in cands]
+            inputs = [prepare_pair(g.question_tokens, c.tokens, table) for g, c in cands]
             loss = objective(score_pairs(inputs, config, leaves, tape), [c.label for _, c in cands])
             tape.backward(loss)
             adam.step(params.arrays, {n: leaves[n].grad for n in params.names()},

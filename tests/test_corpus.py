@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -159,6 +161,32 @@ class TestJsonl:
         assert [p.name for p in out_dir.iterdir()] == (["out.jsonl"] if existing else [])
         if existing:
             assert out.read_text() == "old\n"
+
+    def test_export_syncs_file_then_renames_then_syncs_directory(
+            self, mini_wikiqa_tsv, tmp_path, monkeypatch):
+        # the complete temporary file reaches the disk before it replaces the
+        # target, and a directory fsync makes the rename itself durable
+        groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
+        out = tmp_path / "out.jsonl"
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recorded_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync dir", st.st_ino) if stat.S_ISDIR(st.st_mode)
+                          else ("fsync file", st.st_size))
+            fsync(fd)
+
+        def recorded_replace(src, dst):
+            events.append(("replace", os.path.dirname(src), dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        export_jsonl(groups, out)
+        assert events == [("fsync file", out.stat().st_size),
+                          ("replace", str(tmp_path), str(out)),
+                          ("fsync dir", tmp_path.stat().st_ino)]
 
     def test_export_one_object_per_line(self, mini_wikiqa_tsv, tmp_path):
         groups, _ = ingest_wikiqa(mini_wikiqa_tsv)

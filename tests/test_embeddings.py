@@ -38,26 +38,24 @@ class TestLoad:
     def test_plain_file(self, tmp_path):
         lines = ["cat 1.0 2.0 3.0", "dog -1.5 0.25 4.0"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
-        assert len(table) == 2
+        assert len(table.vocabulary) == 2
         np.testing.assert_array_equal(row(table, "cat"), [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(row(table, "dog"), [-1.5, 0.25, 4.0])
 
     def test_count_dim_header_is_skipped(self, tmp_path):
         lines = ["2 3", "cat 1 2 3", "dog 4 5 6"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
-        assert len(table) == 2
-        assert "2" not in table
+        assert table.tokens_in_order() == ["cat", "dog"]
 
     def test_concept_prefix_is_stripped(self, tmp_path):
         lines = [f"{CONCEPT_PREFIX}cat 1 2 3", "dog 4 5 6"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
-        assert "cat" in table
-        assert f"{CONCEPT_PREFIX}cat" not in table
+        assert table.tokens_in_order() == ["cat", "dog"]
 
     def test_duplicates_keep_first(self, tmp_path):
         lines = ["cat 1 1 1", "cat 9 9 9", f"{CONCEPT_PREFIX}cat 5 5 5"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)
-        assert len(table) == 1
+        assert table.tokens_in_order() == ["cat"]
         np.testing.assert_array_equal(row(table, "cat"), [1, 1, 1])
 
     def test_vocab_filter_applied_after_prefix_strip(self, tmp_path):
@@ -104,9 +102,7 @@ class TestLoad:
 class TestTable:
     def test_lookup_is_total(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
-        mat, oov = embed_sequence(["unseen"], table)
-        np.testing.assert_array_equal(mat, np.zeros((1, 3)))
-        np.testing.assert_array_equal(oov, [1])
+        np.testing.assert_array_equal(embed_sequence(["unseen"], table), np.zeros((1, 3)))
 
     def test_matrix_is_frozen(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
@@ -141,14 +137,14 @@ class TestTable:
 
 class TestEmbedSequence:
     def test_rows_and_oov_mask(self, tmp_path):
+        # an unknown token is a zero row
         table = load_embeddings(
             write_lines(tmp_path, ["cat 1 2 3", "dog 4 5 6"]), dimension=3)
-        mat, oov = embed_sequence(["dog", "mouse", "cat"], table)
+        mat = embed_sequence(["dog", "mouse", "cat"], table)
         assert mat.shape == (3, 3) and mat.dtype == np.float32
         np.testing.assert_array_equal(mat[0], [4, 5, 6])
         np.testing.assert_array_equal(mat[1], [0, 0, 0])
         np.testing.assert_array_equal(mat[2], [1, 2, 3])
-        np.testing.assert_array_equal(oov, [0, 1, 0])
 
     def test_concat_property(self, tmp_path):
         # embedding a concatenated sequence == stacking the parts
@@ -159,11 +155,11 @@ class TestEmbedSequence:
         for _ in range(25):
             left = [vocab[i] for i in rng.integers(0, 4, rng.integers(1, 6))]
             right = [vocab[i] for i in rng.integers(0, 4, rng.integers(1, 6))]
-            whole, oov_w = embed_sequence(left + right, table)
-            lm, lo = embed_sequence(left, table)
-            rm, ro = embed_sequence(right, table)
-            np.testing.assert_array_equal(whole, np.vstack([lm, rm]))
-            np.testing.assert_array_equal(oov_w, np.concatenate([lo, ro]))
+            whole = embed_sequence(left + right, table)
+            np.testing.assert_array_equal(
+                whole, np.vstack([embed_sequence(left, table), embed_sequence(right, table)]))
+            oov = np.array([t == "zzz" for t in left + right])
+            np.testing.assert_array_equal(whole[oov], np.zeros((oov.sum(), 3)))
 
     def test_empty_sequence_rejected(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["a 1 0 0"]), dimension=3)
@@ -172,7 +168,7 @@ class TestEmbedSequence:
 
     def test_lookup_identity_repeated_calls(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["a 1 2 3"]), dimension=3)
-        m1, _ = embed_sequence(["a", "a"], table)
-        m2, _ = embed_sequence(["a", "a"], table)
+        m1 = embed_sequence(["a", "a"], table)
+        m2 = embed_sequence(["a", "a"], table)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(m1[0], m1[1])

@@ -20,7 +20,6 @@ from cosinet.model import (
     expected_parameter_count,
     load_model,
     make_scorer,
-    prepare_group,
     prepare_pair,
     prepare_pair_matrices,
     relatedness,
@@ -50,15 +49,9 @@ def cos_or_zero(u, v):
     return float(u @ v / (nu * nv))
 
 
-def brute_relatedness(q, c, q_mask=None, c_mask=None):
-    q_real = [i for i in range(len(q)) if q_mask is None or q_mask[i]]
-    c_real = [j for j in range(len(c)) if c_mask is None or c_mask[j]]
-    r_q = np.zeros(len(q))
-    r_c = np.zeros(len(c))
-    for i in q_real:
-        r_q[i] = max(cos_or_zero(q[i], c[j]) for j in c_real)
-    for j in c_real:
-        r_c[j] = max(cos_or_zero(q[i], c[j]) for i in q_real)
+def brute_relatedness(q, c):
+    r_q = np.array([max(cos_or_zero(qi, cj) for cj in c) for qi in q])
+    r_c = np.array([max(cos_or_zero(qi, cj) for qi in q) for cj in c])
     return r_q, r_c
 
 
@@ -95,18 +88,13 @@ class TestRelatedness:
             np.testing.assert_allclose(r_q, want_q, atol=1e-6)
             np.testing.assert_allclose(r_c, want_c, atol=1e-6)
 
-    def test_masked_rows_get_zero_and_do_not_compete(self):
-        rng = np.random.default_rng(3)
-        q = rng.standard_normal((4, 5))
-        c = rng.standard_normal((5, 5))
-        q_mask = np.array([1, 0, 1, 0])
-        c_mask = np.array([1, 1, 0, 1, 0])
-        r_q, r_c = relatedness(q, c, q_mask, c_mask)
-        want_q, want_c = brute_relatedness(q, c, q_mask, c_mask)
-        np.testing.assert_allclose(r_q, want_q, atol=1e-6)
-        np.testing.assert_allclose(r_c, want_c, atol=1e-6)
-        assert (r_q[q_mask == 0] == 0).all()
-        assert (r_c[c_mask == 0] == 0).all()
+    def test_all_oov_side_scores_zero(self):
+        # zero rows (unknown words) have cosine 0 with everything
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((3, 4))
+        r_q, r_c = relatedness(q, np.zeros((2, 4)))
+        np.testing.assert_array_equal(r_q, np.zeros(3))
+        np.testing.assert_array_equal(r_c, np.zeros(2))
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
@@ -121,8 +109,6 @@ class TestRelatedness:
         good = np.ones((2, 3))
         with pytest.raises(ValueError, match="empty side"):
             relatedness(np.zeros((0, 3)), good)
-        with pytest.raises(ValueError, match="only of padding"):
-            relatedness(good, good, q_mask=[0, 0])
         with pytest.raises(ValueError, match="shapes"):
             relatedness(np.ones((2, 3)), np.ones((2, 4)))
 
@@ -136,7 +122,7 @@ class TestPreparePair:
         rng = np.random.default_rng(0)
         q = rng.standard_normal((4, 4)).astype(np.float32)
         c = rng.standard_normal((6, 4)).astype(np.float32)
-        pair = prepare_pair_matrices(q, c, kernel_width=2)
+        pair = prepare_pair_matrices(q, c)
         assert pair.q_x.shape == (4, 5)
         assert pair.c_x.shape == (6, 5)
         r_q, r_c = brute_relatedness(q.astype(np.float64), c.astype(np.float64))
@@ -145,30 +131,50 @@ class TestPreparePair:
         np.testing.assert_allclose(pair.q_x[:, :4], q, atol=0)
 
     def test_short_input_padded_to_kernel_width(self):
+        # the pair keeps its 2-token question unpadded; encode_pair pads it
+        # with zeros to one window of the width-5 kernel
+        config = tiny_config("none", kernel_width=5)
+        params = CosinetParams(config)
         rng = np.random.default_rng(1)
-        q = rng.standard_normal((2, 4))
-        c = rng.standard_normal((7, 4))
-        pair = prepare_pair_matrices(q, c, kernel_width=5)
-        assert pair.q_x.shape == (5, 5)
-        np.testing.assert_array_equal(pair.q_x[2:], np.zeros((3, 5)))
-        # one conv window, and it overlaps the real tokens
-        assert pair.q_win_valid.shape == (1,)
-        assert pair.q_win_valid.all()
+        pair = prepare_pair_matrices(rng.standard_normal((2, 4)), rng.standard_normal((7, 4)))
+        assert pair.q_x.shape == (2, 5) and pair.c_x.shape == (7, 5)
+        tape = Tape(dtype=np.float64)
+        vec = encode_pair([pair], params.as_leaves(tape), tape).data[0]
+        a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
+        q = a["q_conv_b"] + sum(pair.q_x[j] @ a["q_conv_w"][j] for j in range(2))
+        c = np.max([a["c_conv_b"] + sum(pair.c_x[t + j] @ a["c_conv_w"][j] for j in range(5))
+                    for t in range(3)], axis=0)
+        np.testing.assert_allclose(vec, np.concatenate([q * c, q - c]), atol=1e-12)
 
-    def test_window_validity_covers_real_tokens_only(self):
-        # an n-token side has max(1, n - K + 1) windows, all of them valid;
-        # the windows that batch padding appends are covered by
-        # TestForward.test_padding_invariance
+    def test_window_validity_covers_real_tokens_only(self, monkeypatch):
+        # encode_pair pads every side to max(longest, K) and pools an n-token
+        # side over its first max(1, n - K + 1) windows, the ones that start
+        # at a real token
+        masks = []
+        conv1d = nd.conv1d
+
+        def spy(x, w, b, mask):
+            masks.append(mask.copy())
+            return conv1d(x, w, b, mask)
+
+        monkeypatch.setattr(nd, "conv1d", spy)
         rng = np.random.default_rng(2)
-        for n, k in [(3, 2), (7, 3), (2, 5), (5, 5)]:
-            q = rng.standard_normal((n, 4))
-            pair = prepare_pair_matrices(q, q, kernel_width=k)
-            assert pair.q_x.shape == (max(n, k), 5)
-            np.testing.assert_array_equal(pair.q_win_valid, np.ones(max(1, n - k + 1), dtype=bool))
+        lengths = [3, 7, 2, 5, 1]
+        for k in (2, 3, 5, 9):
+            params = CosinetParams(tiny_config("none", kernel_width=k))
+            pairs = [prepare_pair_matrices(rng.standard_normal((n, 4)), rng.standard_normal((1, 4)))
+                     for n in lengths]
+            masks.clear()
+            tape = Tape()
+            encode_pair(pairs, params.as_leaves(tape), tape)
+            want = np.zeros((len(lengths), max(7, k) - k + 1), dtype=bool)
+            for i, n in enumerate(lengths):
+                want[i, :max(1, n - k + 1)] = True
+            np.testing.assert_array_equal(masks[0], want)
+            np.testing.assert_array_equal(masks[1], np.ones((len(lengths), 1), dtype=bool))
 
     def test_prepare_pair_uses_table_lookup(self, toy_table):
-        pair = prepare_pair(["plants", "unknowntoken"], ["plants", "."],
-                            toy_table, kernel_width=2)
+        pair = prepare_pair(["plants", "unknowntoken"], ["plants", "."], toy_table)
         np.testing.assert_array_equal(pair.q_x[1, :-1], np.zeros(16))
         # identical token on both sides: best cosine match is 1
         np.testing.assert_allclose(pair.q_x[0, -1], 1.0, atol=1e-6)
@@ -205,7 +211,9 @@ def np_lstm(xs, w_ih, w_hh, b):
 
 def np_forward_scores(pairs, params, config):
     def conv(x, w, b):
+        # a side shorter than the kernel is zero-padded to one window
         k = w.shape[0]
+        x = np.vstack([x, np.zeros((max(0, k - x.shape[0]), x.shape[1]))])
         t_out = x.shape[0] - k + 1
         out = np.zeros((t_out, w.shape[2]))
         for t in range(t_out):
@@ -218,8 +226,8 @@ def np_forward_scores(pairs, params, config):
     a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
     feats = []
     for p in pairs:
-        qv = conv(p.q_x, a["q_conv_w"], a["q_conv_b"])[p.q_win_valid.astype(bool)].max(axis=0)
-        cv = conv(p.c_x, a["c_conv_w"], a["c_conv_b"])[p.c_win_valid.astype(bool)].max(axis=0)
+        qv = conv(p.q_x, a["q_conv_w"], a["q_conv_b"]).max(axis=0)
+        cv = conv(p.c_x, a["c_conv_w"], a["c_conv_b"]).max(axis=0)
         feats.append(np.concatenate([qv * cv, qv - cv]))
     feats = np.stack(feats)
     kind = config.context
@@ -235,26 +243,30 @@ def np_forward_scores(pairs, params, config):
     return feats @ a["head_w"][:, 0] + a["head_b"][0, 0]
 
 
-def random_pairs(rng, config, n_pairs, max_len=6):
+def random_pairs(rng, config, n_pairs, max_len=6, q_len=None):
     pairs = []
-    q = rng.standard_normal((int(rng.integers(1, max_len)), config.embedding_dim))
+    q_len = int(rng.integers(1, max_len)) if q_len is None else q_len
+    q = rng.standard_normal((q_len, config.embedding_dim))
     for _ in range(n_pairs):
         c = rng.standard_normal((int(rng.integers(1, max_len)), config.embedding_dim))
-        pairs.append(prepare_pair_matrices(q, c, config.kernel_width))
+        pairs.append(prepare_pair_matrices(q, c))
     return pairs
 
 
 class TestForward:
     def test_encode_matches_loop_oracle(self):
-        # every context kind, candidates of mixed lengths in one call
+        # every context kind, candidates of mixed lengths in one call; odd
+        # seeds use a 1-token question and a width-3 kernel, so a side
+        # shorter than the kernel always occurs
         for seed in range(10):
             for kind in CONTEXT_KINDS:
-                config = tiny_config(kind, seed=seed)
+                config = tiny_config(kind, seed=seed, kernel_width=3 if seed % 2 else 2)
                 rng = np.random.default_rng(seed)
                 params = CosinetParams(config)
-                pairs = random_pairs(rng, config, n_pairs=4, max_len=8)
+                pairs = random_pairs(rng, config, n_pairs=4, max_len=8,
+                                     q_len=1 if seed % 2 else None)
                 tape = Tape(dtype=np.float32)
-                got = score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
+                got = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
                 want = np_forward_scores(pairs, params, config)
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5, err_msg=kind)
 
@@ -276,11 +288,11 @@ class TestForward:
         def pair(q_len, c_len):
             q = rng.standard_normal((q_len, config.embedding_dim))
             c = rng.standard_normal((c_len, config.embedding_dim))
-            return prepare_pair_matrices(q, c, config.kernel_width)
+            return prepare_pair_matrices(q, c)
 
         def run(pairs):
             tape = Tape(dtype=np.float32)
-            return score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
+            return score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
 
         for q_len, c_len in [(4, 5), (2, 1), (1, 3)]:
             alone = pair(q_len, c_len)
@@ -325,7 +337,7 @@ class TestForward:
         params.arrays["c_conv_b"] = params.arrays["q_conv_b"].copy()
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, config.embedding_dim))
-        pair = prepare_pair_matrices(x, x, config.kernel_width)
+        pair = prepare_pair_matrices(x, x)
         tape = Tape(dtype=np.float32)
         vec = encode_pair([pair], params.as_leaves(tape), tape).data[0]
         h = config.conv_hidden
@@ -338,11 +350,11 @@ class TestForward:
         rng = np.random.default_rng(6)
         pairs = random_pairs(rng, config, n_pairs=5)
         tape = Tape(dtype=np.float32)
-        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
+        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
         perm = rng.permutation(5)
         tape2 = Tape(dtype=np.float32)
         shuffled = score_pairs([pairs[i] for i in perm], config,
-                               params.as_leaves(tape2), tape2).data[0]
+                               params.as_leaves(tape2), tape2).data[:, 0]
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-6)
 
     def test_rank_context_breaks_permutation_equivariance(self):
@@ -351,11 +363,11 @@ class TestForward:
         rng = np.random.default_rng(7)
         pairs = random_pairs(rng, config, n_pairs=5)
         tape = Tape(dtype=np.float32)
-        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[0]
+        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
         perm = np.array([4, 2, 0, 3, 1])
         tape2 = Tape(dtype=np.float32)
         shuffled = score_pairs([pairs[i] for i in perm], config,
-                               params.as_leaves(tape2), tape2).data[0]
+                               params.as_leaves(tape2), tape2).data[:, 0]
         assert np.abs(shuffled - base[perm]).max() > 1e-6
 
     def test_context_output_shapes(self):
@@ -364,8 +376,8 @@ class TestForward:
             params = CosinetParams(config)
             pairs = random_pairs(np.random.default_rng(8), config, n_pairs=4)
             tape = Tape(dtype=np.float32)
-            row = score_pairs(pairs, config, params.as_leaves(tape), tape)
-            assert row.shape == (1, 4)
+            col = score_pairs(pairs, config, params.as_leaves(tape), tape)
+            assert col.shape == (4, 1)
 
     def test_score_group_is_deterministic(self, toy_groups, toy_table):
         config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2)
@@ -472,18 +484,15 @@ class TestEndToEndGradients:
             names = params.names()
 
             def loss_of(arrs):
+                # probe @ scores: the probe-weighted sum of the (n, 1) column
                 tape = Tape(dtype=np.float64)
-                leaves = {n: tape.leaf(a, requires_grad=True)
-                          for n, a in zip(names, arrs)}
-                row = score_pairs(pairs, config, leaves, tape)
-                return nd.sum_all(nd.mul(row, tape.constant(probe)))
+                leaves = {n: tape.leaf(a) for n, a in zip(names, arrs)}
+                return nd.matmul(tape.leaf(probe), score_pairs(pairs, config, leaves, tape))
 
             arrays = [params.arrays[n].astype(np.float64) for n in names]
             tape = Tape(dtype=np.float64)
-            leaves = {n: tape.leaf(a, requires_grad=True)
-                      for n, a in zip(names, arrays)}
-            tape.backward(nd.sum_all(nd.mul(
-                score_pairs(pairs, config, leaves, tape), tape.constant(probe))))
+            leaves = {n: tape.leaf(a) for n, a in zip(names, arrays)}
+            tape.backward(nd.matmul(tape.leaf(probe), score_pairs(pairs, config, leaves, tape)))
 
             for i, name in enumerate(names):
                 num = numeric_gradient(

@@ -1,4 +1,6 @@
+import collections
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosinet.ndgrad as nd
+from cosinet.model import CONTEXT_KINDS, CosinetConfig, CosinetParams, score_group
+from cosinet.training import TrainConfig, fit
 from fdcheck import max_rel_error, numeric_gradient, spaced_values
 
 # (dtype, fd step, max relative error) — float32 needs a coarser step because
@@ -20,19 +24,27 @@ N_SEEDS = 20
 
 
 def weighted(tape, out, w):
-    """Scalar probe sum(out * w) so the full Jacobian is exercised."""
-    return nd.sum_all(nd.mul(out, tape.constant(w)))
+    """Scalar probe ones(1, R) @ (out * w) @ ones(C, 1), i.e. sum(out * w),
+    so the full Jacobian of a 2-d ``out`` is exercised."""
+    rows, cols = out.shape
+    return nd.matmul(nd.matmul(tape.leaf(np.ones((1, rows))), nd.mul(out, tape.leaf(w))),
+                     tape.leaf(np.ones((cols, 1))))
+
+
+def total(tape, out):
+    """Scalar probe sum(out)."""
+    return weighted(tape, out, np.ones(out.shape))
 
 
 def loss_value(build, arrays, dtype):
     tape = nd.Tape(dtype=dtype)
-    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+    leaves = [tape.leaf(a) for a in arrays]
     return float(build(tape, leaves).data[0, 0])
 
 
 def analytic_grads(build, arrays, dtype):
     tape = nd.Tape(dtype=dtype)
-    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+    leaves = [tape.leaf(a) for a in arrays]
     tape.backward(build(tape, leaves))
     return [leaf.grad.astype(np.float64) for leaf in leaves]
 
@@ -95,12 +107,6 @@ def case_matmul(rng):
     return [a, b], lambda t, lv: weighted(t, nd.matmul(lv[0], lv[1]), w)
 
 
-def case_transpose(rng):
-    x = rng.uniform(-1, 1, (4, 3))
-    w = rng.uniform(-1, 1, (3, 4))
-    return [x], lambda t, lv: weighted(t, nd.transpose(lv[0]), w)
-
-
 def case_concat_rows(rng):
     parts = [rng.uniform(-1, 1, (n, 3)) for n in (2, 1, 3)]
     w = rng.uniform(-1, 1, (6, 3))
@@ -113,22 +119,18 @@ def case_concat_cols(rng):
     return parts, lambda t, lv: weighted(t, nd.concat(lv, axis=1), w)
 
 
-def case_sum_all(rng):
-    x = rng.uniform(-1, 1, (4, 5))
-    return [x], lambda t, lv: nd.sum_all(lv[0])
-
-
-def random_targets(rng, shape):
-    """Rows of probability distributions, each with some exact zeros."""
-    t = rng.uniform(0, 1, shape)
+def random_target(rng, size):
+    """A flat probability distribution over ``size`` entries, with some exact zeros."""
+    t = rng.uniform(0, 1, size)
     t[t < 0.4] = 0.0
-    t[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = 1.0
-    return t / t.sum(axis=1, keepdims=True)
+    t[rng.integers(0, size)] = 1.0
+    return t / t.sum()
 
 
 def case_kl_logits(rng):
+    # one distribution over every entry, whatever the scores' shape
     x = rng.uniform(-2, 2, (3, 5))
-    target = random_targets(rng, (3, 5))
+    target = random_target(rng, x.size)
     return [x], lambda t, lv: nd.kl_logits(lv[0], target)
 
 
@@ -188,8 +190,7 @@ def case_bce(rng):
 
 ALL_CASES = [
     case_add, case_add_row, case_sub, case_sub_row, case_mul, case_mul_row,
-    case_matmul, case_transpose,
-    case_concat_rows, case_concat_cols, case_sum_all, case_kl_logits,
+    case_matmul, case_concat_rows, case_concat_cols, case_kl_logits,
     case_conv1d, case_masked_max_pool, case_rnn_cell, case_lstm_cell, case_bce,
 ]
 
@@ -206,8 +207,8 @@ def test_gradients_match_finite_differences(case, dtype, eps, tol):
 class TestBackwardConventions:
     def test_repeated_backward_does_not_accumulate(self):
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[2.0, -3.0]], requires_grad=True)
-        loss = nd.sum_all(nd.mul(x, x))
+        x = tape.leaf([[2.0, -3.0]])
+        loss = total(tape, nd.mul(x, x))
         tape.backward(loss)
         first = x.grad.copy()
         tape.backward(loss)
@@ -215,30 +216,25 @@ class TestBackwardConventions:
         np.testing.assert_allclose(first, [[4.0, -6.0]])
 
     def test_unreached_trainable_leaf_gets_zeros(self):
+        # so do operation outputs the loss does not depend on
         tape = nd.Tape(dtype=np.float64)
-        a = tape.leaf([[1.0, 2.0]], requires_grad=True)
-        b = tape.leaf([[5.0, 6.0]], requires_grad=True)
-        tape.backward(nd.sum_all(a))
+        a = tape.leaf([[1.0, 2.0]])
+        b = tape.leaf([[5.0, 6.0]])
+        unused = nd.mul(b, b)
+        tape.backward(total(tape, a))
+        np.testing.assert_array_equal(a.grad, np.ones((1, 2)))
         np.testing.assert_array_equal(b.grad, np.zeros((1, 2)))
-
-    def test_constant_leaf_stays_grad_free(self):
-        tape = nd.Tape(dtype=np.float64)
-        a = tape.leaf([[1.0, 2.0]], requires_grad=True)
-        c = tape.constant([[3.0, 4.0]])
-        tape.backward(nd.sum_all(nd.mul(a, c)))
-        assert c.grad is None
-        np.testing.assert_array_equal(a.grad, [[3.0, 4.0]])
+        np.testing.assert_array_equal(unused.grad, np.zeros((1, 2)))
 
     def test_backward_rejects_non_scalar(self):
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.0, 2.0]], requires_grad=True)
+        x = tape.leaf([[1.0, 2.0]])
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(nd.mul(x, x))
 
     def test_backward_rejects_foreign_tape(self):
         t1, t2 = nd.Tape(), nd.Tape()
-        x = t1.leaf([[1.0]], requires_grad=True)
-        loss = nd.sum_all(x)
+        loss = total(t1, t1.leaf([[1.0]]))
         with pytest.raises(ValueError, match="tape"):
             t2.backward(loss)
 
@@ -252,8 +248,8 @@ class TestBackwardConventions:
     def test_reused_tensor_accumulates_fanout(self):
         # d/dx of sum(x*x + x) = 2x + 1
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.5, -0.5]], requires_grad=True)
-        tape.backward(nd.sum_all(nd.add(nd.mul(x, x), x)))
+        x = tape.leaf([[1.5, -0.5]])
+        tape.backward(total(tape, nd.add(nd.mul(x, x), x)))
         np.testing.assert_allclose(x.grad, [[4.0, 0.0]])
 
     def test_dropped_tape_is_freed_without_cycle_collection(self):
@@ -265,7 +261,7 @@ class TestBackwardConventions:
             for case in ALL_CASES:
                 arrays, build = case(np.random.default_rng(6))
                 tape = nd.Tape(dtype=np.float64)
-                leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+                leaves = [tape.leaf(a) for a in arrays]
                 loss = build(tape, leaves)
                 tape.backward(loss)
                 ref = weakref.ref(tape)
@@ -288,6 +284,25 @@ class TestBackwardConventions:
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
+
+
+def test_every_public_function_runs_in_the_model(monkeypatch, toy_groups, toy_table):
+    # no autodiff that only tests call: training under both losses and every
+    # context kind, then inference, reach each public ndgrad function
+    public = [name for name, fn in vars(nd).items() if inspect.isfunction(fn)
+              and fn.__module__ == nd.__name__ and not name.startswith("_")]
+    calls = collections.Counter()
+    for name in public:
+        def counted(*args, _fn=getattr(nd, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nd, name, counted)
+    for loss, kind in [("listwise", kind) for kind in CONTEXT_KINDS] + [("pointwise", "none")]:
+        config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2, context=kind)
+        params = CosinetParams(config)
+        fit(toy_groups, toy_table, params, config, TrainConfig(loss=loss, epochs=1))
+        score_group(toy_groups[0], toy_table, params, config)
+    assert [name for name in public if not calls[name]] == []
 
 
 class TestShapeErrors:
@@ -370,12 +385,12 @@ class TestPrimitiveSemantics:
             x[i, :n] = 1.0
             mask[i, :n - k + 1] = True
         tape = nd.Tape(dtype=np.float64)
-        w = tape.leaf(np.ones((k, dim, 2)), requires_grad=True)
-        b = tape.leaf(np.zeros(2), requires_grad=True)
+        w = tape.leaf(np.ones((k, dim, 2)))
+        b = tape.leaf(np.zeros(2))
         rows = nd.conv1d(x, w, b, mask)
         assert rows.shape == (mask.sum(), 2) == (65, 2)
         np.testing.assert_array_equal(rows.data, np.full((65, 2), k * dim))
-        tape.backward(nd.sum_all(nd.masked_max_pool(rows, mask)))
+        tape.backward(total(tape, nd.masked_max_pool(rows, mask)))
         np.testing.assert_array_equal(b.grad, [10.0, 10.0])
 
     def test_masked_values_never_leak(self):
@@ -402,40 +417,40 @@ class TestPrimitiveSemantics:
     def test_max_pool_tie_routes_gradient_to_first(self):
         # packed rows: [1, 3, 3] for the first sequence, [2, 2] for the second
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.0, 0.0], [3.0, 0.0], [3.0, 0.0], [2.0, 7.0], [2.0, 7.0]],
-                      requires_grad=True)
+        x = tape.leaf([[1.0, 0.0], [3.0, 0.0], [3.0, 0.0], [2.0, 7.0], [2.0, 7.0]])
         mask = [[True, True, True], [False, True, True]]
-        tape.backward(nd.sum_all(nd.masked_max_pool(x, mask)))
+        tape.backward(total(tape, nd.masked_max_pool(x, mask)))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0],
                                                [1.0, 1.0], [0.0, 0.0]])
 
     def test_nan_window_gives_nan_not_index_error(self):
         # a NaN window pools to NaN and takes the gradient, as np.argmax would
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.0, np.nan], [2.0, 0.5], [np.nan, 3.0]], requires_grad=True)
+        x = tape.leaf([[1.0, np.nan], [2.0, 0.5], [np.nan, 3.0]])
         mask = [[True, False, True], [False, True, False]]
         out = nd.masked_max_pool(x, mask)
         np.testing.assert_array_equal(out.data, [[2.0, np.nan], [np.nan, 3.0]])
-        tape.backward(nd.sum_all(out))
+        tape.backward(total(tape, out))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_softmax_rows_normalized_and_positive(self):
-        # the kl_logits gradient is softmax(s) - g, so adding g back must
-        # give strictly positive rows that sum to one
+        # the kl_logits gradient is softmax(s) - g, one softmax over every
+        # entry, so adding g back must give strictly positive entries that
+        # sum to one
         rng = np.random.default_rng(3)
-        target = random_targets(rng, (4, 6))
+        target = random_target(rng, 24)
         tape = nd.Tape(dtype=np.float64)
-        s = tape.leaf(rng.uniform(-5, 5, (4, 6)), requires_grad=True)
+        s = tape.leaf(rng.uniform(-5, 5, (4, 6)))
         loss = nd.kl_logits(s, target)
         tape.backward(loss)
-        p = s.grad + target
+        p = s.grad + target.reshape(4, 6)
         assert (p > 0).all()
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
         assert loss.data[0, 0] > 0
 
     def test_softmax_handles_large_inputs(self):
         tape = nd.Tape(dtype=np.float32)
-        s = tape.leaf([[1000.0, 1000.0, 999.0]], requires_grad=True)
+        s = tape.leaf([[1000.0, 1000.0, 999.0]])
         loss = nd.kl_logits(s, [[0.5, 0.5, 0.0]])
         tape.backward(loss)
         assert np.isfinite(loss.data).all() and np.isfinite(s.grad).all()
@@ -446,11 +461,36 @@ class TestPrimitiveSemantics:
     def test_kl_logits_zero_when_distributions_match(self):
         target = np.array([[0.25, 0.75, 0.0]])
         tape = nd.Tape(dtype=np.float64)
-        s = tape.leaf(np.log([[1.0, 3.0, 1e-300]]) + 7.0, requires_grad=True)
+        s = tape.leaf(np.log([[1.0, 3.0, 1e-300]]) + 7.0)
         loss = nd.kl_logits(s, target)
         tape.backward(loss)
         assert abs(loss.data[0, 0]) < 1e-12
         np.testing.assert_allclose(s.grad, np.zeros((1, 3)), atol=1e-12)
+
+    def test_kl_logits_column_matches_row(self):
+        # the model feeds an (n, 1) column and a flat target; it is the same
+        # distribution as a (1, n) row, bit for bit
+        rng = np.random.default_rng(5)
+        scores = rng.uniform(-3, 3, 7).astype(np.float32)
+        target = random_target(rng, 7)
+        out = []
+        for shape in ((7, 1), (1, 7)):
+            tape = nd.Tape(dtype=np.float32)
+            s = tape.leaf(scores.reshape(shape))
+            loss = nd.kl_logits(s, target)
+            tape.backward(loss)
+            out.append((loss.data[0, 0], s.grad.ravel()))
+        assert out[0][0] == out[1][0]
+        np.testing.assert_array_equal(out[0][1], out[1][1])
+
+    def test_kl_logits_is_one_softmax_over_every_entry(self):
+        x = np.array([[0.5, -1.0], [2.0, 0.0]])
+        target = np.array([0.0, 0.25, 0.75, 0.0])
+        tape = nd.Tape(dtype=np.float64)
+        loss = nd.kl_logits(tape.leaf(x), target).data[0, 0]
+        logp = x.ravel() - np.log(np.exp(x).sum())
+        want = sum(g * (np.log(g) - lp) for g, lp in zip(target, logp) if g > 0)
+        np.testing.assert_allclose(loss, want, rtol=1e-12)
 
     def test_kl_logits_shape_mismatch(self):
         tape = nd.Tape()
@@ -494,7 +534,7 @@ def test_softmax_shift_invariance(row, shift):
     results = []
     for scores in (x, x + shift):
         tape = nd.Tape(dtype=np.float64)
-        s = tape.leaf(scores, requires_grad=True)
+        s = tape.leaf(scores)
         loss = nd.kl_logits(s, target)
         tape.backward(loss)
         results.append((loss.data[0, 0], s.grad))

@@ -82,7 +82,7 @@ class TestListwiseLoss:
             if labels.sum() == 0:
                 labels[0] = 1
             tape = Tape(dtype=np.float64)
-            s = tape.leaf(scores, requires_grad=True)
+            s = tape.leaf(scores)
             tape.backward(listwise_loss(s, labels))
             p = np.exp(scores - scores.max())
             p /= p.sum()
@@ -99,7 +99,7 @@ class TestListwiseLoss:
         # float32 exp underflows at a gap of 200; the loss and its gradient
         # must still come out finite and exact
         tape = Tape(dtype=np.float32)
-        s = tape.leaf([scores], requires_grad=True)
+        s = tape.leaf([scores])
         loss = listwise_loss(s, labels)
         tape.backward(loss)
         assert np.isfinite(loss.data).all() and np.isfinite(s.grad).all()
@@ -109,6 +109,21 @@ class TestListwiseLoss:
         p /= p.sum()
         g = np.asarray([labels], dtype=np.float64) / sum(labels)
         np.testing.assert_allclose(s.grad, p - g, atol=1e-6)
+
+    def test_accepts_score_column(self):
+        # score_pairs returns an (n, 1) column; loss and gradient are those
+        # of the same scores as a (1, n) row
+        scores = np.array([0.3, -1.2, 2.0, 0.1])
+        labels = [0, 1, 1, 0]
+        out = []
+        for shape in ((4, 1), (1, 4)):
+            tape = Tape(dtype=np.float64)
+            s = tape.leaf(scores.reshape(shape))
+            loss = listwise_loss(s, labels)
+            tape.backward(loss)
+            out.append((loss.data[0, 0], s.grad.ravel()))
+        assert out[0][0] == out[1][0]
+        np.testing.assert_array_equal(out[0][1], out[1][1])
 
     def test_rejects_all_negative_labels(self):
         tape = Tape(dtype=np.float64)
@@ -146,12 +161,23 @@ class TestPointwiseLoss:
         both = self.loss_value([1.3, -0.4], [1.0, 0.0])
         np.testing.assert_allclose(both, (one + other) / 2.0, rtol=1e-12)
 
+    def test_accepts_score_column(self):
+        # an (n, 1) score column against a flat label list
+        tape = Tape(dtype=np.float64)
+        col = tape.leaf([[1.3], [-0.4]])
+        loss = pointwise_loss(col, [1.0, 0.0])
+        tape.backward(loss)
+        np.testing.assert_allclose(loss.data[0, 0], self.loss_value([1.3, -0.4], [1.0, 0.0]),
+                                   rtol=1e-12)
+        p = 1.0 / (1.0 + np.exp(-np.array([[1.3], [-0.4]])))
+        np.testing.assert_allclose(col.grad, (p - [[1.0], [0.0]]) / 2, atol=1e-12)
+
     def test_gradient_closed_form(self):
         rng = np.random.default_rng(0)
         s = rng.uniform(-3, 3, (1, 5))
         y = rng.integers(0, 2, (1, 5)).astype(float)
         tape = Tape(dtype=np.float64)
-        leaf = tape.leaf(s, requires_grad=True)
+        leaf = tape.leaf(s)
         tape.backward(pointwise_loss(leaf, y))
         p = 1.0 / (1.0 + np.exp(-s))
         np.testing.assert_allclose(leaf.grad, (p - y) / s.size, atol=1e-12)
