@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import secrets
 from dataclasses import dataclass, field
 
@@ -27,20 +28,7 @@ def tokenize(text: str) -> list[str]:
     becomes its own single-character token. Deterministic, whitespace
     never yields tokens.
     """
-    tokens = []
-    for chunk in text.lower().split():
-        run = []
-        for ch in chunk:
-            if ch.isalnum():
-                run.append(ch)
-            else:
-                if run:
-                    tokens.append("".join(run))
-                    run = []
-                tokens.append(ch)
-        if run:
-            tokens.append("".join(run))
-    return tokens
+    return re.findall(r"[^\W_]+|\S", text.lower())
 
 
 @dataclass(frozen=True)
@@ -195,9 +183,14 @@ def atomic_open(path, mode: str = "w", **kwargs):
     ``path`` in one ``os.replace``, and the directory is fsynced, so the new
     file survives a power loss whole; when the block raises, the file is
     removed. Either way no partial ``path`` and no temporary file is left
-    behind.
+    behind. An existing ``path`` that is not a regular file (a FIFO, a
+    device) is written directly instead, never replaced.
     """
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -28,11 +28,6 @@ class EmbeddingTable:
         """Vocabulary tokens ordered by row index (for serialization)."""
         return sorted(self.vocabulary, key=self.vocabulary.get)
 
-    def checksum(self) -> bytes:
-        import hashlib
-
-        return hashlib.sha256(self.matrix.tobytes()).digest()
-
 
 def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingTable:
     """Parse a text embedding file: one line per token, then `dimension` reals.

@@ -16,11 +16,13 @@ so they enter as plain arrays and nothing back-propagates through them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,11 +70,8 @@ class CosinetConfig:
 
     @property
     def head_input_dim(self) -> int:
-        if self.context == "none":
-            return self.pair_dim
-        if self.bidirectional:
-            return 2 * self.context_hidden
-        return self.context_hidden
+        dirs = context_rule(self)[0]
+        return len(dirs) * self.context_hidden if dirs else self.pair_dim
 
 
 def expected_parameter_count(config: CosinetConfig) -> int:
@@ -99,70 +98,73 @@ def expected_parameter_count(config: CosinetConfig) -> int:
     return towers + ctx + head
 
 
-class CosinetParams:
-    """All trainable weights as an ordered name -> array mapping.
+def context_rule(config: CosinetConfig):
+    """(direction prefixes, gate count, bias names) of the context recurrence's parameters."""
+    if config.context == "none":
+        return (), 0, ()
+    dirs = ("fw_", "bw_") if config.bidirectional else ("",)
+    gates = 4 if config.context.endswith("lstm") else 1
+    return dirs, gates, ("b_ih", "b_hh") if config.context == "rnn" else ("b",)
 
-    Declaration order is the serialization order. Weights are initialized
-    uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero, all draws from
-    one seeded generator so construction is reproducible.
+
+class CosinetParams:
+    """All trainable weights in one contiguous ``flat`` vector.
+
+    ``arrays`` is a read-only name -> view mapping into ``flat`` in declaration
+    (and serialization) order, derived on every access so a deep copy's views
+    stay tied to its own buffer. Weights are initialized uniform in
+    +-sqrt(6 / (fan_in + fan_out)), biases zero, all from one seeded generator.
     """
 
     def __init__(self, config: CosinetConfig, dtype=np.float32):
-        self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(config.seed)
         k, e1, h = config.kernel_width, config.embedding_dim + 1, config.conv_hidden
-        self.arrays: dict[str, np.ndarray] = {}
+        arrays = {}
 
         def glorot(name, shape, fan_in, fan_out):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.arrays[name] = rng.uniform(-limit, limit, size=shape).astype(self.dtype)
+            arrays[name] = rng.uniform(-limit, limit, size=shape).astype(self.dtype)
 
         def zeros(name, shape):
-            self.arrays[name] = np.zeros(shape, dtype=self.dtype)
+            arrays[name] = np.zeros(shape, dtype=self.dtype)
 
         glorot("q_conv_w", (k, e1, h), k * e1, h)
         zeros("q_conv_b", (h,))
         glorot("c_conv_w", (k, e1, h), k * e1, h)
         zeros("c_conv_b", (h,))
 
-        d_in = config.pair_dim
-        ch = config.context_hidden
-        if config.context == "rnn":
-            glorot("ctx_w_ih", (d_in, ch), d_in, ch)
-            glorot("ctx_w_hh", (ch, ch), ch, ch)
-            zeros("ctx_b_ih", (1, ch))
-            zeros("ctx_b_hh", (1, ch))
-        elif config.context == "birnn":
-            for d in ("fw", "bw"):
-                glorot(f"ctx_{d}_w_ih", (d_in, ch), d_in, ch)
-                glorot(f"ctx_{d}_w_hh", (ch, ch), ch, ch)
-                zeros(f"ctx_{d}_b", (1, ch))
-        elif config.context == "lstm":
-            glorot("ctx_w_ih", (d_in, 4 * ch), d_in, 4 * ch)
-            glorot("ctx_w_hh", (ch, 4 * ch), ch, 4 * ch)
-            zeros("ctx_b", (1, 4 * ch))
-        elif config.context == "bilstm":
-            for d in ("fw", "bw"):
-                glorot(f"ctx_{d}_w_ih", (d_in, 4 * ch), d_in, 4 * ch)
-                glorot(f"ctx_{d}_w_hh", (ch, 4 * ch), ch, 4 * ch)
-                zeros(f"ctx_{d}_b", (1, 4 * ch))
+        d_in, ch = config.pair_dim, config.context_hidden
+        dirs, gates, biases = context_rule(config)
+        for d in dirs:
+            glorot(f"ctx_{d}w_ih", (d_in, gates * ch), d_in, gates * ch)
+            glorot(f"ctx_{d}w_hh", (ch, gates * ch), ch, gates * ch)
+            for b in biases:
+                zeros(f"ctx_{d}{b}", (1, gates * ch))
 
         glorot("head_w", (config.head_input_dim, 1), config.head_input_dim, 1)
         zeros("head_b", (1, 1))
 
-        actual = self.count()
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        ends = itertools.accumulate(a.size for a in arrays.values())
+        self._slots = {name: (slice(end - a.size, end), a.shape)
+                       for (name, a), end in zip(arrays.items(), ends)}
         expected = expected_parameter_count(config)
-        assert actual == expected, f"parameter count {actual} != expected {expected}"
+        assert self.count() == expected, f"parameter count {self.count()} != expected {expected}"
+
+    def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: buf[s].reshape(shape) for name, (s, shape) in self._slots.items()}
+
+    @property
+    def arrays(self) -> MappingProxyType:
+        return MappingProxyType(self._views(self.flat))
 
     def count(self) -> int:
-        return sum(a.size for a in self.arrays.values())
+        return self.flat.size
 
-    def names(self) -> list[str]:
-        return list(self.arrays)
-
-    def as_leaves(self, tape: Tape) -> dict[str, ndgrad.Tensor]:
-        return {name: tape.leaf(arr) for name, arr in self.arrays.items()}
+    def as_leaves(self, tape: Tape, grad: np.ndarray | None = None) -> dict[str, ndgrad.Tensor]:
+        grads = self._views(grad) if grad is not None else dict.fromkeys(self._slots)
+        return {name: tape.leaf(arr, grads[name]) for name, arr in self.arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +242,15 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
     the hidden states for rnn/lstm, and the forward/backward concatenation
     for the bidirectional variants. Initial states are zero.
     """
-    kind = config.context
-    if kind == "none":
+    dirs, gates, biases = context_rule(config)
+    if not dirs:
         return pair_vecs
-    cell = ndgrad.lstm_cell if kind.endswith("lstm") else ndgrad.rnn_cell
-    if kind == "rnn":
-        b = ndgrad.add(leaves["ctx_b_ih"], leaves["ctx_b_hh"])
-        return cell(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], b)
-    if kind == "lstm":
-        return cell(pair_vecs, leaves["ctx_w_ih"], leaves["ctx_w_hh"], leaves["ctx_b"])
-    return ndgrad.concat([cell(pair_vecs, leaves[f"ctx_{d}_w_ih"], leaves[f"ctx_{d}_w_hh"],
-                               leaves[f"ctx_{d}_b"], reverse=d == "bw")
-                          for d in ("fw", "bw")], axis=1)
+    cell = ndgrad.lstm_cell if gates == 4 else ndgrad.rnn_cell
+    outs = [cell(pair_vecs, leaves[f"ctx_{d}w_ih"], leaves[f"ctx_{d}w_hh"],
+                 functools.reduce(ndgrad.add, (leaves[f"ctx_{d}{b}"] for b in biases)),
+                 reverse=d == "bw_")
+            for d in dirs]
+    return ndgrad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
 def score_pairs(pairs, config: CosinetConfig, leaves: dict, tape: Tape) -> ndgrad.Tensor:
@@ -290,13 +289,14 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
     """Write the versioned model container (layout documented in README).
 
     Payload tensors are 32-bit little-endian floats: the frozen embedding
-    matrix first, then every trainable array in declaration order. A
-    SHA-256 over every byte before it (preamble, header and payload) closes
-    the file. The file appears at ``path`` only once it is complete.
+    matrix first, then every trainable array in declaration order, which is
+    ``params.flat`` as it stands. A SHA-256 over every byte before it
+    (preamble, header and payload) closes the file. The file appears at
+    ``path`` only once it is complete.
     """
     vocab = table.tokens_in_order()
     manifest = [["embedding_matrix", list(table.matrix.shape)]]
-    manifest += [[name, list(params.arrays[name].shape)] for name in params.names()]
+    manifest += [[name, list(arr.shape)] for name, arr in params.arrays.items()]
     header = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
@@ -305,9 +305,9 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
         "tensors": manifest,
     }, ensure_ascii=False).encode("utf-8")
 
-    arrays = [table.matrix] + [params.arrays[name] for name in params.names()]
-    parts = itertools.chain([MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)), header],
-                            (np.ascontiguousarray(a, dtype="<f4") for a in arrays))
+    parts = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)), header,
+             np.ascontiguousarray(table.matrix, dtype="<f4"),
+             np.ascontiguousarray(params.flat, dtype="<f4")]
     digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
         for part in parts:
@@ -339,20 +339,21 @@ def load_model(path):
         offset, arrays = 0, {}
         for name, shape in header["tensors"]:
             size = int(np.prod(shape)) * 4
-            arrays[name] = np.frombuffer(payload[offset:offset + size], "<f4").reshape(shape).copy()
+            arrays[name] = np.frombuffer(payload[offset:offset + size], "<f4").reshape(shape)
             offset += size
         if offset != len(payload):
             raise ValueError(f"{path}: payload length mismatch")
         vocab = {tok: i for i, tok in enumerate(header["vocab"])}
-        table = EmbeddingTable(vocab, arrays.pop("embedding_matrix"), header["embedding_dim"])
+        matrix = arrays.pop("embedding_matrix").copy()  # its own rows, not views of the file
+        table = EmbeddingTable(vocab, matrix, header["embedding_dim"])
         params = CosinetParams(config, dtype=np.float32)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
-    for name in params.names():
+    for name, view in params.arrays.items():
         if name not in arrays:
             raise ValueError(f"{path}: missing tensor {name}")
-        if tuple(arrays[name].shape) != params.arrays[name].shape:
+        if tuple(arrays[name].shape) != view.shape:
             raise ValueError(f"{path}: tensor {name} has shape {arrays[name].shape}, "
-                             f"expected {params.arrays[name].shape}")
-        params.arrays[name] = arrays[name]
+                             f"expected {view.shape}")
+        view[...] = arrays[name]
     return config, params, table

@@ -8,7 +8,7 @@ Conventions:
   - every operation writes a fresh output tensor (single assignment on the
     tape), so the record list is already in topological order;
   - ``Tape.backward`` resets all gradients first, then fills them, so
-    repeated calls never silently accumulate;
+    repeated calls never silently accumulate (a leaf's gradient buffer too);
   - every tensor on a tape takes a gradient: leaves are trainable
     parameters, and frozen inputs are passed as plain arrays instead;
   - a tensor refers to its tape weakly, so the tape (records, tensors and
@@ -58,9 +58,17 @@ class Tape:
         self.dtype = np.dtype(dtype)
         self._records = []      # backward closures, appended in forward order
         self._tensors = []      # every tensor created on this tape
+        self._buffers = []      # (leaf, gradient buffer) pairs
 
-    def leaf(self, data) -> Tensor:
-        return self._output(np.ascontiguousarray(data, dtype=self.dtype))
+    def leaf(self, data, grad: np.ndarray | None = None) -> Tensor:
+        """A trainable input; ``backward`` writes its gradient into ``grad`` if given."""
+        t = self._output(np.ascontiguousarray(data, dtype=self.dtype))
+        if grad is not None:
+            if grad.dtype != self.dtype or grad.shape != t.data.shape:
+                raise ValueError(f"leaf: grad buffer {grad.dtype}{grad.shape} does not match "
+                                 f"{self.dtype}{t.data.shape}")
+            self._buffers.append((t, grad))
+        return t
 
     def _output(self, data: np.ndarray) -> Tensor:
         t = Tensor(data, self)
@@ -83,6 +91,9 @@ class Tape:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
         for t in self._tensors:
             t.grad = None
+        for t, buf in self._buffers:
+            buf.fill(0)
+            t.grad = buf
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self._records):
             fn()

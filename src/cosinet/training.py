@@ -97,36 +97,35 @@ def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
     return ndgrad.bce_logits_mean(scores, labels)
 
 
-class Adam:
-    """Adam with bias correction; one state slot per named parameter.
+BLOCK = 1 << 16  # elements per Adam block: its six operand blocks stay in cache
 
-    ``step`` works in place through two scratch buffers shared by all
-    parameters, in the operation order of m += (1-b1)(g-m),
-    v += (1-b2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + eps), so its
-    updates are bit for bit those of that expression.
+
+class Adam:
+    """Adam with bias correction over one flat weight vector ``w``.
+
+    ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
+    ``BLOCK`` at a time through two block-sized scratch buffers, in the
+    elementwise operation order of m += (1-b1)(g-m), v += (1-b2)(g*g-v),
+    w -= lr (m/c1) / (sqrt(v/c2) + eps), so it is bit for bit that expression.
     """
 
-    def __init__(self, names, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, w: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(arrays[n]) for n in names}
-        self.v = {n: np.zeros_like(arrays[n]) for n in names}
-        size = max(arrays[n].size for n in names)
-        self._scratch = np.empty((2, size), dtype=np.result_type(*(arrays[n] for n in names)))
+        self.m, self.v = np.zeros_like(w), np.zeros_like(w)
+        self._scratch = np.empty((2, min(BLOCK, w.size)), dtype=w.dtype)
 
-    def step(self, arrays: dict, grads: dict, lr: float) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray, lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, arr in arrays.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            s, u = (buf[:arr.size].reshape(arr.shape) for buf in self._scratch)
-            np.subtract(g, m, out=s)
+        for lo in range(0, w.size, BLOCK):
+            wb, gb, m, v = (a[lo:lo + BLOCK] for a in (w, g, self.m, self.v))
+            s, u = self._scratch[:, :wb.size]
+            np.subtract(gb, m, out=s)
             s *= 1.0 - self.beta1
             m += s
-            np.multiply(g, g, out=s)
+            np.multiply(gb, gb, out=s)
             s -= v
             s *= 1.0 - self.beta2
             v += s
@@ -136,7 +135,7 @@ class Adam:
             np.divide(m, b1c, out=u)
             u *= lr
             u /= s
-            arr -= u
+            wb -= u
 
 
 @dataclass
@@ -185,8 +184,8 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
         raise ValueError("pointwise training scores pairs independently; "
                          "it cannot drive a rank contextualizer (use context=none)")
     rng = np.random.default_rng(train_config.seed)
-    adam = Adam(params.names(), params.arrays, train_config.beta1,
-                train_config.beta2, train_config.eps)
+    adam = Adam(params.flat, train_config.beta1, train_config.beta2, train_config.eps)
+    grad = np.empty_like(params.flat)  # backward writes each leaf's gradient into its view
     max_lr = train_config.resolved_max_lr
     listwise = train_config.loss == "listwise"
     objective = listwise_loss if listwise else pointwise_loss
@@ -211,12 +210,12 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
         epoch_losses = []
         for batch in epoch_batches():
             tape = Tape(dtype=params.dtype)
-            leaves = params.as_leaves(tape)
+            leaves = params.as_leaves(tape, grad)
             cands = [(groups[gi], groups[gi].candidates[ci]) for gi, ci in batch]
             inputs = [prepare_pair(g.question_tokens, c.tokens, table) for g, c in cands]
             loss = objective(score_pairs(inputs, config, leaves, tape), [c.label for _, c in cands])
             tape.backward(loss)
-            adam.step(params.arrays, {n: leaves[n].grad for n in params.names()},
+            adam.step(params.flat, grad,
                       stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr))
             step += 1
             epoch_losses.append(float(loss.data[0, 0]))

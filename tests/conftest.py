@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -60,6 +61,11 @@ def make_table(words, dim=16, seed=0):
     words = list(words)
     matrix = rng.standard_normal((len(words), dim)).astype(np.float32)
     return EmbeddingTable({w: i for i, w in enumerate(words)}, matrix, dimension=dim)
+
+
+def table_digest(table):
+    """SHA-256 of an embedding table's matrix, to show it stayed frozen."""
+    return hashlib.sha256(table.matrix.tobytes()).digest()
 
 
 def make_group(question_id, question, rows):

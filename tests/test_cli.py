@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -316,6 +319,31 @@ class TestEvalPredict:
             run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
                       "--scores-out", str(p)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_predict_writes_into_a_fifo(self, trained_model, toy_jsonl, toy_groups,
+                                        tmp_path, capsys):
+        # a special file is written in place, never replaced by a regular file
+        fifo = tmp_path / "scores.fifo"
+        os.mkfifo(fifo)
+        # a descriptor open at both ends lets the reader open without waiting
+        # for a writer; the read ends once it and the writer are closed
+        hold = os.open(fifo, os.O_RDWR)
+        with open(fifo, "rb") as src:
+            chunks = []
+            reader = threading.Thread(target=lambda: chunks.append(src.read()))
+            reader.start()
+            try:
+                rep = run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
+                                "--scores-out", str(fifo)], capsys)
+            finally:
+                os.close(hold)
+                reader.join(timeout=60)
+            assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("scores.fifo*")) == [fifo]
+        n_candidates = sum(len(g.candidates) for g in toy_groups)
+        assert rep["n_scores"] == n_candidates
+        assert len(chunks[0].split()) == n_candidates
 
     def test_failed_predict_leaves_no_partial_file(self, trained_model, toy_jsonl,
                                                    tmp_path, capsys, monkeypatch):

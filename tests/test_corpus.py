@@ -51,6 +51,30 @@ class TestTokenize:
         toks = tokenize("The U.S. Senate (1789-present).")
         assert tokenize(" ".join(toks)) == toks
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60) | st.text(st.sampled_from("aZ9_-. \t\u00e9\u0130\u00b2\u2003"),
+                                          max_size=30))
+    def test_matches_character_loop(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
+
+def loop_tokenize(text):
+    """Reference tokenizer: whitespace split, then alnum runs and single others."""
+    tokens = []
+    for chunk in text.lower().split():
+        run = []
+        for ch in chunk:
+            if ch.isalnum():
+                run.append(ch)
+            else:
+                if run:
+                    tokens.append("".join(run))
+                    run = []
+                tokens.append(ch)
+        if run:
+            tokens.append("".join(run))
+    return tokens
+
 
 class TestWikiqaIngest:
     def test_mini_file(self, mini_wikiqa_tsv):

@@ -7,6 +7,7 @@ from cosinet.embeddings import (
     embed_sequence,
     load_embeddings,
 )
+from conftest import table_digest
 
 
 def write_lines(tmp_path, lines, name="vecs.txt"):
@@ -130,9 +131,8 @@ class TestTable:
         t1 = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"], "a.txt"), dimension=3)
         t2 = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"], "b.txt"), dimension=3)
         t3 = load_embeddings(write_lines(tmp_path, ["cat 1 2 4"], "c.txt"), dimension=3)
-        assert t1.checksum() == t2.checksum()
-        assert t1.checksum() != t3.checksum()
-        assert len(t1.checksum()) == 32
+        assert table_digest(t1) == table_digest(t2)
+        assert table_digest(t1) != table_digest(t3)
 
 
 class TestEmbedSequence:

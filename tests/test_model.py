@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import copy
 import functools
 import hashlib
 import json
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cosinet.ndgrad as nd
+from cosinet import model
 from cosinet.model import (
     CONTEXT_KINDS,
     CosinetConfig,
@@ -333,8 +336,8 @@ class TestForward:
         # two paths compute the same function, so the q - c half vanishes
         config = tiny_config("none")
         params = CosinetParams(config)
-        params.arrays["c_conv_w"] = params.arrays["q_conv_w"].copy()
-        params.arrays["c_conv_b"] = params.arrays["q_conv_b"].copy()
+        params.arrays["c_conv_w"][...] = params.arrays["q_conv_w"]
+        params.arrays["c_conv_b"][...] = params.arrays["q_conv_b"]
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, config.embedding_dim))
         pair = prepare_pair_matrices(x, x)
@@ -466,6 +469,15 @@ class TestInit:
         params = CosinetParams(tiny_config())
         assert (params.arrays["q_conv_w"] != params.arrays["c_conv_w"]).any()
 
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_arrays_are_read_only_views_of_flat(self, kind):
+        params = CosinetParams(tiny_config(kind))
+        params.flat[:] = np.arange(params.flat.size)
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in params.arrays.values()]), params.flat)
+        with pytest.raises(TypeError):
+            params.arrays["head_b"] = np.zeros((1, 1), dtype=np.float32)
+
 
 # ---------------------------------------------------------------------------
 # end-to-end gradients
@@ -481,7 +493,7 @@ class TestEndToEndGradients:
             rng = np.random.default_rng(100 + seed)
             pairs = random_pairs(rng, config, n_pairs=2, max_len=5)
             probe = rng.uniform(-1, 1, (1, 2))
-            names = params.names()
+            names = list(params.arrays)
 
             def loss_of(arrs):
                 # probe @ scores: the probe-weighted sum of the (n, 1) column
@@ -520,8 +532,8 @@ class TestSerialization:
         save_model(path, config, params, table)
         config2, params2, table2 = load_model(path)
         assert config2 == config
-        assert params2.names() == params.names()
-        for name in params.names():
+        assert list(params2.arrays) == list(params.arrays)
+        for name in params.arrays:
             np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
         assert table2.vocabulary == table.vocabulary
         np.testing.assert_array_equal(table2.matrix, table.matrix)
@@ -550,7 +562,7 @@ class TestSerialization:
         (hlen,) = struct.unpack_from("<Q", blob, 12)
         header = json.loads(blob[20:20 + hlen])
         assert header["tensors"][0][0] == "embedding_matrix"
-        assert [t[0] for t in header["tensors"][1:]] == params.names()
+        assert [t[0] for t in header["tensors"][1:]] == list(params.arrays)
         n_floats = table.matrix.size + params.count()
         assert len(blob) == 20 + hlen + 4 * n_floats + 32
         assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
@@ -584,10 +596,13 @@ class TestSerialization:
             load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        config, params, table = self.build()
-        params.arrays["head_b"] = np.zeros((2, 2), dtype=np.float32)
+        # a well-formed file with a valid digest whose last tensor, head_b,
+        # is declared (2, 2) instead of (1, 1), with its three extra floats
+        header, payload = split_model_file(saved_model_bytes())
+        assert header["tensors"][-1] == ["head_b", [1, 1]]
+        header["tensors"][-1][1] = [2, 2]
         path = tmp_path / "m.bin"
-        save_model(path, config, params, table)
+        path.write_bytes(model_file(header, payload + bytes(12), version=2))
         with pytest.raises(ValueError, match="head_b"):
             load_model(path)
 
@@ -633,22 +648,40 @@ class TestSerialization:
         path.write_bytes(model_file(header, payload, version=1))
         config2, params2, table2 = load_model(path)
         assert config2 == config
-        for name in params.names():
+        for name in params.arrays:
             np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
         np.testing.assert_array_equal(table2.matrix, table.matrix)
         assert table2.vocabulary == table.vocabulary
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_failed_save_leaves_no_partial_file(self, tmp_path, existing):
-        # the last tensor fails to convert after the header and the other
-        # tensors were written; an older file at the path stays as it was
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, existing, monkeypatch):
+        # the write of the weights fails after the preamble, the header and
+        # the embedding matrix were written; an older file at the path stays
+        # as it was
         config, params, table = self.build()
         path = tmp_path / "m.bin"
         if existing:
             save_model(path, config, params, table)
         before = path.read_bytes() if existing else None
-        params.arrays["head_b"] = np.array([["not a float"]])
-        with pytest.raises(ValueError, match="not a float"):
+        real_open = model.atomic_open
+
+        class FailingWrites:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def failing_open(*args, **kwargs):
+            with real_open(*args, **kwargs) as fh:
+                yield FailingWrites(fh)
+
+        monkeypatch.setattr(model, "atomic_open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
             save_model(path, config, params, table)
         assert [p.name for p in tmp_path.iterdir()] == (["m.bin"] if existing else [])
         if existing:

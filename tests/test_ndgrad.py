@@ -215,6 +215,27 @@ class TestBackwardConventions:
         np.testing.assert_array_equal(x.grad, first)
         np.testing.assert_allclose(first, [[4.0, -6.0]])
 
+    def test_leaf_gradient_is_written_into_its_buffer(self):
+        # the buffer starts dirty; backward zero-fills it before writing,
+        # so a second pass does not add to the first
+        tape = nd.Tape(dtype=np.float64)
+        buf = np.full((1, 2), 7.0)
+        x = tape.leaf([[2.0, -3.0]], grad=buf)
+        loss = total(tape, nd.mul(x, x))
+        for _ in range(2):
+            tape.backward(loss)
+            assert x.grad is buf
+            np.testing.assert_array_equal(buf, [[4.0, -6.0]])
+
+    @pytest.mark.parametrize("tape_dtype, buf_dtype", [(np.float32, np.float64),
+                                                       (np.float64, np.float32)])
+    def test_leaf_rejects_a_mismatched_buffer(self, tape_dtype, buf_dtype):
+        tape = nd.Tape(dtype=tape_dtype)
+        with pytest.raises(ValueError, match="grad buffer"):
+            tape.leaf([[1.0, 2.0]], grad=np.zeros((1, 2), dtype=buf_dtype))
+        with pytest.raises(ValueError, match="grad buffer"):
+            tape.leaf([[1.0, 2.0]], grad=np.zeros((2, 1), dtype=tape_dtype))
+
     def test_unreached_trainable_leaf_gets_zeros(self):
         # so do operation outputs the loss does not depend on
         tape = nd.Tape(dtype=np.float64)

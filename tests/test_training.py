@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import cosinet.ndgrad as nd
 from cosinet.model import CosinetConfig, CosinetParams, score_group
 from cosinet.ndgrad import Tape
 from cosinet.training import (
+    BLOCK,
     Adam,
     TrainConfig,
     fit,
@@ -14,7 +16,7 @@ from cosinet.training import (
     pointwise_loss,
     stlr,
 )
-from conftest import make_group, make_table
+from conftest import make_group, make_table, table_digest
 
 
 def small_config(context="none", seed=0):
@@ -226,51 +228,47 @@ class TestStlr:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        x = {"x": np.array([[5.0]])}
-        adam = Adam(["x"], x)
-        adam.step(x, {"x": np.array([[0.37]])}, lr=0.01)
-        np.testing.assert_allclose(x["x"], [[5.0 - 0.01]], atol=1e-6)
+        x = np.array([5.0])
+        adam = Adam(x)
+        adam.step(x, np.array([0.37]), lr=0.01)
+        np.testing.assert_allclose(x, [5.0 - 0.01], atol=1e-6)
 
     def test_minimizes_quadratic(self):
-        x = {"x": np.array([[8.0]])}
-        adam = Adam(["x"], x)
+        x = np.array([8.0])
+        adam = Adam(x)
         for _ in range(400):
-            adam.step(x, {"x": 2.0 * (x["x"] - 3.0)}, lr=0.05)
-        np.testing.assert_allclose(x["x"], [[3.0]], atol=1e-2)
+            adam.step(x, 2.0 * (x - 3.0), lr=0.05)
+        np.testing.assert_allclose(x, [3.0], atol=1e-2)
 
     def test_state_is_per_parameter(self):
-        arrays = {"a": np.zeros((2, 2)), "b": np.ones((3,))}
-        adam = Adam(["a", "b"], arrays)
-        adam.step(arrays, {"a": np.ones((2, 2)), "b": np.zeros((3,))}, lr=0.1)
-        assert (arrays["a"] != 0).all()
-        np.testing.assert_array_equal(arrays["b"], np.ones(3))
-
+        # one slot per element: a zero gradient leaves its weights alone
+        x = np.concatenate([np.zeros(4), np.ones(3)])
+        adam = Adam(x)
+        adam.step(x, np.concatenate([np.ones(4), np.zeros(3)]), lr=0.1)
+        assert (x[:4] != 0).all()
+        np.testing.assert_array_equal(x[4:], np.ones(3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_step_matches_reference_expression_bitwise(self, dtype):
-        # parameters of different sizes share the scratch buffers
+        # 2.5 blocks: two full blocks and a half block share the scratch buffers
         rng = np.random.default_rng(9)
-        shapes = {"w": (7, 5), "b": (5,), "big": (4, 3, 6), "s": (1, 1)}
-        arrays = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
-        ref = {n: a.copy() for n, a in arrays.items()}
-        ref_m = {n: np.zeros_like(a) for n, a in arrays.items()}
-        ref_v = {n: np.zeros_like(a) for n, a in arrays.items()}
+        n = BLOCK * 5 // 2
+        w = rng.standard_normal(n).astype(dtype)
+        ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
         b1, b2, eps = 0.9, 0.999, 1e-8
-        adam = Adam(list(shapes), arrays, b1, b2, eps)
+        adam = Adam(w, b1, b2, eps)
         for t in range(1, 6):
-            grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+            g = rng.standard_normal(n).astype(dtype)
             lr = 1e-3 * t
-            adam.step(arrays, grads, lr)
+            adam.step(w, g, lr)
             b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for n, g in grads.items():
-                ref_m[n] += (1.0 - b1) * (g - ref_m[n])
-                ref_v[n] += (1.0 - b2) * (g * g - ref_v[n])
-                ref[n] -= lr * (ref_m[n] / b1c) / (np.sqrt(ref_v[n] / b2c) + eps)
-            for n in shapes:
-                assert arrays[n].dtype == dtype
-                np.testing.assert_array_equal(arrays[n], ref[n], err_msg=n)
-                np.testing.assert_array_equal(adam.m[n], ref_m[n], err_msg=n)
-                np.testing.assert_array_equal(adam.v[n], ref_v[n], err_msg=n)
+            ref_m += (1.0 - b1) * (g - ref_m)
+            ref_v += (1.0 - b2) * (g * g - ref_v)
+            ref -= lr * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + eps)
+            assert w.dtype == dtype
+            np.testing.assert_array_equal(w, ref)
+            np.testing.assert_array_equal(adam.m, ref_m)
+            np.testing.assert_array_equal(adam.v, ref_v)
 
 
 class TestTrainConfig:
@@ -344,11 +342,11 @@ class TestFit:
         assert report.loss_curve[-1] < report.loss_curve[0]
 
     def test_embeddings_untouched(self, toy_groups, toy_table):
-        before = toy_table.checksum()
+        before = table_digest(toy_table)
         config = small_config("birnn")
         params = CosinetParams(config)
         fit(toy_groups, toy_table, params, config, TrainConfig(epochs=2))
-        assert toy_table.checksum() == before
+        assert table_digest(toy_table) == before
 
     def test_fixed_seed_bit_reproducible(self, toy_groups, toy_table):
         def run():
@@ -361,9 +359,23 @@ class TestFit:
         curve1, params1 = run()
         curve2, params2 = run()
         assert curve1 == curve2
-        for name in params1.names():
+        for name in params1.arrays:
             np.testing.assert_array_equal(params1.arrays[name],
                                           params2.arrays[name])
+
+    def test_fit_on_a_deep_copy_moves_the_copy_only(self, toy_groups, toy_table):
+        config = small_config("birnn")
+        params = CosinetParams(config)
+        before = params.flat.copy()
+        clone = copy.deepcopy(params)
+        for arr in clone.arrays.values():
+            assert np.shares_memory(arr, clone.flat)
+            assert not np.shares_memory(arr, params.flat)
+        fit(toy_groups, toy_table, clone, config, TrainConfig(epochs=1))
+        np.testing.assert_array_equal(params.flat, before)
+        assert (clone.flat != before).any()
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in clone.arrays.values()]), clone.flat)
 
     def test_shuffle_seed_changes_visit_order(self, toy_groups, toy_table):
         def curve(seed):
@@ -379,7 +391,7 @@ class TestFit:
         params = CosinetParams(config)
         before = {n: a.copy() for n, a in params.arrays.items()}
         fit(toy_groups, toy_table, params, config, TrainConfig(epochs=1))
-        moved = any((params.arrays[n] != before[n]).any() for n in params.names())
+        moved = any((params.arrays[n] != before[n]).any() for n in params.arrays)
         assert moved
 
     def test_scores_change_after_training(self, toy_groups, toy_table):
