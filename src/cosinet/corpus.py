@@ -183,10 +183,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
     ``path`` in one ``os.replace``, and the directory is fsynced, so the new
     file survives a power loss whole; when the block raises, the file is
     removed. Either way no partial ``path`` and no temporary file is left
-    behind. An existing ``path`` that is not a regular file (a FIFO, a
+    behind. A symlinked ``path`` stays a link: the file it resolves to is
+    replaced. An existing ``path`` that is not a regular file (a FIFO, a
     device) is written directly instead, never replaced.
     """
     path = os.fspath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, **kwargs) as fh:
             yield fh

@@ -1,7 +1,8 @@
 """Frozen pretrained word embeddings loaded from whitespace-separated text.
 
 The table is immutable after load and stays fixed during training.
-``embed_sequence`` is total: unknown tokens map to the all-zero vector.
+``embed_sequence`` is total: unknown tokens get the id ``UNKNOWN`` and the
+all-zero vector.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 CONCEPT_PREFIX = "/c/en/"
+UNKNOWN = -1  # the id of a token without a vector (and of padding)
 
 
 class EmbeddingTable:
@@ -23,6 +25,15 @@ class EmbeddingTable:
         self.vocabulary = dict(vocabulary)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.matrix.setflags(write=False)
+
+    def rows(self, ids) -> np.ndarray:
+        """The vectors of ``ids`` as a fresh (len(ids), dim) array, zero where an id is UNKNOWN."""
+        ids = np.asarray(ids)
+        if not len(self.matrix):
+            return np.zeros((ids.size, self.dimension), dtype=np.float32)
+        out = self.matrix[ids]  # an UNKNOWN id gathers the last row until zeroed here
+        out[ids == UNKNOWN] = 0.0
+        return out
 
     def tokens_in_order(self) -> list[str]:
         """Vocabulary tokens ordered by row index (for serialization)."""
@@ -81,16 +92,14 @@ def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingT
     return EmbeddingTable(vocab, matrix, dimension)
 
 
-def embed_sequence(tokens, table: EmbeddingTable) -> np.ndarray:
-    """Map a non-empty token list to a (len, dim) matrix.
+def embed_sequence(tokens, table: EmbeddingTable):
+    """Map a non-empty token list to (ids, rows).
 
-    Row i is the table vector for token i, or zeros where the token is
-    unknown.
+    ``ids[i]`` is token i's row in the table, or UNKNOWN; ``rows`` is the
+    (len, dim) matrix of their vectors, zeros where the token is unknown.
     """
     if not tokens:
         raise ValueError("embed_sequence: empty token list (pad before calling)")
-    mat = np.empty((len(tokens), table.dimension), dtype=np.float32)
-    for i, tok in enumerate(tokens):
-        idx = table.vocabulary.get(tok)
-        mat[i] = 0.0 if idx is None else table.matrix[idx]
-    return mat
+    get = table.vocabulary.get
+    ids = np.array([get(tok, UNKNOWN) for tok in tokens], dtype=np.intp)
+    return ids, table.rows(ids)

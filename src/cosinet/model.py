@@ -3,9 +3,10 @@
 Each word gets a relatedness feature (its best cosine match against the
 other text of its pair). The layers then work on a whole batch of pairs at
 once: ``encode_pair`` zero-pads every side to the batch's longest (and to at
-least the kernel width), one CNN per side, run at the windows that start at
-a real token only, with global max pooling over those windows turns the
-batch into sentence vectors, and each pair combines into [q * c; q - c].
+least the kernel width), one CNN per side, which projects each distinct
+token of the batch once and runs at the windows that start at a real token
+only, with global max pooling over those windows turns the batch into
+sentence vectors, and each pair combines into [q * c; q - c].
 The (n, 2H) pair embeddings can then be contextualized along the original
 rank by a recurrent layer, one tape op per direction, before a single
 linear head produces an (n, 1) column of scores, one per candidate.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import ndgrad
 from .corpus import atomic_open
-from .embeddings import EmbeddingTable, embed_sequence
+from .embeddings import UNKNOWN, EmbeddingTable, embed_sequence
 from .ndgrad import Tape
 
 CONTEXT_KINDS = ("none", "rnn", "birnn", "lstm", "bilstm")
@@ -196,42 +197,46 @@ def relatedness(q_emb: np.ndarray, c_emb: np.ndarray):
 
 @dataclass
 class PairInput:
-    """Frozen inputs of one pair: each side's embeddings plus a relatedness column."""
-    q_x: np.ndarray       # (Tq, dim+1)
-    c_x: np.ndarray       # (Tc, dim+1)
-
-
-def prepare_pair_matrices(q_emb, c_emb) -> PairInput:
-    """Append each word's relatedness to its embedding, on both sides."""
-    q_emb = np.asarray(q_emb, dtype=np.float32)
-    c_emb = np.asarray(c_emb, dtype=np.float32)
-    r_q, r_c = relatedness(q_emb, c_emb)
-    return PairInput(np.column_stack([q_emb, r_q]), np.column_stack([c_emb, r_c]))
+    """Frozen inputs of one pair: each side's token ids and relatedness column."""
+    q_ids: np.ndarray     # (Tq,) rows of the table, UNKNOWN where a token has no vector
+    q_r: np.ndarray       # (Tq,)
+    c_ids: np.ndarray     # (Tc,)
+    c_r: np.ndarray       # (Tc,)
 
 
 def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> PairInput:
-    return prepare_pair_matrices(embed_sequence(q_tokens, table), embed_sequence(c_tokens, table))
+    """Each side's token ids plus each word's relatedness to the other side."""
+    q_ids, q_emb = embed_sequence(q_tokens, table)
+    c_ids, c_emb = embed_sequence(c_tokens, table)
+    r_q, r_c = relatedness(q_emb, c_emb)
+    return PairInput(q_ids, r_q, c_ids, r_c)
 
 
-def encode_pair(pairs, leaves: dict, tape: Tape) -> ndgrad.Tensor:
+def encode_pair(pairs, table: EmbeddingTable, leaves: dict, tape: Tape) -> ndgrad.Tensor:
     """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
-    def tower(side, xs):
-        # zero-pad every side to the batch's longest, and to at least the
-        # kernel width K; an n-token side pools its max(1, n - K + 1) windows
-        # that start at a real token, so padding never changes a score
+    def tower(side, sides):
+        # pad every side to the batch's longest, and to at least the kernel
+        # width K, with UNKNOWN ids (zero rows) and zero relatedness; an
+        # n-token side pools its max(1, n - K + 1) windows that start at a
+        # real token, so padding never changes a score
         w = leaves[f"{side}_conv_w"]
         k = w.data.shape[0]
-        t_max = max(k, max(len(xi) for xi in xs))
-        x = np.zeros((len(xs), t_max, xs[0].shape[1]), dtype=tape.dtype)
-        mask = np.zeros((len(xs), t_max - k + 1), dtype=bool)
-        for i, xi in enumerate(xs):
-            x[i, :len(xi)] = xi
-            mask[i, :max(1, len(xi) - k + 1)] = True
-        rows = ndgrad.conv1d(x, w, leaves[f"{side}_conv_b"], mask)
+        t_max = max(k, max(len(ids) for ids, _ in sides))
+        ids = np.full((len(sides), t_max), UNKNOWN)
+        r = np.zeros((len(sides), t_max), dtype=tape.dtype)
+        mask = np.zeros((len(sides), t_max - k + 1), dtype=bool)
+        for i, (side_ids, side_r) in enumerate(sides):
+            ids[i, :len(side_ids)] = side_ids
+            r[i, :len(side_ids)] = side_r
+            mask[i, :max(1, len(side_ids) - k + 1)] = True
+        # the conv projects each distinct token of the batch once
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        rows = ndgrad.conv1d(table.rows(distinct), inverse.reshape(ids.shape), r,
+                             w, leaves[f"{side}_conv_b"], mask)
         return ndgrad.masked_max_pool(rows, mask)
 
-    q_e = tower("q", [p.q_x for p in pairs])
-    c_e = tower("c", [p.c_x for p in pairs])
+    q_e = tower("q", [(p.q_ids, p.q_r) for p in pairs])
+    c_e = tower("c", [(p.c_ids, p.c_r) for p in pairs])
     return ndgrad.concat([ndgrad.mul(q_e, c_e), ndgrad.sub(q_e, c_e)], axis=1)
 
 
@@ -253,9 +258,10 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
     return ndgrad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
-def score_pairs(pairs, config: CosinetConfig, leaves: dict, tape: Tape) -> ndgrad.Tensor:
-    """Forward a rank-ordered list of PairInput to an (n, 1) score column."""
-    ctx = contextualize(encode_pair(pairs, leaves, tape), config, leaves)
+def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict,
+                tape: Tape) -> ndgrad.Tensor:
+    """Forward a rank-ordered list of PairInput (ids into ``table``) to an (n, 1) score column."""
+    ctx = contextualize(encode_pair(pairs, table, leaves, tape), config, leaves)
     return ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
 
 
@@ -268,7 +274,7 @@ def score_group(group, table: EmbeddingTable, params: CosinetParams,
     """Inference-only scores for one group, in candidate order."""
     tape = Tape(dtype=params.dtype)
     leaves = params.as_leaves(tape)
-    return score_pairs(prepare_group(group, table), config, leaves, tape).data[:, 0]
+    return score_pairs(prepare_group(group, table), table, config, leaves, tape).data[:, 0]
 
 
 def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTable):
@@ -338,6 +344,8 @@ def load_model(path):
         config = CosinetConfig(**header["config"])
         offset, arrays = 0, {}
         for name, shape in header["tensors"]:
+            if name in arrays:
+                raise ValueError(f"{path}: tensor {name} listed twice")
             size = int(np.prod(shape)) * 4
             arrays[name] = np.frombuffer(payload[offset:offset + size], "<f4").reshape(shape)
             offset += size
@@ -349,6 +357,9 @@ def load_model(path):
         params = CosinetParams(config, dtype=np.float32)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
+    unknown = sorted(set(arrays) - set(params.arrays))
+    if unknown:
+        raise ValueError(f"{path}: unknown tensor {unknown[0]}")
     for name, view in params.arrays.items():
         if name not in arrays:
             raise ValueError(f"{path}: missing tensor {name}")

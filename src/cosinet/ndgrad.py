@@ -244,40 +244,62 @@ def kl_logits(scores: Tensor, target) -> Tensor:
 # sequence primitives
 
 
-def conv1d(x, w: Tensor, b: Tensor, mask) -> Tensor:
+def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     """Valid 1-d convolution over time, at the unmasked windows of a batch only.
 
-    ``x`` is a plain (N, T, C_in) array (the input takes no gradient),
-    ``w`` is (K, C_in, C_out), ``b`` is (C_out,) and ``mask`` an
-    (N, T - K + 1) boolean array marking the windows to compute; requires
-    T >= K (pad the input first). Output is the packed (W, C_out) rows of
-    the W = mask.sum() true windows, in row-major mask order.
+    The input is x[n, t] = [rows[ids[n, t]], r[n, t]], as plain arrays (the
+    input takes no gradient): ``rows`` is (U, C_in - 1), one row per distinct
+    token, ``ids`` an (N, T) integer array of row indices and ``r`` the
+    (N, T) last input channel. ``w`` is (K, C_in, C_out), ``b`` is (C_out,)
+    and ``mask`` an (N, T - K + 1) boolean array marking the windows to
+    compute; requires T >= K (pad the input first). Output is the packed
+    (W, C_out) rows of the W = mask.sum() true windows, in row-major mask
+    order.
+
+    By linearity each distinct row is projected once per kernel offset,
+    proj[k] = rows @ w[k, :-1], and a window sums K gathered projection rows
+    plus its ``r`` channel's share; the weight gradient is the im2col matmul
+    over the true windows.
     """
-    x = np.asarray(x, dtype=w.data.dtype)
+    rows = np.asarray(rows, dtype=w.data.dtype)
+    ids = np.asarray(ids)
+    r = np.asarray(r, dtype=w.data.dtype)
     mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 3 or w.data.ndim != 3 or x.shape[2] != w.data.shape[1]:
-        raise _shape_error("conv1d", x.shape, w.data.shape)
+    if rows.ndim != 2 or w.data.ndim != 3 or rows.shape[1] + 1 != w.data.shape[1]:
+        raise _shape_error("conv1d", rows.shape, w.data.shape)
+    if ids.ndim != 2 or r.shape != ids.shape:
+        raise _shape_error("conv1d ids", ids.shape, r.shape)
     k, c_in, c_out = w.data.shape
-    n, t_len = x.shape[:2]
+    e = c_in - 1
+    n, t_len = ids.shape
     if t_len < k:
         raise ValueError(f"conv1d: input length {t_len} shorter than kernel width {k}")
     if b.data.shape != (c_out,):
         raise _shape_error("conv1d bias", b.data.shape, (c_out,))
     if mask.shape != (n, t_len - k + 1):
         raise _shape_error("conv1d mask", mask.shape, (n, t_len - k + 1))
+    if ids.size and (ids.min() < 0 or ids.max() >= rows.shape[0]):
+        raise ValueError(f"conv1d: ids outside the {rows.shape[0]} rows")
     tape = _tape_of("conv1d", w, b)
 
-    # im2col over the true windows only: (W, K*C_in) rows of flattened
-    # windows, matching w.reshape(K*C_in, C_out)
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)  # (N, t_out, C_in, K)
-    win2d = win.transpose(0, 1, 3, 2)[mask].reshape(-1, k * c_in)
-    out = tape._output(win2d @ w.data.reshape(k * c_in, c_out) + b.data)
+    # the (W, K) row ids and r values of the true windows
+    win_ids = np.lib.stride_tricks.sliding_window_view(ids, k, axis=1)[mask]
+    win_r = np.lib.stride_tricks.sliding_window_view(r, k, axis=1)[mask]
+    proj = np.matmul(rows, w.data[:, :e])  # (K, U, C_out), no copy of w
+    acc = win_r @ w.data[:, e] + b.data
+    for j in range(k):
+        acc += proj[j].take(win_ids[:, j], axis=0)
+    out = tape._output(acc)
 
     def backward():
         if out.grad is None:
             return
-        _acc(w, (win2d.T @ out.grad).reshape(k, c_in, c_out))
-        _acc(b, out.grad.sum(axis=0))
+        g = out.grad
+        gw = np.empty_like(w.data)
+        gw[:, :e] = (rows[win_ids].reshape(-1, k * e).T @ g).reshape(k, e, c_out)
+        gw[:, e] = win_r.T @ g
+        _acc(w, gw)
+        _acc(b, g.sum(axis=0))
 
     tape._record(backward)
     return out

@@ -206,14 +206,16 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     dev_seconds = 0.0
     step = 0
     t0 = time.perf_counter()
+    # every pair once per call, reused by all of its epochs
+    inputs = [[prepare_pair(g.question_tokens, c.tokens, table) for c in g.candidates]
+              for g in groups]
     for _ in range(train_config.epochs):
         epoch_losses = []
         for batch in epoch_batches():
             tape = Tape(dtype=params.dtype)
             leaves = params.as_leaves(tape, grad)
-            cands = [(groups[gi], groups[gi].candidates[ci]) for gi, ci in batch]
-            inputs = [prepare_pair(g.question_tokens, c.tokens, table) for g, c in cands]
-            loss = objective(score_pairs(inputs, config, leaves, tape), [c.label for _, c in cands])
+            scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config, leaves, tape)
+            loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
             tape.backward(loss)
             adam.step(params.flat, grad,
                       stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr))

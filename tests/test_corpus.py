@@ -212,6 +212,23 @@ class TestJsonl:
                           ("replace", str(tmp_path), str(out)),
                           ("fsync dir", tmp_path.stat().st_ino)]
 
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_export_through_a_symlink_replaces_its_target(self, mini_wikiqa_tsv, tmp_path,
+                                                          relative):
+        # the link stays a link to the same target, which takes the new text
+        groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
+        out = tmp_path / "out"
+        (out / "data").mkdir(parents=True)
+        target = out / "data" / "target.jsonl"
+        target.write_text("old\n")
+        link = out / "link.jsonl"
+        link.symlink_to(os.path.join("data", "target.jsonl") if relative else target)
+        before = os.readlink(link)
+        export_jsonl(groups, link)
+        assert link.is_symlink() and os.readlink(link) == before
+        assert len(target.read_text(encoding="utf-8").splitlines()) == len(groups)
+        assert sorted(p.name for p in out.rglob("*")) == ["data", "link.jsonl", "target.jsonl"]
+
     def test_export_one_object_per_line(self, mini_wikiqa_tsv, tmp_path):
         groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
         out = tmp_path / "out.jsonl"

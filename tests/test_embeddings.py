@@ -3,6 +3,7 @@ import pytest
 
 from cosinet.embeddings import (
     CONCEPT_PREFIX,
+    UNKNOWN,
     EmbeddingTable,
     embed_sequence,
     load_embeddings,
@@ -103,7 +104,9 @@ class TestLoad:
 class TestTable:
     def test_lookup_is_total(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
-        np.testing.assert_array_equal(embed_sequence(["unseen"], table), np.zeros((1, 3)))
+        ids, rows = embed_sequence(["unseen"], table)
+        np.testing.assert_array_equal(ids, [UNKNOWN])
+        np.testing.assert_array_equal(rows, np.zeros((1, 3)))
 
     def test_matrix_is_frozen(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=3)
@@ -140,7 +143,8 @@ class TestEmbedSequence:
         # an unknown token is a zero row
         table = load_embeddings(
             write_lines(tmp_path, ["cat 1 2 3", "dog 4 5 6"]), dimension=3)
-        mat = embed_sequence(["dog", "mouse", "cat"], table)
+        ids, mat = embed_sequence(["dog", "mouse", "cat"], table)
+        np.testing.assert_array_equal(ids, [1, UNKNOWN, 0])
         assert mat.shape == (3, 3) and mat.dtype == np.float32
         np.testing.assert_array_equal(mat[0], [4, 5, 6])
         np.testing.assert_array_equal(mat[1], [0, 0, 0])
@@ -155,20 +159,29 @@ class TestEmbedSequence:
         for _ in range(25):
             left = [vocab[i] for i in rng.integers(0, 4, rng.integers(1, 6))]
             right = [vocab[i] for i in rng.integers(0, 4, rng.integers(1, 6))]
-            whole = embed_sequence(left + right, table)
-            np.testing.assert_array_equal(
-                whole, np.vstack([embed_sequence(left, table), embed_sequence(right, table)]))
+            ids, whole = embed_sequence(left + right, table)
+            (left_ids, left_rows), (right_ids, right_rows) = (
+                embed_sequence(side, table) for side in (left, right))
+            np.testing.assert_array_equal(ids, np.concatenate([left_ids, right_ids]))
+            np.testing.assert_array_equal(whole, np.vstack([left_rows, right_rows]))
             oov = np.array([t == "zzz" for t in left + right])
             np.testing.assert_array_equal(whole[oov], np.zeros((oov.sum(), 3)))
+            np.testing.assert_array_equal(whole, table.rows(ids))
 
     def test_empty_sequence_rejected(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["a 1 0 0"]), dimension=3)
         with pytest.raises(ValueError, match="empty"):
             embed_sequence([], table)
 
+    def test_empty_table_gives_unknown_ids_and_zero_rows(self):
+        table = EmbeddingTable({}, np.zeros((0, 3), dtype=np.float32), dimension=3)
+        ids, rows = embed_sequence(["a", "b"], table)
+        np.testing.assert_array_equal(ids, [UNKNOWN, UNKNOWN])
+        np.testing.assert_array_equal(rows, np.zeros((2, 3)))
+
     def test_lookup_identity_repeated_calls(self, tmp_path):
         table = load_embeddings(write_lines(tmp_path, ["a 1 2 3"]), dimension=3)
-        m1 = embed_sequence(["a", "a"], table)
-        m2 = embed_sequence(["a", "a"], table)
+        _, m1 = embed_sequence(["a", "a"], table)
+        _, m2 = embed_sequence(["a", "a"], table)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(m1[0], m1[1])

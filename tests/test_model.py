@@ -24,12 +24,12 @@ from cosinet.model import (
     load_model,
     make_scorer,
     prepare_pair,
-    prepare_pair_matrices,
     relatedness,
     save_model,
     score_group,
     score_pairs,
 )
+from cosinet.embeddings import UNKNOWN
 from cosinet.metrics import evaluate
 from cosinet.ndgrad import Tape
 from conftest import make_group, make_table
@@ -120,32 +120,63 @@ class TestRelatedness:
 # pair preparation
 
 
+def words_table(config, n_words=10, seed=0):
+    """A small random table over w0 .. w{n-1}; any other token is unknown."""
+    return make_table([f"w{i}" for i in range(n_words)], dim=config.embedding_dim, seed=seed)
+
+
+def random_tokens(rng, length, n_words=10, n_unknown=2):
+    """Tokens drawn with repeats from w0 .. w{n-1} and a few words outside the table."""
+    return [f"w{i}" if i < n_words else f"oov{i}"
+            for i in rng.integers(0, n_words + n_unknown, length)]
+
+
+def side_x(tokens, r, table):
+    """A side's conv input built from its tokens: [vector or zeros, relatedness], in 64-bit."""
+    vec = [table.matrix[table.vocabulary[t]] if t in table.vocabulary
+           else np.zeros(table.dimension) for t in tokens]
+    return np.column_stack([np.array(vec, dtype=np.float64), np.asarray(r, dtype=np.float64)])
+
+
+def pair_x(q_tokens, c_tokens, pair, table):
+    return side_x(q_tokens, pair.q_r, table), side_x(c_tokens, pair.c_r, table)
+
+
 class TestPreparePair:
     def test_augmented_width_and_relatedness_column(self):
+        # one id per token, UNKNOWN where the table has no vector, and each
+        # word's best cosine match against the other side
+        config = tiny_config()
+        table = words_table(config)
         rng = np.random.default_rng(0)
-        q = rng.standard_normal((4, 4)).astype(np.float32)
-        c = rng.standard_normal((6, 4)).astype(np.float32)
-        pair = prepare_pair_matrices(q, c)
-        assert pair.q_x.shape == (4, 5)
-        assert pair.c_x.shape == (6, 5)
-        r_q, r_c = brute_relatedness(q.astype(np.float64), c.astype(np.float64))
-        np.testing.assert_allclose(pair.q_x[:, -1], r_q, atol=1e-5)
-        np.testing.assert_allclose(pair.c_x[:, -1], r_c, atol=1e-5)
-        np.testing.assert_allclose(pair.q_x[:, :4], q, atol=0)
+        q, c = random_tokens(rng, 4), random_tokens(rng, 6) + ["oov99"]
+        pair = prepare_pair(q, c, table)
+        for tokens, ids in ((q, pair.q_ids), (c, pair.c_ids)):
+            np.testing.assert_array_equal(
+                ids, [table.vocabulary.get(t, UNKNOWN) for t in tokens])
+        q_x, c_x = pair_x(q, c, pair, table)
+        r_q, r_c = brute_relatedness(q_x[:, :-1], c_x[:, :-1])
+        assert pair.q_r.shape == (4,) and pair.c_r.shape == (7,)
+        np.testing.assert_allclose(pair.q_r, r_q, atol=1e-5)
+        np.testing.assert_allclose(pair.c_r, r_c, atol=1e-5)
+        assert pair.c_r[-1] == 0.0
 
     def test_short_input_padded_to_kernel_width(self):
         # the pair keeps its 2-token question unpadded; encode_pair pads it
         # with zeros to one window of the width-5 kernel
         config = tiny_config("none", kernel_width=5)
         params = CosinetParams(config)
+        table = words_table(config)
         rng = np.random.default_rng(1)
-        pair = prepare_pair_matrices(rng.standard_normal((2, 4)), rng.standard_normal((7, 4)))
-        assert pair.q_x.shape == (2, 5) and pair.c_x.shape == (7, 5)
+        q, c = random_tokens(rng, 2), random_tokens(rng, 7)
+        pair = prepare_pair(q, c, table)
+        assert pair.q_ids.shape == (2,) and pair.c_ids.shape == (7,)
         tape = Tape(dtype=np.float64)
-        vec = encode_pair([pair], params.as_leaves(tape), tape).data[0]
+        vec = encode_pair([pair], table, params.as_leaves(tape), tape).data[0]
         a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
-        q = a["q_conv_b"] + sum(pair.q_x[j] @ a["q_conv_w"][j] for j in range(2))
-        c = np.max([a["c_conv_b"] + sum(pair.c_x[t + j] @ a["c_conv_w"][j] for j in range(5))
+        q_x, c_x = pair_x(q, c, pair, table)
+        q = a["q_conv_b"] + sum(q_x[j] @ a["q_conv_w"][j] for j in range(2))
+        c = np.max([a["c_conv_b"] + sum(c_x[t + j] @ a["c_conv_w"][j] for j in range(5))
                     for t in range(3)], axis=0)
         np.testing.assert_allclose(vec, np.concatenate([q * c, q - c]), atol=1e-12)
 
@@ -156,20 +187,22 @@ class TestPreparePair:
         masks = []
         conv1d = nd.conv1d
 
-        def spy(x, w, b, mask):
+        def spy(rows, ids, r, w, b, mask):
             masks.append(mask.copy())
-            return conv1d(x, w, b, mask)
+            return conv1d(rows, ids, r, w, b, mask)
 
         monkeypatch.setattr(nd, "conv1d", spy)
         rng = np.random.default_rng(2)
         lengths = [3, 7, 2, 5, 1]
         for k in (2, 3, 5, 9):
-            params = CosinetParams(tiny_config("none", kernel_width=k))
-            pairs = [prepare_pair_matrices(rng.standard_normal((n, 4)), rng.standard_normal((1, 4)))
+            config = tiny_config("none", kernel_width=k)
+            params = CosinetParams(config)
+            table = words_table(config)
+            pairs = [prepare_pair(random_tokens(rng, n), random_tokens(rng, 1), table)
                      for n in lengths]
             masks.clear()
             tape = Tape()
-            encode_pair(pairs, params.as_leaves(tape), tape)
+            encode_pair(pairs, table, params.as_leaves(tape), tape)
             want = np.zeros((len(lengths), max(7, k) - k + 1), dtype=bool)
             for i, n in enumerate(lengths):
                 want[i, :max(1, n - k + 1)] = True
@@ -178,9 +211,10 @@ class TestPreparePair:
 
     def test_prepare_pair_uses_table_lookup(self, toy_table):
         pair = prepare_pair(["plants", "unknowntoken"], ["plants", "."], toy_table)
-        np.testing.assert_array_equal(pair.q_x[1, :-1], np.zeros(16))
+        np.testing.assert_array_equal(pair.q_ids, [toy_table.vocabulary["plants"], UNKNOWN])
         # identical token on both sides: best cosine match is 1
-        np.testing.assert_allclose(pair.q_x[0, -1], 1.0, atol=1e-6)
+        np.testing.assert_allclose(pair.q_r[0], 1.0, atol=1e-6)
+        assert pair.q_r[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +246,8 @@ def np_lstm(xs, w_ih, w_hh, b):
     return np.array(out)
 
 
-def np_forward_scores(pairs, params, config):
+def np_encode(xs, params):
+    """[q * c; q - c] per (q_x, c_x) pair of conv inputs, by direct sums, in 64-bit."""
     def conv(x, w, b):
         # a side shorter than the kernel is zero-padded to one window
         k = w.shape[0]
@@ -222,17 +257,22 @@ def np_forward_scores(pairs, params, config):
         for t in range(t_out):
             acc = b.copy()
             for j in range(k):
-                acc += x[t + j].astype(np.float64) @ w[j]
+                acc += x[t + j] @ w[j]
             out[t] = acc
         return out
 
     a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
     feats = []
-    for p in pairs:
-        qv = conv(p.q_x, a["q_conv_w"], a["q_conv_b"]).max(axis=0)
-        cv = conv(p.c_x, a["c_conv_w"], a["c_conv_b"]).max(axis=0)
+    for q_x, c_x in xs:
+        qv = conv(q_x, a["q_conv_w"], a["q_conv_b"]).max(axis=0)
+        cv = conv(c_x, a["c_conv_w"], a["c_conv_b"]).max(axis=0)
         feats.append(np.concatenate([qv * cv, qv - cv]))
-    feats = np.stack(feats)
+    return np.stack(feats)
+
+
+def np_forward_scores(xs, params, config):
+    feats = np_encode(xs, params)
+    a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
     kind = config.context
     run = np_lstm if kind.endswith("lstm") else np_rnn
     if kind == "rnn":
@@ -246,14 +286,24 @@ def np_forward_scores(pairs, params, config):
     return feats @ a["head_w"][:, 0] + a["head_b"][0, 0]
 
 
-def random_pairs(rng, config, n_pairs, max_len=6, q_len=None):
-    pairs = []
-    q_len = int(rng.integers(1, max_len)) if q_len is None else q_len
-    q = rng.standard_normal((q_len, config.embedding_dim))
-    for _ in range(n_pairs):
-        c = rng.standard_normal((int(rng.integers(1, max_len)), config.embedding_dim))
-        pairs.append(prepare_pair_matrices(q, c))
-    return pairs
+class Batch:
+    """Pairs of random tokens sharing one question, over a small random table."""
+
+    def __init__(self, rng, config, n_pairs, max_len=6, q_len=None):
+        self.table = words_table(config, seed=int(rng.integers(1 << 16)))
+        q = random_tokens(rng, int(rng.integers(1, max_len)) if q_len is None else q_len)
+        self.tokens = [(q, random_tokens(rng, int(rng.integers(1, max_len))))
+                       for _ in range(n_pairs)]
+        self.pairs = [prepare_pair(q, c, self.table) for q, c in self.tokens]
+
+    def xs(self):
+        """Each pair's (q_x, c_x) conv inputs, built from the tokens."""
+        return [pair_x(q, c, p, self.table) for (q, c), p in zip(self.tokens, self.pairs)]
+
+    def scores(self, params, config, order=None, dtype=np.float32):
+        pairs = self.pairs if order is None else [self.pairs[i] for i in order]
+        tape = Tape(dtype=dtype)
+        return score_pairs(pairs, self.table, config, params.as_leaves(tape), tape).data[:, 0]
 
 
 class TestForward:
@@ -266,19 +316,62 @@ class TestForward:
                 config = tiny_config(kind, seed=seed, kernel_width=3 if seed % 2 else 2)
                 rng = np.random.default_rng(seed)
                 params = CosinetParams(config)
-                pairs = random_pairs(rng, config, n_pairs=4, max_len=8,
-                                     q_len=1 if seed % 2 else None)
-                tape = Tape(dtype=np.float32)
-                got = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
-                want = np_forward_scores(pairs, params, config)
+                batch = Batch(rng, config, n_pairs=4, max_len=8, q_len=1 if seed % 2 else None)
+                got = batch.scores(params, config)
+                want = np_forward_scores(batch.xs(), params, config)
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5, err_msg=kind)
+
+    def test_encode_matches_direct_sum_with_repeats_unknowns_and_padding(self):
+        # tokens repeat within and across sides, some have no vector, and
+        # sides shorter than the kernel pad: each distinct row is projected
+        # once, yet every window equals its direct sum
+        config = tiny_config("none", kernel_width=3)
+        table = words_table(config, n_words=4)
+        tokens = [(["w1", "w1", "oov"], ["w2", "w1", "w2", "w2", "x", "w1"]),
+                  (["w1", "w1", "oov"], ["w3"]),
+                  (["w1", "w1", "oov"], ["y", "y", "w0", "w3", "w3"])]
+        pairs = [prepare_pair(q, c, table) for q, c in tokens]
+        for seed in range(3):
+            params = CosinetParams(tiny_config("none", kernel_width=3, seed=seed))
+            tape = Tape(dtype=np.float64)
+            got = encode_pair(pairs, table, params.as_leaves(tape), tape).data
+            want = np_encode([pair_x(q, c, p, table) for (q, c), p in zip(tokens, pairs)],
+                             params)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_identical_candidates_project_each_distinct_token_once(self, monkeypatch):
+        # n copies of one pair: the conv sees each distinct id once, however
+        # many windows use it, and every copy gets the lone pair's rows
+        seen = []
+        conv1d = nd.conv1d
+
+        def spy(rows, ids, r, w, b, mask):
+            seen.append(rows.shape[0])
+            return conv1d(rows, ids, r, w, b, mask)
+
+        monkeypatch.setattr(nd, "conv1d", spy)
+        config = tiny_config("none", kernel_width=3)
+        params = CosinetParams(config)
+        table = words_table(config)
+        q, c = ["w3", "w1", "w3"], ["w2", "w5", "w2", "oov", "w5", "w2", "w7"]
+        pair = prepare_pair(q, c, table)
+
+        def encode(pairs):
+            seen.clear()
+            tape = Tape(dtype=np.float32)
+            return encode_pair(pairs, table, params.as_leaves(tape), tape).data
+
+        alone = encode([pair])
+        batch = encode([pair] * 6)
+        assert seen == [len(set(q)), len(set(c))]  # no side is shorter than K: no padding
+        np.testing.assert_allclose(batch, np.repeat(alone, 6, axis=0), rtol=1e-6, atol=1e-6)
 
     def test_pair_embedding_width(self):
         config = tiny_config("none")
         params = CosinetParams(config)
-        pairs = random_pairs(np.random.default_rng(0), config, 3)
+        batch = Batch(np.random.default_rng(0), config, 3)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair(pairs, params.as_leaves(tape), tape)
+        vec = encode_pair(batch.pairs, batch.table, params.as_leaves(tape), tape)
         assert vec.shape == (3, 2 * config.conv_hidden)
 
     def test_padding_invariance(self):
@@ -286,16 +379,16 @@ class TestForward:
         # not bitwise, since BLAS may sum a row differently in a larger matmul
         config = tiny_config("none", kernel_width=3)
         params = CosinetParams(config)
+        table = words_table(config, n_words=40)
         rng = np.random.default_rng(5)
 
         def pair(q_len, c_len):
-            q = rng.standard_normal((q_len, config.embedding_dim))
-            c = rng.standard_normal((c_len, config.embedding_dim))
-            return prepare_pair_matrices(q, c)
+            return prepare_pair(random_tokens(rng, q_len, n_words=40),
+                                random_tokens(rng, c_len, n_words=40), table)
 
         def run(pairs):
             tape = Tape(dtype=np.float32)
-            return score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
+            return score_pairs(pairs, table, config, params.as_leaves(tape), tape).data[:, 0]
 
         for q_len, c_len in [(4, 5), (2, 1), (1, 3)]:
             alone = pair(q_len, c_len)
@@ -325,8 +418,9 @@ class TestForward:
             records = set()
             for n in (1, 2, 7):
                 calls.clear()
+                batch = Batch(rng, config, n)
                 tape = Tape(dtype=np.float32)
-                score_pairs(random_pairs(rng, config, n), config, params.as_leaves(tape), tape)
+                score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape), tape)
                 assert dict(calls) == want, (kind, n)
                 records.add(len(tape._records))
             assert len(records) == 1, (kind, records)
@@ -338,11 +432,11 @@ class TestForward:
         params = CosinetParams(config)
         params.arrays["c_conv_w"][...] = params.arrays["q_conv_w"]
         params.arrays["c_conv_b"][...] = params.arrays["q_conv_b"]
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((4, config.embedding_dim))
-        pair = prepare_pair_matrices(x, x)
+        table = words_table(config)
+        x = random_tokens(np.random.default_rng(11), 4)
+        pair = prepare_pair(x, x, table)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair([pair], params.as_leaves(tape), tape).data[0]
+        vec = encode_pair([pair], table, params.as_leaves(tape), tape).data[0]
         h = config.conv_hidden
         np.testing.assert_array_equal(vec[h:], np.zeros(h))
         np.testing.assert_array_equal(vec[:h], vec[:h])
@@ -351,35 +445,26 @@ class TestForward:
         config = tiny_config("none")
         params = CosinetParams(config)
         rng = np.random.default_rng(6)
-        pairs = random_pairs(rng, config, n_pairs=5)
-        tape = Tape(dtype=np.float32)
-        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
+        batch = Batch(rng, config, n_pairs=5)
+        base = batch.scores(params, config)
         perm = rng.permutation(5)
-        tape2 = Tape(dtype=np.float32)
-        shuffled = score_pairs([pairs[i] for i in perm], config,
-                               params.as_leaves(tape2), tape2).data[:, 0]
-        np.testing.assert_allclose(shuffled, base[perm], atol=1e-6)
+        np.testing.assert_allclose(batch.scores(params, config, perm), base[perm], atol=1e-6)
 
     def test_rank_context_breaks_permutation_equivariance(self):
         config = tiny_config("birnn")
         params = CosinetParams(config)
-        rng = np.random.default_rng(7)
-        pairs = random_pairs(rng, config, n_pairs=5)
-        tape = Tape(dtype=np.float32)
-        base = score_pairs(pairs, config, params.as_leaves(tape), tape).data[:, 0]
+        batch = Batch(np.random.default_rng(7), config, n_pairs=5)
+        base = batch.scores(params, config)
         perm = np.array([4, 2, 0, 3, 1])
-        tape2 = Tape(dtype=np.float32)
-        shuffled = score_pairs([pairs[i] for i in perm], config,
-                               params.as_leaves(tape2), tape2).data[:, 0]
-        assert np.abs(shuffled - base[perm]).max() > 1e-6
+        assert np.abs(batch.scores(params, config, perm) - base[perm]).max() > 1e-6
 
     def test_context_output_shapes(self):
         for kind in CONTEXT_KINDS:
             config = tiny_config(kind)
             params = CosinetParams(config)
-            pairs = random_pairs(np.random.default_rng(8), config, n_pairs=4)
+            batch = Batch(np.random.default_rng(8), config, n_pairs=4)
             tape = Tape(dtype=np.float32)
-            col = score_pairs(pairs, config, params.as_leaves(tape), tape)
+            col = score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape), tape)
             assert col.shape == (4, 1)
 
     def test_score_group_is_deterministic(self, toy_groups, toy_table):
@@ -491,7 +576,7 @@ class TestEndToEndGradients:
             config = tiny_config(kind, seed=seed)
             params = CosinetParams(config, dtype=np.float64)
             rng = np.random.default_rng(100 + seed)
-            pairs = random_pairs(rng, config, n_pairs=2, max_len=5)
+            batch = Batch(rng, config, n_pairs=2, max_len=5)
             probe = rng.uniform(-1, 1, (1, 2))
             names = list(params.arrays)
 
@@ -499,12 +584,14 @@ class TestEndToEndGradients:
                 # probe @ scores: the probe-weighted sum of the (n, 1) column
                 tape = Tape(dtype=np.float64)
                 leaves = {n: tape.leaf(a) for n, a in zip(names, arrs)}
-                return nd.matmul(tape.leaf(probe), score_pairs(pairs, config, leaves, tape))
+                return nd.matmul(tape.leaf(probe),
+                                 score_pairs(batch.pairs, batch.table, config, leaves, tape))
 
             arrays = [params.arrays[n].astype(np.float64) for n in names]
             tape = Tape(dtype=np.float64)
             leaves = {n: tape.leaf(a) for n, a in zip(names, arrays)}
-            tape.backward(nd.matmul(tape.leaf(probe), score_pairs(pairs, config, leaves, tape)))
+            tape.backward(nd.matmul(tape.leaf(probe),
+                                    score_pairs(batch.pairs, batch.table, config, leaves, tape)))
 
             for i, name in enumerate(names):
                 num = numeric_gradient(
@@ -593,6 +680,25 @@ class TestSerialization:
         blob[8:12] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        # a well-formed file with a valid digest whose manifest also names a
+        # tensor the model does not have, with its three floats
+        header, payload = split_model_file(saved_model_bytes())
+        header["tensors"].append(["bogus", [3]])
+        path = tmp_path / "m.bin"
+        path.write_bytes(model_file(header, payload + bytes(12), version=2))
+        with pytest.raises(ValueError, match="unknown tensor bogus"):
+            load_model(path)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        # the same, with a second head_b entry and its float
+        header, payload = split_model_file(saved_model_bytes())
+        header["tensors"].append(["head_b", [1, 1]])
+        path = tmp_path / "m.bin"
+        path.write_bytes(model_file(header, payload + bytes(4), version=2))
+        with pytest.raises(ValueError, match="head_b listed twice"):
             load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):

@@ -142,14 +142,24 @@ def random_mask(rng, n, t):
     return mask
 
 
+def conv_input(rng, n, t, e, u):
+    """Plain conv inputs: u distinct rows, (n, t) ids into them with repeats, an r channel."""
+    return rng.uniform(-1, 1, (u, e)), rng.integers(0, u, (n, t)), rng.uniform(-1, 1, (n, t))
+
+
+def direct_conv(rows, ids, r, w, b, n, t):
+    """One window of the conv over x[n, t] = [rows[ids[n, t]], r[n, t]], by a direct sum."""
+    return b + sum(np.append(rows[ids[n, t + j]], r[n, t + j]) @ w[j] for j in range(len(w)))
+
+
 def case_conv1d(rng):
-    # x is a plain array: the model's conv input takes no gradient
-    x = rng.uniform(-1, 1, (2, 7, 3))
+    # the inputs are plain arrays: the model's conv input takes no gradient
+    rows, ids, r = conv_input(rng, 2, 7, 2, 4)
     mask = random_mask(rng, 2, 5)
     w = rng.uniform(-1, 1, (3, 3, 4))
     b = rng.uniform(-1, 1, (4,))
     probe = rng.uniform(-1, 1, (mask.sum(), 4))
-    return [w, b], lambda t, lv: weighted(t, nd.conv1d(x, lv[0], lv[1], mask), probe)
+    return [w, b], lambda t, lv: weighted(t, nd.conv1d(rows, ids, r, lv[0], lv[1], mask), probe)
 
 
 def case_masked_max_pool(rng):
@@ -346,14 +356,27 @@ class TestShapeErrors:
         w = tape.leaf(np.zeros((5, 3, 4)))
         b = tape.leaf(np.zeros(4))
         with pytest.raises(ValueError, match="shorter than kernel"):
-            nd.conv1d(np.zeros((2, 2, 3)), w, b, np.ones((2, 1), dtype=bool))
+            nd.conv1d(np.zeros((1, 2)), np.zeros((2, 2), dtype=int), np.zeros((2, 2)), w, b,
+                      np.ones((2, 1), dtype=bool))
 
     def test_conv1d_mask_must_cover_every_window(self):
         tape = nd.Tape()
         w = tape.leaf(np.zeros((3, 2, 4)))
         b = tape.leaf(np.zeros(4))
         with pytest.raises(ValueError, match="conv1d mask"):
-            nd.conv1d(np.zeros((2, 6, 2)), w, b, np.ones((2, 6), dtype=bool))
+            nd.conv1d(np.zeros((1, 1)), np.zeros((2, 6), dtype=int), np.zeros((2, 6)), w, b,
+                      np.ones((2, 6), dtype=bool))
+
+    def test_conv1d_ids_must_index_rows(self):
+        tape = nd.Tape()
+        w = tape.leaf(np.zeros((2, 3, 4)))
+        b = tape.leaf(np.zeros(4))
+        for bad in (-1, 3):
+            ids = np.zeros((2, 4), dtype=int)
+            ids[1, 2] = bad
+            with pytest.raises(ValueError, match="ids outside the 3 rows"):
+                nd.conv1d(np.zeros((3, 2)), ids, np.zeros((2, 4)), w, b,
+                          np.ones((2, 3), dtype=bool))
 
     def test_masked_max_pool_empty_mask(self):
         # one row of the batch without a valid timestep is enough
@@ -373,66 +396,77 @@ class TestPrimitiveSemantics:
     def test_conv1d_identity_kernel(self):
         # width-1 kernel with identity weights reproduces the input
         tape = nd.Tape(dtype=np.float64)
-        rng = np.random.default_rng(0)
-        xd = rng.uniform(-1, 1, (2, 6, 3))
+        rows, ids, r = conv_input(np.random.default_rng(0), 2, 6, 2, 5)
         w = tape.leaf(np.eye(3)[None, :, :])
         b = tape.leaf(np.zeros(3))
-        out = nd.conv1d(xd, w, b, np.ones((2, 6), dtype=bool))
-        np.testing.assert_allclose(out.data, xd.reshape(12, 3), atol=1e-12)
+        out = nd.conv1d(rows, ids, r, w, b, np.ones((2, 6), dtype=bool))
+        x = np.concatenate([rows[ids], r[:, :, None]], axis=2)
+        np.testing.assert_allclose(out.data, x.reshape(12, 3), atol=1e-12)
 
     def test_conv1d_matches_direct_sum(self):
-        # one packed row per true window, in row-major mask order
+        # one packed row per true window, in row-major mask order; ids
+        # repeat within and across sequences, and two of them point at a
+        # zero row, as unknown tokens and padding do in the model
         rng = np.random.default_rng(1)
-        xd = rng.uniform(-1, 1, (3, 7, 2))
-        wd = rng.uniform(-1, 1, (3, 2, 4))
+        rows, _, r = conv_input(rng, 3, 7, 2, 4)
+        rows[0] = 0.0
+        ids = np.array([[1, 1, 2, 1, 3, 3, 0], [2, 1, 1, 2, 0, 0, 0], [3, 2, 3, 1, 2, 1, 1]])
+        wd = rng.uniform(-1, 1, (3, 3, 4))
         bd = rng.uniform(-1, 1, 4)
-        mask = np.array([[1, 0, 1, 1, 0], [0, 0, 0, 0, 1], [0, 1, 0, 1, 0]], dtype=bool)
+        mask = np.array([[1, 0, 1, 1, 1], [1, 0, 0, 0, 1], [0, 1, 0, 1, 0]], dtype=bool)
         tape = nd.Tape(dtype=np.float64)
-        out = nd.conv1d(xd, tape.leaf(wd), tape.leaf(bd), mask).data
+        out = nd.conv1d(rows, ids, r, tape.leaf(wd), tape.leaf(bd), mask).data
         windows = list(zip(*np.nonzero(mask)))
         assert out.shape == (len(windows), 4)
         for row, (n, t) in zip(out, windows):
-            want = bd + sum(xd[n, t + k] @ wd[k] for k in range(3))
-            np.testing.assert_allclose(row, want, atol=1e-12)
+            np.testing.assert_allclose(row, direct_conv(rows, ids, r, wd, bd, n, t), atol=1e-12)
 
     def test_conv1d_work_tracks_real_windows(self):
         # one 60-token candidate padded with nine 5-token ones: 56 + 9 rows,
         # not the 10 x 56 windows of the padded batch
         k, dim = 5, 3
         lengths = [60] + [5] * 9
-        x = np.zeros((10, 60, dim))
+        rows = np.array([[0.0, 0.0], [1.0, 1.0]])  # padding, then the one real token
+        ids = np.zeros((10, 60), dtype=int)
+        r = np.zeros((10, 60))
         mask = np.zeros((10, 60 - k + 1), dtype=bool)
         for i, n in enumerate(lengths):
-            x[i, :n] = 1.0
+            ids[i, :n] = 1
+            r[i, :n] = 1.0
             mask[i, :n - k + 1] = True
         tape = nd.Tape(dtype=np.float64)
         w = tape.leaf(np.ones((k, dim, 2)))
         b = tape.leaf(np.zeros(2))
-        rows = nd.conv1d(x, w, b, mask)
-        assert rows.shape == (mask.sum(), 2) == (65, 2)
-        np.testing.assert_array_equal(rows.data, np.full((65, 2), k * dim))
-        tape.backward(total(tape, nd.masked_max_pool(rows, mask)))
+        out = nd.conv1d(rows, ids, r, w, b, mask)
+        assert out.shape == (mask.sum(), 2) == (65, 2)
+        np.testing.assert_array_equal(out.data, np.full((65, 2), k * dim))
+        tape.backward(total(tape, nd.masked_max_pool(out, mask)))
         np.testing.assert_array_equal(b.grad, [10.0, 10.0])
 
     def test_masked_values_never_leak(self):
-        # inputs that only masked-out windows cover change nothing
+        # rows and r values that only masked-out windows use change nothing
         rng = np.random.default_rng(2)
-        xd = rng.uniform(-1, 1, (2, 6, 3))
-        wd = rng.uniform(-1, 1, (2, 3, 4))
+        rows, _, r = conv_input(rng, 2, 6, 3, 5)
+        # rows 3 and 4 appear only where no true window reaches
+        ids = np.array([[0, 1, 2, 1, 0, 1], [3, 4, 3, 0, 2, 4]])
+        wd = rng.uniform(-1, 1, (2, 4, 4))
         bd = rng.uniform(-1, 1, 4)
         mask = np.array([[1, 1, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=bool)
         covered = np.zeros((2, 6), dtype=bool)
         for j in range(2):
             covered[:, j:j + 5] |= mask
-        poisoned = np.where(covered[:, :, None], xd, 1e9)
+        assert not np.isin(ids[covered], [3, 4]).any()
+        poisoned_rows = rows.copy()
+        poisoned_rows[3:] = 1e9
+        poisoned_r = np.where(covered, r, 1e9)
         pooled = []
-        for x in (xd, poisoned):
+        for x_rows, x_r in ((rows, r), (poisoned_rows, poisoned_r)):
             tape = nd.Tape(dtype=np.float64)
-            rows = nd.conv1d(x, tape.leaf(wd), tape.leaf(bd), mask)
-            pooled.append(nd.masked_max_pool(rows, mask).data)
+            out = nd.conv1d(x_rows, ids, x_r, tape.leaf(wd), tape.leaf(bd), mask)
+            pooled.append(nd.masked_max_pool(out, mask).data)
         np.testing.assert_array_equal(pooled[0], pooled[1])
         for n in range(2):
-            full = np.stack([bd + xd[n, t] @ wd[0] + xd[n, t + 1] @ wd[1] for t in range(5)])
+            full = np.stack([direct_conv(rows, ids, r, wd, bd, n, t) for t in range(5)])
             np.testing.assert_allclose(pooled[0][n], full[mask[n]].max(axis=0), atol=1e-12)
 
     def test_max_pool_tie_routes_gradient_to_first(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cosinet.ndgrad as nd
+from cosinet import training
 from cosinet.model import CosinetConfig, CosinetParams, score_group
 from cosinet.ndgrad import Tape
 from cosinet.training import (
@@ -323,6 +324,27 @@ class TestFit:
         tc = TrainConfig(loss="pointwise", epochs=2, batch_size=4)
         report = fit(toy_groups, toy_table, params, config, tc)
         assert report.steps == 2 * math.ceil(n_pairs / 4)
+
+    @pytest.mark.parametrize("loss", ["listwise", "pointwise"])
+    def test_each_pair_is_prepared_once_per_call(self, toy_groups, toy_table, monkeypatch, loss):
+        # a call prepares every (group, candidate) once and reuses it in all
+        # of its epochs; the next call prepares them again
+        calls = []
+        prepare = training.prepare_pair
+
+        def counted(q_tokens, c_tokens, table):
+            calls.append((tuple(q_tokens), tuple(c_tokens)))
+            return prepare(q_tokens, c_tokens, table)
+
+        monkeypatch.setattr(training, "prepare_pair", counted)
+        config = small_config()
+        params = CosinetParams(config)
+        want = [(g.question_tokens, c.tokens) for g in toy_groups for c in g.candidates]
+        for _ in range(2):
+            calls.clear()
+            fit(toy_groups, toy_table, params, config,
+                TrainConfig(loss=loss, epochs=3, batch_size=4))
+            assert calls == want
 
     def test_losses_are_finite_and_logged(self, toy_groups, toy_table):
         config = small_config()
