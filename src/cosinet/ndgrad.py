@@ -56,7 +56,7 @@ class Tape:
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._records = []      # backward closures, appended in forward order
+        self._records = []      # (backward closure, its input tensors), in forward order
         self._tensors = []      # every tensor created on this tape
         self._buffers = []      # (leaf, gradient buffer) pairs
 
@@ -75,15 +75,22 @@ class Tape:
         self._tensors.append(t)
         return t
 
-    def _record(self, fn) -> None:
-        self._records.append(fn)
+    def _record(self, fn, *inputs: Tensor) -> None:
+        """Append a backward closure that reads or accumulates into ``inputs`` only."""
+        self._records.append((fn, inputs))
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, on_final=None) -> None:
         """Fill ``grad`` on every tensor of the tape with d(loss)/d(tensor).
 
         Resets all gradients on the tape first, then walks the records once
         in reverse; a tensor the loss does not depend on gets zeros.
         ``loss`` must be a single-element tensor.
+
+        ``on_final(leaf)`` is called once for each leaf with a gradient
+        buffer, as soon as its gradient is final: right after the backward
+        of the earliest record that takes it, or at once if no record does.
+        From then on no remaining closure reads the leaf's data or writes
+        its gradient, so the caller may update both while backward goes on.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss tensor belongs to a different tape")
@@ -95,8 +102,21 @@ class Tape:
             buf.fill(0)
             t.grad = buf
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._records):
+        due = [[] for _ in self._records]  # due[i]: leaves final once record i has run
+        if on_final is not None:
+            first = {}
+            for i, (_, inputs) in enumerate(self._records):
+                for t in inputs:
+                    first.setdefault(id(t), i)
+            for t, _ in self._buffers:
+                if id(t) in first:
+                    due[first[id(t)]].append(t)
+                else:
+                    on_final(t)
+        for (fn, _), final in zip(reversed(self._records), reversed(due)):
             fn()
+            for t in final:
+                on_final(t)
         for t in self._tensors:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
@@ -145,7 +165,7 @@ def _binary(name, a: Tensor, b: Tensor, fwd, bwd_a, bwd_b) -> Tensor:
         gb = bwd_b(g, a.data, b.data)
         _acc(b, gb.sum(axis=0, keepdims=True) if broadcast_b else gb)
 
-    tape._record(backward)
+    tape._record(backward, a, b)
     return out
 
 
@@ -186,7 +206,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, out.grad @ b.data.T)
         _acc(b, a.data.T @ out.grad)
 
-    tape._record(backward)
+    tape._record(backward, a, b)
     return out
 
 
@@ -207,7 +227,7 @@ def concat(tensors, axis: int) -> Tensor:
             idx[axis] = slice(lo, hi)
             _acc(t, out.grad[tuple(idx)])
 
-    tape._record(backward)
+    tape._record(backward, *tensors)
     return out
 
 
@@ -236,7 +256,7 @@ def kl_logits(scores: Tensor, target) -> Tensor:
         if out.grad is not None:
             _acc(scores, out.grad[0, 0] * (e / z - g))
 
-    tape._record(backward)
+    tape._record(backward, scores)
     return out
 
 
@@ -301,7 +321,7 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
         _acc(w, gw)
         _acc(b, g.sum(axis=0))
 
-    tape._record(backward)
+    tape._record(backward, w, b)
     return out
 
 
@@ -336,7 +356,7 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
         np.put_along_axis(dx, first, out.grad, axis=0)
         _acc(rows, dx)
 
-    tape._record(backward)
+    tape._record(backward, rows)
     return out
 
 
@@ -381,7 +401,7 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
         _acc(w_hh, hs[:-1].T @ dpre)
         _acc(b, dpre.sum(axis=0, keepdims=True))
 
-    tape._record(backward)
+    tape._record(backward, x, w_ih, w_hh, b)
     return out
 
 
@@ -444,5 +464,5 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
         if out.grad is not None:
             _acc(scores, out.grad[0, 0] * (_sigmoid(s) - y) / n)
 
-    tape._record(backward)
+    tape._record(backward, scores)
     return out

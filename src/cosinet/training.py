@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -98,44 +101,121 @@ def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
 
 
 BLOCK = 1 << 16  # elements per Adam block: its six operand blocks stay in cache
+# steps the calling thread updates alone after a step on which it waited longer
+# for the GIL and the worker than the worker worked: without a free second
+# core, every GIL hand-off can wait for a thread whose CPU is not running
+ALONE_STEPS = 32
 
 
 class Adam:
-    """Adam with bias correction over one flat weight vector ``w``.
+    """Adam with bias correction over one flat weight vector ``w``, on up to two threads.
 
     ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
-    ``BLOCK`` at a time through two block-sized scratch buffers, in the
-    elementwise operation order of m += (1-b1)(g-m), v += (1-b2)(g*g-v),
-    w -= lr (m/c1) / (sqrt(v/c2) + eps), so it is bit for bit that expression.
+    ``BLOCK`` at a time, in the elementwise operation order of
+    m += (1-b1)(g-m), v += (1-b2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + eps),
+    so it is bit for bit that expression whichever thread runs a block.
+    The calling thread and one worker thread each have their own pair of
+    block-sized scratch buffers. Use it in a ``with`` block, whose exit
+    joins the worker.
     """
 
     def __init__(self, w: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m, self.v = np.zeros_like(w), np.zeros_like(w)
-        self._scratch = np.empty((2, min(BLOCK, w.size)), dtype=w.dtype)
+        self._scratch = np.empty((2, 2, min(BLOCK, w.size)), dtype=w.dtype)  # caller, worker
+        self._worker = ThreadPoolExecutor(1)  # its thread starts at the first step
+        self._alone = 0  # steps left that run without the worker
 
-    def step(self, w: np.ndarray, g: np.ndarray, lr: float) -> None:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._worker.shutdown()
+
+    def step(self, w: np.ndarray, g: np.ndarray, lr: float, backward=None) -> None:
+        """One update of all of ``w``; returns once every block is written.
+
+        ``backward(final)``, if given, fills ``g`` and calls ``final(lo, hi)``
+        as soon as ``g[lo:hi]`` is final and nothing reads ``w[lo:hi]`` any
+        more; the worker updates those blocks while backward goes on, and
+        this thread then takes every block the worker has not started.
+        Without ``backward``, all blocks are split between the two threads
+        at once. After a step on which this thread waited longer than the
+        worker worked, the next ``ALONE_STEPS`` steps run on this thread only.
+        """
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for lo in range(0, w.size, BLOCK):
-            wb, gb, m, v = (a[lo:lo + BLOCK] for a in (w, g, self.m, self.v))
-            s, u = self._scratch[:, :wb.size]
-            np.subtract(gb, m, out=s)
-            s *= 1.0 - self.beta1
-            m += s
-            np.multiply(gb, gb, out=s)
-            s -= v
-            s *= 1.0 - self.beta2
-            v += s
-            np.divide(v, b2c, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            np.divide(m, b1c, out=u)
-            u *= lr
-            u /= s
-            wb -= u
+        coef = (lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
+        todo = deque()  # (lo, hi) of the blocks neither thread has started
+        more = SimpleQueue()  # True after each final range, None once backward is done
+        wall, cpu = time.perf_counter(), time.thread_time()
+        worker = None
+        if self._alone:
+            self._alone -= 1
+        else:
+            worker = self._worker.submit(self._work, todo, more, w, g, coef)
+
+        def final(lo, hi):
+            todo.extend((a, min(a + BLOCK, hi)) for a in range(lo, hi, BLOCK))
+            more.put(True)
+
+        try:
+            if backward is None:
+                final(0, w.size)
+            else:
+                backward(final)
+        except BaseException:
+            todo.clear()  # start no further block
+            raise
+        finally:
+            more.put(None)
+            # the worker takes blocks from the front; take the rest from the back
+            while todo:
+                try:
+                    lo, hi = todo.pop()
+                except IndexError:
+                    break
+                self._update(w, g, lo, hi, coef, 0)
+            if worker is not None:
+                wait([worker])  # it returns only after its last block is written
+        if worker is not None:
+            worked = worker.result()  # raises the worker's error, if any
+            waited = time.perf_counter() - wall - (time.thread_time() - cpu)
+            if waited > worked:
+                self._alone = ALONE_STEPS
+
+    def _work(self, todo, more, w, g, coef) -> float:
+        """The worker's part of one step: blocks from the front of ``todo``
+        until ``more`` says backward is done and ``todo`` is empty. Returns
+        the worker's CPU time."""
+        start = time.thread_time()
+        while True:
+            try:
+                lo, hi = todo.popleft()
+            except IndexError:
+                if more.get() is None:
+                    return time.thread_time() - start
+                continue
+            self._update(w, g, lo, hi, coef, 1)
+
+    def _update(self, w, g, lo, hi, coef, thread) -> None:
+        lr, b1c, b2c = coef
+        wb, gb, m, v = (a[lo:hi] for a in (w, g, self.m, self.v))
+        s, u = self._scratch[thread, :, :hi - lo]
+        np.subtract(gb, m, out=s)
+        s *= 1.0 - self.beta1
+        m += s
+        np.multiply(gb, gb, out=s)
+        s -= v
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(v, b2c, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, b1c, out=u)
+        u *= lr
+        u /= s
+        wb -= u
 
 
 @dataclass
@@ -184,8 +264,9 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
         raise ValueError("pointwise training scores pairs independently; "
                          "it cannot drive a rank contextualizer (use context=none)")
     rng = np.random.default_rng(train_config.seed)
-    adam = Adam(params.flat, train_config.beta1, train_config.beta2, train_config.eps)
     grad = np.empty_like(params.flat)  # backward writes each leaf's gradient into its view
+    # each parameter's (lo, hi) in params.flat, from the layout CosinetParams owns
+    spans = {name: (s.start, s.stop) for name, (s, _) in params._slots.items()}
     max_lr = train_config.resolved_max_lr
     listwise = train_config.loss == "listwise"
     objective = listwise_loss if listwise else pointwise_loss
@@ -209,25 +290,36 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     # every pair once per call, reused by all of its epochs
     inputs = [[prepare_pair(g.question_tokens, c.tokens, table) for c in g.candidates]
               for g in groups]
-    for _ in range(train_config.epochs):
-        epoch_losses = []
-        for batch in epoch_batches():
-            tape = Tape(dtype=params.dtype)
-            leaves = params.as_leaves(tape, grad)
-            scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config, leaves, tape)
-            loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
-            tape.backward(loss)
-            adam.step(params.flat, grad,
-                      stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr))
-            step += 1
-            epoch_losses.append(float(loss.data[0, 0]))
-        report.loss_curve.extend(epoch_losses)
-        report.epoch_mean_loss.append(float(np.mean(epoch_losses)))
-        if dev_groups:
-            d0 = time.perf_counter()
-            dev = metrics.evaluate(make_scorer(params, config, table), dev_groups)
-            report.dev_map.append(dev.map)
-            dev_seconds += time.perf_counter() - d0
+    with Adam(params.flat, train_config.beta1, train_config.beta2, train_config.eps) as adam:
+        for _ in range(train_config.epochs):
+            epoch_losses = []
+            for batch in epoch_batches():
+                tape = Tape(dtype=params.dtype)
+                leaves = params.as_leaves(tape, grad)
+                scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config,
+                                     leaves, tape)
+                loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
+                value = float(loss.data[0, 0])
+                if not math.isfinite(value):
+                    raise ValueError(f"fit: non-finite loss {value} at step {step} "
+                                     f"(batch of question {groups[batch[0][0]].question_id})")
+                ranges = {leaves[name]: span for name, span in spans.items()}
+
+                def backward(final):
+                    # each leaf's update starts on the worker once its gradient is final
+                    tape.backward(loss, on_final=lambda leaf: final(*ranges[leaf]))
+
+                lr = stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr)
+                adam.step(params.flat, grad, lr, backward)
+                step += 1
+                epoch_losses.append(value)
+            report.loss_curve.extend(epoch_losses)
+            report.epoch_mean_loss.append(float(np.mean(epoch_losses)))
+            if dev_groups:
+                d0 = time.perf_counter()
+                dev = metrics.evaluate(make_scorer(params, config, table), dev_groups)
+                report.dev_map.append(dev.map)
+                dev_seconds += time.perf_counter() - d0
     report.wall_seconds = time.perf_counter() - t0 - dev_seconds
     report.steps = step
     return report

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosinet.ndgrad as nd
-from cosinet.model import CONTEXT_KINDS, CosinetConfig, CosinetParams, score_group
+from cosinet.model import (CONTEXT_KINDS, CosinetConfig, CosinetParams, prepare_pair, score_group,
+                           score_pairs)
 from cosinet.training import TrainConfig, fit
 from fdcheck import max_rel_error, numeric_gradient, spaced_values
 
@@ -282,6 +283,57 @@ class TestBackwardConventions:
         x = tape.leaf([[1.5, -0.5]])
         tape.backward(total(tape, nd.add(nd.mul(x, x), x)))
         np.testing.assert_allclose(x.grad, [[4.0, 0.0]])
+
+    def test_on_final_reports_each_buffered_leaf_once_when_its_gradient_is_final(self):
+        # a feeds two records; the report comes after the earlier one's
+        # backward, when a's gradient is complete, and never sooner; u feeds
+        # no record, so it is final at once; c has no buffer and is not reported
+        tape = nd.Tape(dtype=np.float64)
+        bufs = {name: np.full((1, 2), 7.0) for name in "abdu"}
+        a = tape.leaf([[2.0, -3.0]], grad=bufs["a"])
+        b = tape.leaf([[0.5, 4.0]], grad=bufs["b"])
+        d = tape.leaf([[1.0, 1.0]], grad=bufs["d"])
+        tape.leaf([[9.0, 9.0]], grad=bufs["u"])
+        c = tape.leaf([[3.0, 3.0]])
+        y = nd.mul(nd.mul(a, b), a)  # a * b * a
+        loss = total(tape, nd.add(y, nd.mul(d, c)))
+        names = {id(bufs[name]): name for name in bufs}
+        seen = []
+
+        def on_final(leaf):
+            # what the gradients hold at the moment of the report
+            seen.append((names[id(leaf.grad)], a.grad.copy(), y.grad is None))
+
+        tape.backward(loss, on_final=on_final)
+        assert [name for name, *_ in seen] == ["u", "d", "a", "b"]
+        _, a_at_u, y_unreached_at_u = seen[0]
+        _, a_at_d, _ = seen[1]
+        assert y_unreached_at_u and (a_at_u == 0).all()  # before any record ran
+        assert (a_at_d == 0).all()  # d is final before either record that takes a
+        for _, a_now, _ in seen[2:]:
+            np.testing.assert_array_equal(a_now, a.grad)
+        np.testing.assert_allclose(a.grad, 2 * a.data * b.data)
+        np.testing.assert_allclose(b.grad, a.data ** 2)
+        np.testing.assert_allclose(d.grad, c.data)
+
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_on_final_reports_model_leaves_with_complete_gradients(self, toy_groups, toy_table,
+                                                                   kind):
+        # every op lists the tensors its backward reads, so no model leaf is
+        # reported while a remaining record could still add to its gradient
+        config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2, context=kind)
+        params = CosinetParams(config)
+        group = toy_groups[0]
+        tape = nd.Tape()
+        leaves = params.as_leaves(tape, np.zeros_like(params.flat))
+        pairs = [prepare_pair(group.question_tokens, c.tokens, toy_table) for c in group.candidates]
+        scores = score_pairs(pairs, toy_table, config, leaves, tape)
+        reported = []
+        tape.backward(weighted(tape, scores, np.arange(1.0, len(pairs) + 1)[:, None]),
+                      on_final=lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, leaves.values()))
+        for leaf, grad_then in reported:
+            np.testing.assert_array_equal(grad_then, leaf.grad)
 
     def test_dropped_tape_is_freed_without_cycle_collection(self):
         # tensors refer to their tape weakly and no record holds the tape, so

@@ -1,5 +1,7 @@
 import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +229,22 @@ class TestStlr:
             stlr(-1, 7, 0.1, 32.0, 1.0)
 
 
+def worker_fails(update):
+    """An ``Adam._update`` that raises on the worker thread; the calling thread
+    waits until the worker has taken a block, so the worker's error is the one
+    that surfaces."""
+    started = threading.Event()
+
+    def failing(self, w, g, lo, hi, coef, thread):
+        if thread == 1:
+            started.set()
+            raise RuntimeError("worker failed")
+        assert started.wait(timeout=30)
+        update(self, w, g, lo, hi, coef, thread)
+
+    return failing
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         x = np.array([5.0])
@@ -270,6 +288,130 @@ class TestAdam:
             np.testing.assert_array_equal(w, ref)
             np.testing.assert_array_equal(adam.m, ref_m)
             np.testing.assert_array_equal(adam.v, ref_v)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_threaded_step_over_shuffled_final_ranges_matches_reference_bitwise(self, dtype,
+                                                                              monkeypatch):
+        # backward hands over the ranges of 2.5 blocks in a shuffled order,
+        # writing each range's gradient just before; the worker and the
+        # calling thread then update disjoint blocks, and the result is still
+        # bit for bit the whole-vector expression
+        monkeypatch.setattr(training, "ALONE_STEPS", 0)  # every step uses the worker
+        rng = np.random.default_rng(4)
+        n = BLOCK * 5 // 2
+        cuts = [0, 1, 1000, BLOCK + 5, 2 * BLOCK + 17, n]  # one range spans more than a block
+        ranges = list(zip(cuts[:-1], cuts[1:]))
+        w = rng.standard_normal(n).astype(dtype)
+        g = np.empty_like(w)
+        ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        with Adam(w, b1, b2, eps) as adam:
+            for t in range(1, 6):
+                grad = rng.standard_normal(n).astype(dtype)
+                g.fill(np.nan)  # a block read before its range is final goes NaN
+                order = rng.permutation(len(ranges))
+
+                def backward(final):
+                    for i in order:
+                        lo, hi = ranges[i]
+                        g[lo:hi] = grad[lo:hi]
+                        final(lo, hi)
+
+                lr = 1e-3 * t
+                adam.step(w, g, lr, backward)
+                b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+                ref_m += (1.0 - b1) * (grad - ref_m)
+                ref_v += (1.0 - b2) * (grad * grad - ref_v)
+                ref -= lr * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + eps)
+                np.testing.assert_array_equal(w, ref)
+                np.testing.assert_array_equal(adam.m, ref_m)
+                np.testing.assert_array_equal(adam.v, ref_v)
+
+    def test_concurrent_threaded_steps_stay_bitwise_under_a_short_switch_interval(self,
+                                                                                monkeypatch):
+        # three callers, each with its own Adam and worker (six threads on any
+        # core count), hand over many small ranges while the interpreter
+        # switches threads as often as it can; a block run twice, skipped or
+        # read before its range is final changes the bits
+        monkeypatch.setattr(training, "ALONE_STEPS", 0)  # every step uses the worker
+        def run(seed, out):
+            rng = np.random.default_rng(seed)
+            n = BLOCK * 5 // 2
+            cuts = np.unique(np.concatenate([[0, n], rng.integers(1, n, 60)]))
+            ranges = list(zip(cuts[:-1], cuts[1:]))
+            w = rng.standard_normal(n).astype(np.float32)
+            g = np.empty_like(w)
+            ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+            with Adam(w) as adam:
+                for t in range(1, 4):
+                    grad = rng.standard_normal(n).astype(np.float32)
+                    g.fill(np.nan)
+
+                    def backward(final):
+                        for i in rng.permutation(len(ranges)):
+                            lo, hi = ranges[i]
+                            g[lo:hi] = grad[lo:hi]
+                            final(lo, hi)
+
+                    adam.step(w, g, 1e-3, backward)
+                    b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+                    ref_m += (1.0 - 0.9) * (grad - ref_m)
+                    ref_v += (1.0 - 0.999) * (grad * grad - ref_v)
+                    ref -= 1e-3 * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + 1e-8)
+            out[seed] = bool((w == ref).all() and (adam.m == ref_m).all() and (adam.v == ref_v).all())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = {}
+            callers = [threading.Thread(target=run, args=(seed, out)) for seed in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert out == {0: True, 1: True, 2: True}
+
+    def test_runs_alone_after_a_step_on_which_the_worker_saved_less_than_it_cost(
+            self, monkeypatch):
+        # a worker that reports no CPU time saved nothing, so the next
+        # ALONE_STEPS steps run on the calling thread only, then it is tried
+        # again; the bits are the reference expression's either way
+        runs = []
+        work = Adam._work
+
+        def idle_worker(self, *args):
+            runs.append(self.t)
+            work(self, *args)
+            return -1.0
+
+        monkeypatch.setattr(Adam, "_work", idle_worker)
+        rng = np.random.default_rng(2)
+        n = BLOCK * 5 // 2
+        w = rng.standard_normal(n).astype(np.float32)
+        ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+        with Adam(w) as adam:
+            for t in range(1, training.ALONE_STEPS + 3):
+                grad = rng.standard_normal(n).astype(np.float32)
+                adam.step(w, grad, 1e-3)
+                b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+                ref_m += (1.0 - 0.9) * (grad - ref_m)
+                ref_v += (1.0 - 0.999) * (grad * grad - ref_v)
+                ref -= 1e-3 * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + 1e-8)
+        assert runs == [1, training.ALONE_STEPS + 2]
+        np.testing.assert_array_equal(w, ref)
+        np.testing.assert_array_equal(adam.m, ref_m)
+        np.testing.assert_array_equal(adam.v, ref_v)
+
+    def test_worker_error_surfaces_from_step(self, monkeypatch):
+        monkeypatch.setattr(Adam, "_update", worker_fails(Adam._update))
+        w = np.zeros(BLOCK * 3)
+        with Adam(w) as adam:
+            with pytest.raises(RuntimeError, match="worker failed"):
+                adam.step(w, np.ones_like(w), 0.1)
+        assert (w != 0).any()  # the calling thread wrote the blocks it took
 
 
 class TestTrainConfig:
@@ -398,6 +540,64 @@ class TestFit:
         assert (clone.flat != before).any()
         np.testing.assert_array_equal(
             np.concatenate([a.ravel() for a in clone.arrays.values()]), clone.flat)
+
+    def test_non_finite_loss_stops_before_its_update(self, toy_groups, toy_table):
+        config = small_config()
+        params = CosinetParams(config)
+        params.flat[:] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite loss nan at step 0 \(batch of question q"):
+            fit(toy_groups, toy_table, params, config, TrainConfig(epochs=1))
+        assert np.isnan(params.flat).all()
+
+    def test_non_finite_loss_at_a_later_step_leaves_the_weights_it_saw(self, toy_groups, toy_table,
+                                                                        monkeypatch):
+        # the forward of step 2 reads the weights after step 1's update; the
+        # guard stops step 2 before its backward, so they stay as they were
+        config = small_config("birnn")
+        params = CosinetParams(config)
+        seen = []
+
+        def poisoned(scores, labels):
+            loss = listwise_loss(scores, labels)
+            seen.append(params.flat.copy())
+            if len(seen) == 3:
+                loss.data[...] = np.inf
+            return loss
+
+        monkeypatch.setattr(training, "listwise_loss", poisoned)
+        with pytest.raises(ValueError, match="non-finite loss inf at step 2"):
+            fit(toy_groups, toy_table, params, config, TrainConfig(epochs=1))
+        np.testing.assert_array_equal(params.flat, seen[2])
+        assert (seen[2] != seen[1]).any()
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_fit_joins_its_worker_thread(self, toy_groups, toy_table, monkeypatch, outcome):
+        calls = []
+
+        def listwise(scores, labels):
+            loss = listwise_loss(scores, labels)
+            calls.append(1)
+            if outcome == "raises" and len(calls) == 3:  # after two steps used the worker
+                loss.data[...] = np.nan
+            return loss
+
+        monkeypatch.setattr(training, "listwise_loss", listwise)
+        config = small_config("bilstm")
+        before = threading.active_count()
+        if outcome == "raises":
+            with pytest.raises(ValueError, match="non-finite"):
+                fit(toy_groups, toy_table, CosinetParams(config), config, TrainConfig(epochs=1))
+        else:
+            fit(toy_groups, toy_table, CosinetParams(config), config, TrainConfig(epochs=1))
+        assert threading.active_count() == before
+
+    def test_worker_error_surfaces_from_fit(self, toy_groups, toy_table, monkeypatch):
+        monkeypatch.setattr(Adam, "_update", worker_fails(Adam._update))
+        config = small_config()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            fit(toy_groups, toy_table, CosinetParams(config), config, TrainConfig(epochs=1))
+        assert threading.active_count() == before
 
     def test_shuffle_seed_changes_visit_order(self, toy_groups, toy_table):
         def curve(seed):
