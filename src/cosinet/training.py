@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -101,14 +100,10 @@ def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
 
 
 BLOCK = 1 << 16  # elements per Adam block: its six operand blocks stay in cache
-# steps the calling thread updates alone after a step on which it waited longer
-# for the GIL and the worker than the worker worked: without a free second
-# core, every GIL hand-off can wait for a thread whose CPU is not running
-ALONE_STEPS = 32
 
 
 class Adam:
-    """Adam with bias correction over one flat weight vector ``w``, on up to two threads.
+    """Adam with bias correction over one flat weight vector ``w``, on two threads.
 
     ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
     ``BLOCK`` at a time, in the elementwise operation order of
@@ -125,7 +120,6 @@ class Adam:
         self.m, self.v = np.zeros_like(w), np.zeros_like(w)
         self._scratch = np.empty((2, 2, min(BLOCK, w.size)), dtype=w.dtype)  # caller, worker
         self._worker = ThreadPoolExecutor(1)  # its thread starts at the first step
-        self._alone = 0  # steps left that run without the worker
 
     def __enter__(self):
         return self
@@ -141,61 +135,38 @@ class Adam:
         more; the worker updates those blocks while backward goes on, and
         this thread then takes every block the worker has not started.
         Without ``backward``, all blocks are split between the two threads
-        at once. After a step on which this thread waited longer than the
-        worker worked, the next ``ALONE_STEPS`` steps run on this thread only.
+        at once. If ``backward`` raises, no further block starts, but the
+        blocks already written stay written and ``t`` stays advanced: the
+        step is left partial. A worker error is raised from ``step``, with
+        any error this thread raised first as its context.
         """
         self.t += 1
         coef = (lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
-        todo = deque()  # (lo, hi) of the blocks neither thread has started
-        more = SimpleQueue()  # True after each final range, None once backward is done
-        wall, cpu = time.perf_counter(), time.thread_time()
-        worker = None
-        if self._alone:
-            self._alone -= 1
-        else:
-            worker = self._worker.submit(self._work, todo, more, w, g, coef)
+        blocks = SimpleQueue()  # (lo, hi) of each block not yet started; None stops the worker
+        worker = self._worker.submit(self._work, blocks, w, g, coef)
 
         def final(lo, hi):
-            todo.extend((a, min(a + BLOCK, hi)) for a in range(lo, hi, BLOCK))
-            more.put(True)
+            for a in range(lo, hi, BLOCK):
+                blocks.put((a, min(a + BLOCK, hi)))
 
         try:
             if backward is None:
                 final(0, w.size)
             else:
                 backward(final)
+            for lo, hi in _queued(blocks):
+                self._update(w, g, lo, hi, coef, 0)
         except BaseException:
-            todo.clear()  # start no further block
+            for _ in _queued(blocks):  # start no further block
+                pass
             raise
         finally:
-            more.put(None)
-            # the worker takes blocks from the front; take the rest from the back
-            while todo:
-                try:
-                    lo, hi = todo.pop()
-                except IndexError:
-                    break
-                self._update(w, g, lo, hi, coef, 0)
-            if worker is not None:
-                wait([worker])  # it returns only after its last block is written
-        if worker is not None:
-            worked = worker.result()  # raises the worker's error, if any
-            waited = time.perf_counter() - wall - (time.thread_time() - cpu)
-            if waited > worked:
-                self._alone = ALONE_STEPS
+            blocks.put(None)
+            worker.result()  # returns after the worker's last block; raises its error, if any
 
-    def _work(self, todo, more, w, g, coef) -> float:
-        """The worker's part of one step: blocks from the front of ``todo``
-        until ``more`` says backward is done and ``todo`` is empty. Returns
-        the worker's CPU time."""
-        start = time.thread_time()
-        while True:
-            try:
-                lo, hi = todo.popleft()
-            except IndexError:
-                if more.get() is None:
-                    return time.thread_time() - start
-                continue
+    def _work(self, blocks, w, g, coef) -> None:
+        """The worker's part of one step: each block from ``blocks`` until None."""
+        for lo, hi in iter(blocks.get, None):
             self._update(w, g, lo, hi, coef, 1)
 
     def _update(self, w, g, lo, hi, coef, thread) -> None:
@@ -216,6 +187,15 @@ class Adam:
         u *= lr
         u /= s
         wb -= u
+
+
+def _queued(blocks: SimpleQueue):
+    """Take each item still in ``blocks`` without waiting."""
+    while True:
+        try:
+            yield blocks.get_nowait()
+        except Empty:
+            return
 
 
 @dataclass
@@ -265,8 +245,12 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
                          "it cannot drive a rank contextualizer (use context=none)")
     rng = np.random.default_rng(train_config.seed)
     grad = np.empty_like(params.flat)  # backward writes each leaf's gradient into its view
-    # each parameter's (lo, hi) in params.flat, from the layout CosinetParams owns
-    spans = {name: (s.start, s.stop) for name, (s, _) in params._slots.items()}
+
+    def span(leaf):
+        """The range of ``params.flat`` whose gradient is ``leaf.grad``, a view of ``grad``."""
+        lo = (leaf.grad.ctypes.data - grad.ctypes.data) // grad.itemsize
+        return lo, lo + leaf.grad.size
+
     max_lr = train_config.resolved_max_lr
     listwise = train_config.loss == "listwise"
     objective = listwise_loss if listwise else pointwise_loss
@@ -303,11 +287,10 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
                 if not math.isfinite(value):
                     raise ValueError(f"fit: non-finite loss {value} at step {step} "
                                      f"(batch of question {groups[batch[0][0]].question_id})")
-                ranges = {leaves[name]: span for name, span in spans.items()}
 
                 def backward(final):
                     # each leaf's update starts on the worker once its gradient is final
-                    tape.backward(loss, on_final=lambda leaf: final(*ranges[leaf]))
+                    tape.backward(loss, lambda leaf: final(*span(leaf)))
 
                 lr = stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr)
                 adam.step(params.flat, grad, lr, backward)

@@ -2,6 +2,7 @@ import copy
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -290,13 +291,11 @@ class TestAdam:
             np.testing.assert_array_equal(adam.v, ref_v)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_threaded_step_over_shuffled_final_ranges_matches_reference_bitwise(self, dtype,
-                                                                              monkeypatch):
+    def test_threaded_step_over_shuffled_final_ranges_matches_reference_bitwise(self, dtype):
         # backward hands over the ranges of 2.5 blocks in a shuffled order,
         # writing each range's gradient just before; the worker and the
         # calling thread then update disjoint blocks, and the result is still
         # bit for bit the whole-vector expression
-        monkeypatch.setattr(training, "ALONE_STEPS", 0)  # every step uses the worker
         rng = np.random.default_rng(4)
         n = BLOCK * 5 // 2
         cuts = [0, 1, 1000, BLOCK + 5, 2 * BLOCK + 17, n]  # one range spans more than a block
@@ -327,13 +326,11 @@ class TestAdam:
                 np.testing.assert_array_equal(adam.m, ref_m)
                 np.testing.assert_array_equal(adam.v, ref_v)
 
-    def test_concurrent_threaded_steps_stay_bitwise_under_a_short_switch_interval(self,
-                                                                                monkeypatch):
+    def test_concurrent_threaded_steps_stay_bitwise_under_a_short_switch_interval(self):
         # three callers, each with its own Adam and worker (six threads on any
         # core count), hand over many small ranges while the interpreter
         # switches threads as often as it can; a block run twice, skipped or
         # read before its range is final changes the bits
-        monkeypatch.setattr(training, "ALONE_STEPS", 0)  # every step uses the worker
         def run(seed, out):
             rng = np.random.default_rng(seed)
             n = BLOCK * 5 // 2
@@ -374,37 +371,6 @@ class TestAdam:
         assert not any(t.is_alive() for t in callers)
         assert out == {0: True, 1: True, 2: True}
 
-    def test_runs_alone_after_a_step_on_which_the_worker_saved_less_than_it_cost(
-            self, monkeypatch):
-        # a worker that reports no CPU time saved nothing, so the next
-        # ALONE_STEPS steps run on the calling thread only, then it is tried
-        # again; the bits are the reference expression's either way
-        runs = []
-        work = Adam._work
-
-        def idle_worker(self, *args):
-            runs.append(self.t)
-            work(self, *args)
-            return -1.0
-
-        monkeypatch.setattr(Adam, "_work", idle_worker)
-        rng = np.random.default_rng(2)
-        n = BLOCK * 5 // 2
-        w = rng.standard_normal(n).astype(np.float32)
-        ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
-        with Adam(w) as adam:
-            for t in range(1, training.ALONE_STEPS + 3):
-                grad = rng.standard_normal(n).astype(np.float32)
-                adam.step(w, grad, 1e-3)
-                b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-                ref_m += (1.0 - 0.9) * (grad - ref_m)
-                ref_v += (1.0 - 0.999) * (grad * grad - ref_v)
-                ref -= 1e-3 * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + 1e-8)
-        assert runs == [1, training.ALONE_STEPS + 2]
-        np.testing.assert_array_equal(w, ref)
-        np.testing.assert_array_equal(adam.m, ref_m)
-        np.testing.assert_array_equal(adam.v, ref_v)
-
     def test_worker_error_surfaces_from_step(self, monkeypatch):
         monkeypatch.setattr(Adam, "_update", worker_fails(Adam._update))
         w = np.zeros(BLOCK * 3)
@@ -412,6 +378,44 @@ class TestAdam:
             with pytest.raises(RuntimeError, match="worker failed"):
                 adam.step(w, np.ones_like(w), 0.1)
         assert (w != 0).any()  # the calling thread wrote the blocks it took
+
+    def test_backward_error_leaves_a_partial_step_and_a_free_worker(self):
+        # backward hands over one block, waits until the worker has written
+        # it, hands over another and raises: the step stays partial, the
+        # worker is free again and the next step updates everything
+        w = np.zeros(BLOCK * 3)
+        with Adam(w) as adam:
+            def backward(final):
+                final(0, BLOCK)
+                while w[BLOCK - 1] == 0:
+                    time.sleep(1e-3)
+                final(BLOCK, 2 * BLOCK)
+                raise RuntimeError("backward failed")
+
+            with pytest.raises(RuntimeError, match="backward failed"):
+                adam.step(w, np.ones_like(w), 0.1, backward)
+            assert (w[:BLOCK] != 0).all() and (w[2 * BLOCK:] == 0).all()
+            adam.step(w, np.ones_like(w), 0.1)
+        assert adam.t == 2 and (w[2 * BLOCK:] != 0).all()
+
+    def test_worker_error_keeps_the_backward_error_as_its_context(self, monkeypatch):
+        started = threading.Event()
+
+        def failing(self, w, g, lo, hi, coef, thread):
+            started.set()
+            raise RuntimeError("worker failed")
+
+        def backward(final):
+            final(0, BLOCK)
+            assert started.wait(timeout=30)
+            raise KeyError("backward failed")
+
+        monkeypatch.setattr(Adam, "_update", failing)
+        w = np.zeros(BLOCK)
+        with Adam(w) as adam:
+            with pytest.raises(RuntimeError, match="worker failed") as info:
+                adam.step(w, np.ones_like(w), 0.1, backward)
+        assert isinstance(info.value.__context__, KeyError)
 
 
 class TestTrainConfig:
@@ -569,6 +573,30 @@ class TestFit:
             fit(toy_groups, toy_table, params, config, TrainConfig(epochs=1))
         np.testing.assert_array_equal(params.flat, seen[2])
         assert (seen[2] != seen[1]).any()
+
+    def test_update_in_backward_matches_update_after_it_bitwise(self, toy_groups, toy_table,
+                                                               monkeypatch):
+        # the ranges fit hands over in backward tile params.flat exactly, and
+        # updating each as soon as it is final gives the bits of updating
+        # them all once backward has ended
+        config = small_config("bilstm")
+        early = CosinetParams(config)
+        late = copy.deepcopy(early)
+        early_report = fit(toy_groups, toy_table, early, config, TrainConfig(epochs=2))
+        step = Adam.step
+
+        def after_backward(self, w, g, lr, backward):
+            ranges = []
+            backward(lambda lo, hi: ranges.append((lo, hi)))
+            ranges.sort()
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == w.size
+            step(self, w, g, lr, lambda final: [final(lo, hi) for lo, hi in ranges])
+
+        monkeypatch.setattr(Adam, "step", after_backward)
+        late_report = fit(toy_groups, toy_table, late, config, TrainConfig(epochs=2))
+        np.testing.assert_array_equal(early.flat, late.flat)
+        assert early_report.loss_curve == late_report.loss_curve
 
     @pytest.mark.parametrize("outcome", ["returns", "raises"])
     def test_fit_joins_its_worker_thread(self, toy_groups, toy_table, monkeypatch, outcome):
