@@ -122,7 +122,7 @@ def cmd_predict(args) -> None:
     with corpus.atomic_open(args.scores_out, "w", encoding="utf-8", newline="\n") as fh:
         for g in groups:
             for s in model.score_group(g, table, params, cfg):
-                fh.write(f"{float(s):.8g}\n")
+                fh.write(f"{float(s):.9g}\n")  # 9 digits round-trip every float32
                 n += 1
     _emit({"n_scores": n, "n_questions": len(groups), "output": args.scores_out})
 
@@ -155,12 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True,
                    help="pretrained word-vector text file (default: none, required)")
     p.add_argument("--loss", choices=list(training.LOSS_KINDS), default=None,
-                   help="training objective (default: listwise)")
+                   help=f"training objective (default: {TRAIN_DEFAULTS['loss']})")
     p.add_argument("--context", choices=list(model.CONTEXT_KINDS), default=None,
-                   help="rank contextualizer (default: none)")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default: 3)")
+                   help=f"rank contextualizer (default: {TRAIN_DEFAULTS['context']})")
+    p.add_argument("--epochs", type=int, default=None,
+                   help=f"training epochs (default: {TRAIN_DEFAULTS['epochs']})")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for init and shuffling (default: 0)")
+                   help=f"seed for init and shuffling (default: {TRAIN_DEFAULTS['seed']})")
     p.add_argument("--config", default=None,
                    help="optional JSON settings file; explicit flags win (default: none)")
     p.add_argument("--out", required=True, help="model file to write (default: none, required)")

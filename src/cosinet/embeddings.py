@@ -14,14 +14,14 @@ UNKNOWN = -1  # the id of a token without a vector (and of padding)
 
 
 class EmbeddingTable:
-    """token -> row-index map over a frozen |V| x dim float32 matrix."""
+    """token -> row-index map over a frozen |V| x dim float32 matrix; dim is its width."""
 
-    def __init__(self, vocabulary: dict[str, int], matrix: np.ndarray, dimension: int = 300):
-        if matrix.ndim != 2 or matrix.shape[1] != dimension:
-            raise ValueError(f"embedding matrix must be |V| x {dimension}, got {matrix.shape}")
+    def __init__(self, vocabulary: dict[str, int], matrix: np.ndarray):
+        if matrix.ndim != 2:
+            raise ValueError(f"embedding matrix must be |V| x dim, got shape {matrix.shape}")
         if len(vocabulary) != matrix.shape[0]:
             raise ValueError("vocabulary size does not match matrix rows")
-        self.dimension = dimension
+        self.dimension = matrix.shape[1]
         self.vocabulary = dict(vocabulary)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.matrix.setflags(write=False)
@@ -40,7 +40,7 @@ class EmbeddingTable:
         return sorted(self.vocabulary, key=self.vocabulary.get)
 
 
-def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingTable:
+def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTable:
     """Parse a text embedding file: one line per token, then `dimension` reals.
 
     An optional first line "count dim" header is tolerated. Tokens carrying
@@ -89,7 +89,7 @@ def load_embeddings(path, vocab_filter=None, dimension: int = 300) -> EmbeddingT
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
-    return EmbeddingTable(vocab, matrix, dimension)
+    return EmbeddingTable(vocab, matrix)
 
 
 def embed_sequence(tokens, table: EmbeddingTable):

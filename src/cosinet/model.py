@@ -41,7 +41,6 @@ class CosinetConfig:
     conv_hidden: int = 300
     kernel_width: int = 5
     context: str = "none"
-    context_hidden: int | None = None  # per direction if bidirectional
     seed: int = 0
 
     def __post_init__(self):
@@ -51,19 +50,18 @@ class CosinetConfig:
             raise ValueError(f"conv_hidden must be >= 1, got {self.conv_hidden}")
         if self.context not in CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {self.context!r}, expected one of {CONTEXT_KINDS}")
-        if self.context_hidden is None:
-            if self.bidirectional:
-                if self.conv_hidden % 2:
-                    raise ValueError("bidirectional context needs an even conv_hidden")
-                self.context_hidden = self.conv_hidden // 2
-            elif self.context != "none":
-                self.context_hidden = self.conv_hidden
-        elif self.bidirectional and self.context_hidden != self.conv_hidden // 2:
-            raise ValueError("bidirectional context_hidden per direction must be conv_hidden/2")
+        if self.bidirectional and self.conv_hidden % 2:
+            raise ValueError("bidirectional context needs an even conv_hidden")
 
     @property
     def bidirectional(self) -> bool:
         return self.context in ("birnn", "bilstm")
+
+    @property
+    def context_hidden(self) -> int | None:
+        """Recurrence width per direction; the directions together are conv_hidden wide."""
+        dirs = context_rule(self)[0]
+        return self.conv_hidden // len(dirs) if dirs else None
 
     @property
     def pair_dim(self) -> int:
@@ -71,8 +69,7 @@ class CosinetConfig:
 
     @property
     def head_input_dim(self) -> int:
-        dirs = context_rule(self)[0]
-        return len(dirs) * self.context_hidden if dirs else self.pair_dim
+        return self.pair_dim if self.context == "none" else self.conv_hidden
 
 
 def expected_parameter_count(config: CosinetConfig) -> int:
@@ -212,7 +209,7 @@ def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> PairInput:
     return PairInput(q_ids, r_q, c_ids, r_c)
 
 
-def encode_pair(pairs, table: EmbeddingTable, leaves: dict, tape: Tape) -> ndgrad.Tensor:
+def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
     """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
     def tower(side, sides):
         # pad every side to the batch's longest, and to at least the kernel
@@ -223,7 +220,7 @@ def encode_pair(pairs, table: EmbeddingTable, leaves: dict, tape: Tape) -> ndgra
         k = w.data.shape[0]
         t_max = max(k, max(len(ids) for ids, _ in sides))
         ids = np.full((len(sides), t_max), UNKNOWN)
-        r = np.zeros((len(sides), t_max), dtype=tape.dtype)
+        r = np.zeros((len(sides), t_max), dtype=w.data.dtype)
         mask = np.zeros((len(sides), t_max - k + 1), dtype=bool)
         for i, (side_ids, side_r) in enumerate(sides):
             ids[i, :len(side_ids)] = side_ids
@@ -258,10 +255,9 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
     return ndgrad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
-def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict,
-                tape: Tape) -> ndgrad.Tensor:
+def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
     """Forward a rank-ordered list of PairInput (ids into ``table``) to an (n, 1) score column."""
-    ctx = contextualize(encode_pair(pairs, table, leaves, tape), config, leaves)
+    ctx = contextualize(encode_pair(pairs, table, leaves), config, leaves)
     return ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
 
 
@@ -272,9 +268,9 @@ def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
 def score_group(group, table: EmbeddingTable, params: CosinetParams,
                 config: CosinetConfig) -> np.ndarray:
     """Inference-only scores for one group, in candidate order."""
-    tape = Tape(dtype=params.dtype)
+    tape = Tape(dtype=params.dtype)  # the leaves hold it weakly
     leaves = params.as_leaves(tape)
-    return score_pairs(prepare_group(group, table), table, config, leaves, tape).data[:, 0]
+    return score_pairs(prepare_group(group, table), table, config, leaves).data[:, 0]
 
 
 def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTable):
@@ -300,6 +296,9 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
     (preamble, header and payload) closes the file. The file appears at
     ``path`` only once it is complete.
     """
+    if table.dimension != config.embedding_dim:
+        raise ValueError(f"save_model: embedding table is {table.dimension} wide, "
+                         f"config embedding_dim is {config.embedding_dim}")
     vocab = table.tokens_in_order()
     manifest = [["embedding_matrix", list(table.matrix.shape)]]
     manifest += [[name, list(arr.shape)] for name, arr in params.arrays.items()]
@@ -341,7 +340,12 @@ def load_model(path):
 
     try:
         header = json.loads(blob[20:header_end].decode("utf-8"))
-        config = CosinetConfig(**header["config"])
+        settings = {**header["config"]}
+        written = settings.pop("context_hidden", None)  # in files from before it was derived
+        config = CosinetConfig(**settings)
+        if "context_hidden" in header["config"] and written != config.context_hidden:
+            raise ValueError(f"{path}: config context_hidden {written} is not the "
+                             f"width {config.context_hidden} that {config.context!r} derives")
         offset, arrays = 0, {}
         for name, shape in header["tensors"]:
             if name in arrays:
@@ -353,7 +357,11 @@ def load_model(path):
             raise ValueError(f"{path}: payload length mismatch")
         vocab = {tok: i for i, tok in enumerate(header["vocab"])}
         matrix = arrays.pop("embedding_matrix").copy()  # its own rows, not views of the file
-        table = EmbeddingTable(vocab, matrix, header["embedding_dim"])
+        table = EmbeddingTable(vocab, matrix)
+        if not header["embedding_dim"] == table.dimension == config.embedding_dim:
+            raise ValueError(f"{path}: embedding matrix is {table.dimension} wide, header "
+                             f"embedding_dim is {header['embedding_dim']}, config "
+                             f"embedding_dim is {config.embedding_dim}")
         params = CosinetParams(config, dtype=np.float32)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc

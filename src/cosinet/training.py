@@ -23,28 +23,21 @@ from .ndgrad import Tape
 
 LOSS_KINDS = ("pointwise", "listwise")
 DEFAULT_MAX_LR = {"pointwise": 2e-3, "listwise": 2e-4}
+CUT_FRAC, RATIO = 0.1, 32.0  # STLR of ULMFiT (Howard & Ruder 2018): warm-up share, max/min lr
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
 
 
 @dataclass
 class TrainConfig:
     loss: str = "listwise"
     epochs: int = 3
-    max_lr: float | None = None  # None: 2e-3 pointwise, 2e-4 listwise
-    cut_frac: float = 0.1
-    ratio: float = 32.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    max_lr: float | None = None  # None: DEFAULT_MAX_LR of the loss
     batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
-        if not 0 < self.cut_frac < 1:
-            raise ValueError(f"cut_frac must be in (0, 1), got {self.cut_frac}")
-        if self.ratio <= 1:
-            raise ValueError(f"ratio must be > 1, got {self.ratio}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -57,24 +50,24 @@ class TrainConfig:
         return self.max_lr if self.max_lr is not None else DEFAULT_MAX_LR[self.loss]
 
 
-def stlr(step: int, total: int, cut_frac: float, ratio: float, max_lr: float) -> float:
+def stlr(step: int, total: int, max_lr: float) -> float:
     """Slanted triangular learning rate at 0 <= step < total.
 
-    Linear warm-up to max_lr over the first cut_frac of the run, then a
-    long linear decay down to max_lr/ratio. The warm-up length is clamped
+    Linear warm-up to max_lr over the first CUT_FRAC of the run, then a
+    long linear decay down to max_lr/RATIO. The warm-up length is clamped
     to one step so very short runs stay well-defined.
     """
     if total < 1:
         raise ValueError(f"stlr: total steps must be >= 1, got {total}")
     if not 0 <= step < total:
         raise ValueError(f"stlr: step {step} outside [0, {total})")
-    cut = max(1, math.floor(total * cut_frac))
+    cut = max(1, math.floor(total * CUT_FRAC))
     if step < cut:
         p = step / cut
     else:
-        p = 1.0 - (step - cut) / (cut * (1.0 / cut_frac - 1.0))
+        p = 1.0 - (step - cut) / (cut * (1.0 / CUT_FRAC - 1.0))
         p = min(1.0, max(0.0, p))
-    return max_lr * (1.0 + p * (ratio - 1.0)) / ratio
+    return max_lr * (1.0 + p * (RATIO - 1.0)) / RATIO
 
 
 def listwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
@@ -107,15 +100,14 @@ class Adam:
 
     ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
     ``BLOCK`` at a time, in the elementwise operation order of
-    m += (1-b1)(g-m), v += (1-b2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + eps),
+    m += (1-BETA1)(g-m), v += (1-BETA2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + EPS),
     so it is bit for bit that expression whichever thread runs a block.
     The calling thread and one worker thread each have their own pair of
     block-sized scratch buffers. Use it in a ``with`` block, whose exit
     joins the worker.
     """
 
-    def __init__(self, w: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, w: np.ndarray):
         self.t = 0
         self.m, self.v = np.zeros_like(w), np.zeros_like(w)
         self._scratch = np.empty((2, 2, min(BLOCK, w.size)), dtype=w.dtype)  # caller, worker
@@ -127,21 +119,20 @@ class Adam:
     def __exit__(self, *exc):
         self._worker.shutdown()
 
-    def step(self, w: np.ndarray, g: np.ndarray, lr: float, backward=None) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray, lr: float, backward) -> None:
         """One update of all of ``w``; returns once every block is written.
 
-        ``backward(final)``, if given, fills ``g`` and calls ``final(lo, hi)``
-        as soon as ``g[lo:hi]`` is final and nothing reads ``w[lo:hi]`` any
-        more; the worker updates those blocks while backward goes on, and
-        this thread then takes every block the worker has not started.
-        Without ``backward``, all blocks are split between the two threads
-        at once. If ``backward`` raises, no further block starts, but the
-        blocks already written stay written and ``t`` stays advanced: the
-        step is left partial. A worker error is raised from ``step``, with
-        any error this thread raised first as its context.
+        ``backward(final)`` fills ``g`` and calls ``final(lo, hi)`` as soon
+        as ``g[lo:hi]`` is final and nothing reads ``w[lo:hi]`` any more;
+        the worker updates those blocks while backward goes on, and this
+        thread then takes every block the worker has not started. If
+        ``backward`` raises, no further block starts, but the blocks
+        already written stay written and ``t`` stays advanced: the step is
+        left partial. A worker error is raised from ``step``, with any error
+        this thread raised first as its context.
         """
         self.t += 1
-        coef = (lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
+        coef = (lr, 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t)
         blocks = SimpleQueue()  # (lo, hi) of each block not yet started; None stops the worker
         worker = self._worker.submit(self._work, blocks, w, g, coef)
 
@@ -150,10 +141,7 @@ class Adam:
                 blocks.put((a, min(a + BLOCK, hi)))
 
         try:
-            if backward is None:
-                final(0, w.size)
-            else:
-                backward(final)
+            backward(final)
             for lo, hi in _queued(blocks):
                 self._update(w, g, lo, hi, coef, 0)
         except BaseException:
@@ -174,15 +162,15 @@ class Adam:
         wb, gb, m, v = (a[lo:hi] for a in (w, g, self.m, self.v))
         s, u = self._scratch[thread, :, :hi - lo]
         np.subtract(gb, m, out=s)
-        s *= 1.0 - self.beta1
+        s *= 1.0 - BETA1
         m += s
         np.multiply(gb, gb, out=s)
         s -= v
-        s *= 1.0 - self.beta2
+        s *= 1.0 - BETA2
         v += s
         np.divide(v, b2c, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += EPS
         np.divide(m, b1c, out=u)
         u *= lr
         u /= s
@@ -274,14 +262,13 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     # every pair once per call, reused by all of its epochs
     inputs = [[prepare_pair(g.question_tokens, c.tokens, table) for c in g.candidates]
               for g in groups]
-    with Adam(params.flat, train_config.beta1, train_config.beta2, train_config.eps) as adam:
+    with Adam(params.flat) as adam:
         for _ in range(train_config.epochs):
             epoch_losses = []
             for batch in epoch_batches():
                 tape = Tape(dtype=params.dtype)
                 leaves = params.as_leaves(tape, grad)
-                scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config,
-                                     leaves, tape)
+                scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config, leaves)
                 loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
                 value = float(loss.data[0, 0])
                 if not math.isfinite(value):
@@ -292,8 +279,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
                     # each leaf's update starts on the worker once its gradient is final
                     tape.backward(loss, lambda leaf: final(*span(leaf)))
 
-                lr = stlr(step, total_steps, train_config.cut_frac, train_config.ratio, max_lr)
-                adam.step(params.flat, grad, lr, backward)
+                adam.step(params.flat, grad, stlr(step, total_steps, max_lr), backward)
                 step += 1
                 epoch_losses.append(value)
             report.loss_curve.extend(epoch_losses)

@@ -60,7 +60,7 @@ def make_table(words, dim=16, seed=0):
     rng = np.random.default_rng(seed)
     words = list(words)
     matrix = rng.standard_normal((len(words), dim)).astype(np.float32)
-    return EmbeddingTable({w: i for i, w in enumerate(words)}, matrix, dimension=dim)
+    return EmbeddingTable({w: i for i, w in enumerate(words)}, matrix)
 
 
 def table_digest(table):

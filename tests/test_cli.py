@@ -225,7 +225,7 @@ class TestTrain:
     @pytest.mark.parametrize("settings,key", [
         ({"epochs": "3"}, "epochs"),
         ({"max_lr": "1e-3"}, "max_lr"),
-        ({"context_hidden": 2.5}, "context_hidden"),
+        ({"conv_hidden": 2.5}, "conv_hidden"),
         ({"batch_size": True}, "batch_size"),
     ])
     def test_wrongly_typed_config_value_rejected(self, toy_jsonl, toy_vocab, tmp_path,
@@ -251,14 +251,34 @@ class TestTrain:
 
     def test_null_and_integral_config_values_accepted(self, toy_jsonl, toy_vocab,
                                                       tmp_path, capsys):
+        # max_lr is the one float setting, and the one that may be null
         emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"embedding_dim": 16, "conv_hidden": 8, "kernel_width": 3,
-                                   "epochs": 1, "max_lr": None, "context_hidden": None,
-                                   "ratio": 32}))
-        rep = run_json(["train", "--train", toy_jsonl, "--embeddings", emb,
-                        "--config", str(cfg), "--out", str(tmp_path / "m.bin")], capsys)
-        assert rep["steps"] == 3
+        for max_lr in (None, 1):
+            cfg.write_text(json.dumps({"embedding_dim": 16, "conv_hidden": 8, "kernel_width": 3,
+                                       "epochs": 1, "max_lr": max_lr}))
+            rep = run_json(["train", "--train", toy_jsonl, "--embeddings", emb,
+                            "--config", str(cfg), "--out", str(tmp_path / "m.bin")], capsys)
+            assert rep["steps"] == 3
+
+    def test_nine_train_settings(self):
+        assert sorted(cli.TRAIN_DEFAULTS) == ["batch_size", "context", "conv_hidden",
+                                              "embedding_dim", "epochs", "kernel_width",
+                                              "loss", "max_lr", "seed"]
+
+    @pytest.mark.parametrize("key", ["context_hidden", "cut_frac", "ratio",
+                                     "beta1", "beta2", "eps"])
+    def test_fixed_or_derived_setting_rejected(self, toy_jsonl, toy_vocab, tmp_path, capsys,
+                                               key):
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"embedding_dim": 16, key: 0.5}))
+        out = tmp_path / "m.bin"
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", str(bad), "--out", str(out)], capsys)
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error:") and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_pointwise_with_context_rejected(self, toy_jsonl, toy_vocab,
                                              small_settings, tmp_path, capsys):
@@ -310,7 +330,7 @@ class TestEvalPredict:
         cfg, params, table = model.load_model(trained_model)
         want = np.concatenate([model.score_group(g, table, params, cfg)
                                for g in toy_groups])
-        np.testing.assert_allclose(written, want, rtol=1e-6)
+        np.testing.assert_array_equal(np.float32(written), want)
 
     def test_predict_is_deterministic(self, trained_model, toy_jsonl,
                                       tmp_path, capsys):
@@ -319,6 +339,21 @@ class TestEvalPredict:
             run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
                       "--scores-out", str(p)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_predict_separates_adjacent_float32_scores(self, trained_model, toy_jsonl,
+                                                       toy_groups, tmp_path, monkeypatch,
+                                                       capsys):
+        # consecutive float32 values above 10, where 8 digits print
+        # 10.0000095 and 10.0000105 alike
+        n = sum(len(g.candidates) for g in toy_groups)
+        scores = np.float32(10.0) + np.float32(2 ** -20) * np.arange(10, 10 + n, dtype=np.float32)
+        chunks = iter(np.split(scores, np.cumsum([len(g.candidates) for g in toy_groups])))
+        monkeypatch.setattr(model, "score_group", lambda *args: next(chunks))
+        path = tmp_path / "scores.txt"
+        run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
+                  "--scores-out", str(path)], capsys)
+        written = np.float32([float(x) for x in path.read_text().split()])
+        np.testing.assert_array_equal(written, scores)
 
     def test_predict_writes_into_a_fifo(self, trained_model, toy_jsonl, toy_groups,
                                         tmp_path, capsys):

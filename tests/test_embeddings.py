@@ -84,7 +84,7 @@ class TestLoad:
 
     def test_missing_file_is_a_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
-            load_embeddings(tmp_path / "nope.txt")
+            load_embeddings(tmp_path / "nope.txt", dimension=3)
 
     def test_matches_reference_parser(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -113,14 +113,14 @@ class TestTable:
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 99.0
 
-    def test_dimension_mismatch_rejected(self):
+    def test_width_is_the_matrix_width(self):
+        assert EmbeddingTable({"a": 0}, np.zeros((1, 4), dtype=np.float32)).dimension == 4
         with pytest.raises(ValueError, match="matrix"):
-            EmbeddingTable({"a": 0}, np.zeros((1, 4), dtype=np.float32), dimension=3)
+            EmbeddingTable({"a": 0}, np.zeros(4, dtype=np.float32))
 
     def test_vocab_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
-            EmbeddingTable({"a": 0, "b": 1}, np.zeros((1, 3), dtype=np.float32),
-                           dimension=3)
+            EmbeddingTable({"a": 0, "b": 1}, np.zeros((1, 3), dtype=np.float32))
 
     def test_tokens_in_order_matches_rows(self, tmp_path):
         lines = ["cat 1 1 1", "dog 2 2 2", "eel 3 3 3"]
@@ -174,7 +174,7 @@ class TestEmbedSequence:
             embed_sequence([], table)
 
     def test_empty_table_gives_unknown_ids_and_zero_rows(self):
-        table = EmbeddingTable({}, np.zeros((0, 3), dtype=np.float32), dimension=3)
+        table = EmbeddingTable({}, np.zeros((0, 3), dtype=np.float32))
         ids, rows = embed_sequence(["a", "b"], table)
         np.testing.assert_array_equal(ids, [UNKNOWN, UNKNOWN])
         np.testing.assert_array_equal(rows, np.zeros((2, 3)))

@@ -172,7 +172,7 @@ class TestPreparePair:
         pair = prepare_pair(q, c, table)
         assert pair.q_ids.shape == (2,) and pair.c_ids.shape == (7,)
         tape = Tape(dtype=np.float64)
-        vec = encode_pair([pair], table, params.as_leaves(tape), tape).data[0]
+        vec = encode_pair([pair], table, params.as_leaves(tape)).data[0]
         a = {name: arr.astype(np.float64) for name, arr in params.arrays.items()}
         q_x, c_x = pair_x(q, c, pair, table)
         q = a["q_conv_b"] + sum(q_x[j] @ a["q_conv_w"][j] for j in range(2))
@@ -202,7 +202,7 @@ class TestPreparePair:
                      for n in lengths]
             masks.clear()
             tape = Tape()
-            encode_pair(pairs, table, params.as_leaves(tape), tape)
+            encode_pair(pairs, table, params.as_leaves(tape))
             want = np.zeros((len(lengths), max(7, k) - k + 1), dtype=bool)
             for i, n in enumerate(lengths):
                 want[i, :max(1, n - k + 1)] = True
@@ -303,7 +303,7 @@ class Batch:
     def scores(self, params, config, order=None, dtype=np.float32):
         pairs = self.pairs if order is None else [self.pairs[i] for i in order]
         tape = Tape(dtype=dtype)
-        return score_pairs(pairs, self.table, config, params.as_leaves(tape), tape).data[:, 0]
+        return score_pairs(pairs, self.table, config, params.as_leaves(tape)).data[:, 0]
 
 
 class TestForward:
@@ -334,7 +334,7 @@ class TestForward:
         for seed in range(3):
             params = CosinetParams(tiny_config("none", kernel_width=3, seed=seed))
             tape = Tape(dtype=np.float64)
-            got = encode_pair(pairs, table, params.as_leaves(tape), tape).data
+            got = encode_pair(pairs, table, params.as_leaves(tape)).data
             want = np_encode([pair_x(q, c, p, table) for (q, c), p in zip(tokens, pairs)],
                              params)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -359,7 +359,7 @@ class TestForward:
         def encode(pairs):
             seen.clear()
             tape = Tape(dtype=np.float32)
-            return encode_pair(pairs, table, params.as_leaves(tape), tape).data
+            return encode_pair(pairs, table, params.as_leaves(tape)).data
 
         alone = encode([pair])
         batch = encode([pair] * 6)
@@ -371,7 +371,7 @@ class TestForward:
         params = CosinetParams(config)
         batch = Batch(np.random.default_rng(0), config, 3)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair(batch.pairs, batch.table, params.as_leaves(tape), tape)
+        vec = encode_pair(batch.pairs, batch.table, params.as_leaves(tape))
         assert vec.shape == (3, 2 * config.conv_hidden)
 
     def test_padding_invariance(self):
@@ -388,7 +388,7 @@ class TestForward:
 
         def run(pairs):
             tape = Tape(dtype=np.float32)
-            return score_pairs(pairs, table, config, params.as_leaves(tape), tape).data[:, 0]
+            return score_pairs(pairs, table, config, params.as_leaves(tape)).data[:, 0]
 
         for q_len, c_len in [(4, 5), (2, 1), (1, 3)]:
             alone = pair(q_len, c_len)
@@ -420,7 +420,7 @@ class TestForward:
                 calls.clear()
                 batch = Batch(rng, config, n)
                 tape = Tape(dtype=np.float32)
-                score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape), tape)
+                score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape))
                 assert dict(calls) == want, (kind, n)
                 records.add(len(tape._records))
             assert len(records) == 1, (kind, records)
@@ -436,7 +436,7 @@ class TestForward:
         x = random_tokens(np.random.default_rng(11), 4)
         pair = prepare_pair(x, x, table)
         tape = Tape(dtype=np.float32)
-        vec = encode_pair([pair], table, params.as_leaves(tape), tape).data[0]
+        vec = encode_pair([pair], table, params.as_leaves(tape)).data[0]
         h = config.conv_hidden
         np.testing.assert_array_equal(vec[h:], np.zeros(h))
         np.testing.assert_array_equal(vec[:h], vec[:h])
@@ -464,7 +464,7 @@ class TestForward:
             params = CosinetParams(config)
             batch = Batch(np.random.default_rng(8), config, n_pairs=4)
             tape = Tape(dtype=np.float32)
-            col = score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape), tape)
+            col = score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape))
             assert col.shape == (4, 1)
 
     def test_score_group_is_deterministic(self, toy_groups, toy_table):
@@ -585,13 +585,13 @@ class TestEndToEndGradients:
                 tape = Tape(dtype=np.float64)
                 leaves = {n: tape.leaf(a) for n, a in zip(names, arrs)}
                 return nd.matmul(tape.leaf(probe),
-                                 score_pairs(batch.pairs, batch.table, config, leaves, tape))
+                                 score_pairs(batch.pairs, batch.table, config, leaves))
 
             arrays = [params.arrays[n].astype(np.float64) for n in names]
             tape = Tape(dtype=np.float64)
             leaves = {n: tape.leaf(a) for n, a in zip(names, arrays)}
             tape.backward(nd.matmul(tape.leaf(probe),
-                                    score_pairs(batch.pairs, batch.table, config, leaves, tape)))
+                                    score_pairs(batch.pairs, batch.table, config, leaves)))
 
             for i, name in enumerate(names):
                 num = numeric_gradient(
@@ -758,6 +758,57 @@ class TestSerialization:
             np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
         np.testing.assert_array_equal(table2.matrix, table.matrix)
         assert table2.vocabulary == table.vocabulary
+
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_file_with_derived_context_hidden_in_header_loads(self, tmp_path, kind):
+        # files written while context_hidden was a setting list it in the
+        # header config; its derived value loads and scores as before
+        config, params, table = self.build(seed=5, context=kind)
+        group = make_group("q", "alpha beta ?", [("beta gamma .", 1), ("alpha .", 0)])
+        path = tmp_path / "m.bin"
+        save_model(path, config, params, table)
+        header, payload = split_model_file(path.read_bytes())
+        assert "context_hidden" not in header["config"]
+        header["config"]["context_hidden"] = {"none": None, "rnn": 6, "lstm": 6}.get(kind, 3)
+        path.write_bytes(model_file(header, payload, version=2))
+        config2, params2, table2 = load_model(path)
+        assert config2 == config
+        np.testing.assert_array_equal(params2.flat, params.flat)
+        np.testing.assert_array_equal(score_group(group, table2, params2, config2),
+                                      score_group(group, table, params, config))
+
+    @pytest.mark.parametrize("kind,width", [("none", 6), ("rnn", 3), ("bilstm", 6)])
+    def test_header_context_hidden_other_than_derived_rejected(self, tmp_path, kind, width):
+        config, params, table = self.build(context=kind)
+        path = tmp_path / "m.bin"
+        save_model(path, config, params, table)
+        header, payload = split_model_file(path.read_bytes())
+        header["config"]["context_hidden"] = width
+        path.write_bytes(model_file(header, payload, version=2))
+        with pytest.raises(ValueError, match="context_hidden"):
+            load_model(path)
+
+    def test_embedding_width_other_than_config_rejected(self, tmp_path):
+        # an 8-wide table under a 4-wide config: neither written nor read
+        config, params, table = self.build()
+        wide = make_table(["alpha", "beta", "gamma", "?"], dim=8)
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="embedding_dim"):
+            save_model(path, config, params, wide)
+        assert not path.exists()
+        save_model(path, config, params, table)
+        header, payload = split_model_file(path.read_bytes())
+        matrix = np.frombuffer(payload[:table.matrix.nbytes], "<f4").reshape(table.matrix.shape)
+        rest = payload[table.matrix.nbytes:]
+        # header embedding_dim, matrix width, config embedding_dim
+        for header_dim, width, config_dim in ((8, 8, 4), (4, 8, 4), (8, 4, 8)):
+            header["embedding_dim"] = header_dim
+            header["tensors"][0][1] = [len(matrix), width]
+            header["config"]["embedding_dim"] = config_dim
+            body = np.tile(matrix, (1, width // 4)).tobytes() + rest
+            path.write_bytes(model_file(header, body, version=2))
+            with pytest.raises(ValueError, match=f"embedding matrix is {width} wide"):
+                load_model(path)
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_save_leaves_no_partial_file(self, tmp_path, existing, monkeypatch):

@@ -327,7 +327,7 @@ class TestBackwardConventions:
         tape = nd.Tape()
         leaves = params.as_leaves(tape, np.zeros_like(params.flat))
         pairs = [prepare_pair(group.question_tokens, c.tokens, toy_table) for c in group.candidates]
-        scores = score_pairs(pairs, toy_table, config, leaves, tape)
+        scores = score_pairs(pairs, toy_table, config, leaves)
         reported = []
         tape.backward(weighted(tape, scores, np.arange(1.0, len(pairs) + 1)[:, None]),
                       on_final=lambda leaf: reported.append((leaf, leaf.grad.copy())))

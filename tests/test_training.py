@@ -195,17 +195,17 @@ class TestPointwiseLoss:
 
 class TestStlr:
     def test_start_is_floor(self):
-        assert stlr(0, 100, 0.1, 32.0, 2e-4) == pytest.approx(2e-4 / 32.0)
+        assert stlr(0, 100, 2e-4) == pytest.approx(2e-4 / 32.0)
 
     def test_peak_at_cut(self):
-        assert stlr(10, 100, 0.1, 32.0, 2e-4) == pytest.approx(2e-4)
+        assert stlr(10, 100, 2e-4) == pytest.approx(2e-4)
 
     def test_midpoint_of_decay(self):
         # cut = 10, t = 55: p = 1 - 45/90 = 0.5 -> lr = max_lr * 16.5/32
-        assert stlr(55, 100, 0.1, 32.0, 1.0) == pytest.approx(16.5 / 32.0)
+        assert stlr(55, 100, 1.0) == pytest.approx(16.5 / 32.0)
 
     def test_monotone_up_then_down(self):
-        lrs = [stlr(t, 200, 0.1, 32.0, 1.0) for t in range(200)]
+        lrs = [stlr(t, 200, 1.0) for t in range(200)]
         cut = 20
         assert all(a < b for a, b in zip(lrs[:cut], lrs[1:cut + 1]))
         assert all(a >= b for a, b in zip(lrs[cut:], lrs[cut + 1:]))
@@ -213,21 +213,21 @@ class TestStlr:
     def test_bounded(self):
         for total in (1, 2, 5, 6, 37, 100):
             for t in range(total):
-                lr = stlr(t, total, 0.1, 32.0, 1.0)
+                lr = stlr(t, total, 1.0)
                 assert 0.0 < lr <= 1.0 + 1e-12
 
     def test_tiny_runs_stay_defined(self):
         # warm-up clamps to one step even when floor(T * cut_frac) = 0
-        assert stlr(0, 2, 0.1, 32.0, 1.0) == pytest.approx(1.0 / 32.0)
-        assert stlr(1, 2, 0.1, 32.0, 1.0) == pytest.approx(1.0)
+        assert stlr(0, 2, 1.0) == pytest.approx(1.0 / 32.0)
+        assert stlr(1, 2, 1.0) == pytest.approx(1.0)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="total"):
-            stlr(0, 0, 0.1, 32.0, 1.0)
+            stlr(0, 0, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            stlr(7, 7, 0.1, 32.0, 1.0)
+            stlr(7, 7, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            stlr(-1, 7, 0.1, 32.0, 1.0)
+            stlr(-1, 7, 1.0)
 
 
 def worker_fails(update):
@@ -250,21 +250,22 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         x = np.array([5.0])
         adam = Adam(x)
-        adam.step(x, np.array([0.37]), lr=0.01)
+        adam.step(x, np.array([0.37]), 0.01, lambda final: final(0, x.size))
         np.testing.assert_allclose(x, [5.0 - 0.01], atol=1e-6)
 
     def test_minimizes_quadratic(self):
         x = np.array([8.0])
         adam = Adam(x)
         for _ in range(400):
-            adam.step(x, 2.0 * (x - 3.0), lr=0.05)
+            adam.step(x, 2.0 * (x - 3.0), 0.05, lambda final: final(0, x.size))
         np.testing.assert_allclose(x, [3.0], atol=1e-2)
 
     def test_state_is_per_parameter(self):
         # one slot per element: a zero gradient leaves its weights alone
         x = np.concatenate([np.zeros(4), np.ones(3)])
         adam = Adam(x)
-        adam.step(x, np.concatenate([np.ones(4), np.zeros(3)]), lr=0.1)
+        adam.step(x, np.concatenate([np.ones(4), np.zeros(3)]), 0.1,
+                  lambda final: final(0, x.size))
         assert (x[:4] != 0).all()
         np.testing.assert_array_equal(x[4:], np.ones(3))
 
@@ -276,11 +277,11 @@ class TestAdam:
         w = rng.standard_normal(n).astype(dtype)
         ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
         b1, b2, eps = 0.9, 0.999, 1e-8
-        adam = Adam(w, b1, b2, eps)
+        adam = Adam(w)
         for t in range(1, 6):
             g = rng.standard_normal(n).astype(dtype)
             lr = 1e-3 * t
-            adam.step(w, g, lr)
+            adam.step(w, g, lr, lambda final: final(0, w.size))
             b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
             ref_m += (1.0 - b1) * (g - ref_m)
             ref_v += (1.0 - b2) * (g * g - ref_v)
@@ -304,7 +305,7 @@ class TestAdam:
         g = np.empty_like(w)
         ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
         b1, b2, eps = 0.9, 0.999, 1e-8
-        with Adam(w, b1, b2, eps) as adam:
+        with Adam(w) as adam:
             for t in range(1, 6):
                 grad = rng.standard_normal(n).astype(dtype)
                 g.fill(np.nan)  # a block read before its range is final goes NaN
@@ -376,7 +377,7 @@ class TestAdam:
         w = np.zeros(BLOCK * 3)
         with Adam(w) as adam:
             with pytest.raises(RuntimeError, match="worker failed"):
-                adam.step(w, np.ones_like(w), 0.1)
+                adam.step(w, np.ones_like(w), 0.1, lambda final: final(0, w.size))
         assert (w != 0).any()  # the calling thread wrote the blocks it took
 
     def test_backward_error_leaves_a_partial_step_and_a_free_worker(self):
@@ -395,7 +396,7 @@ class TestAdam:
             with pytest.raises(RuntimeError, match="backward failed"):
                 adam.step(w, np.ones_like(w), 0.1, backward)
             assert (w[:BLOCK] != 0).all() and (w[2 * BLOCK:] == 0).all()
-            adam.step(w, np.ones_like(w), 0.1)
+            adam.step(w, np.ones_like(w), 0.1, lambda final: final(0, w.size))
         assert adam.t == 2 and (w[2 * BLOCK:] != 0).all()
 
     def test_worker_error_keeps_the_backward_error_as_its_context(self, monkeypatch):
@@ -423,9 +424,6 @@ class TestTrainConfig:
         tc = TrainConfig()
         assert tc.loss == "listwise"
         assert tc.epochs == 3
-        assert tc.cut_frac == 0.1
-        assert tc.ratio == 32.0
-        assert (tc.beta1, tc.beta2, tc.eps) == (0.9, 0.999, 1e-8)
         assert tc.batch_size == 64
         assert tc.resolved_max_lr == 2e-4
         assert TrainConfig(loss="pointwise").resolved_max_lr == 2e-3
@@ -436,10 +434,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(loss="hinge")
-        with pytest.raises(ValueError, match="cut_frac"):
-            TrainConfig(cut_frac=1.5)
-        with pytest.raises(ValueError, match="ratio"):
-            TrainConfig(ratio=1.0)
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="max_lr"):
