@@ -21,14 +21,25 @@ WIKIQA_COLUMNS = ("QuestionID", "Question", "DocumentID", "DocumentTitle",
                   "SentenceID", "Sentence", "Label")
 
 
+_SUBTOKEN = re.compile(r"[^\W_]+|\S")  # [^\W_] is str.isalnum, \S is not str.isspace
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into tokens.
 
     Contiguous letter-or-digit runs stay whole; every other character
     becomes its own single-character token. Deterministic, whitespace
-    never yields tokens.
+    never yields tokens. A whitespace-separated word that is all letters
+    and digits is one token as it stands; only the other words go through
+    the regex.
     """
-    return re.findall(r"[^\W_]+|\S", text.lower())
+    tokens = []
+    for word in text.lower().split():
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens += _SUBTOKEN.findall(word)
+    return tokens
 
 
 @dataclass(frozen=True)

@@ -47,49 +47,85 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     the "/c/en/" concept prefix are stored with the prefix stripped.
     Duplicate tokens keep the first occurrence. When ``vocab_filter`` is
     given, only those tokens are kept (checked after prefix stripping).
-    Any other line with the wrong number of fields, or with a value that is
-    not a finite number, is rejected by line number.
+    Any other line with the wrong number of fields, or a kept line with a
+    value that is not a finite number, is rejected by line number.
+
+    The kept lines' values are converted in one ``np.loadtxt`` call. Where
+    that call raises or returns another shape, the per-line parser decides,
+    so the accepted values and the first error reported are the same either
+    way.
     """
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []  # source line of each row, for error messages
+    values: list[str] = []  # each kept line's value text, unparsed
+    linenos: list[int] = []  # source line of each kept line, for error messages
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read embedding file {path}: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
+            head = line.split(None, 1)
+            if not head:
                 continue
-            if lineno == 1 and len(parts) == 2:
+            if lineno == 1 and len(parts := line.split()) == 2:
                 try:
                     int(parts[0]), int(parts[1])
                     continue  # header line
                 except ValueError:
                     pass
-            if len(parts) != dimension + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected token + {dimension} values, got {len(parts)} fields")
-            token = parts[0]
+            token = head[0]
             if token.startswith(CONCEPT_PREFIX):
                 token = token[len(CONCEPT_PREFIX):]
-            if vocab_filter is not None and token not in vocab_filter:
+            if (vocab_filter is not None and token not in vocab_filter) or token in vocab:
+                n_fields = len(line.split())
+                if n_fields != dimension + 1:
+                    # an earlier kept line's error comes first
+                    _parse_rows(path, values, linenos, dimension)
+                    raise _field_count_error(path, lineno, dimension, n_fields)
                 continue
-            if token in vocab:
-                continue
-            try:
-                vec = np.array(parts[1:], dtype=np.float32)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-            vocab[token] = len(rows)
-            rows.append(vec)
+            vocab[token] = len(values)
+            values.append(head[1] if len(head) > 1 else "")
             linenos.append(lineno)
-    matrix = np.vstack(rows) if rows else np.zeros((0, dimension), dtype=np.float32)
+    # np.loadtxt accepts a subset of what the per-line parser does (no "1_0",
+    # no non-ASCII digits), splits on the same whitespace and reads the same
+    # float32 bits; comments=None keeps a "#" from cutting a line short, and
+    # an empty list is left out, as np.loadtxt warns on it
+    matrix = None
+    if values:
+        try:
+            matrix = np.loadtxt(values, dtype=np.float32, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if matrix is None or matrix.shape != (len(values), dimension):
+        matrix = _parse_rows(path, values, linenos, dimension)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return EmbeddingTable(vocab, matrix)
+
+
+def _field_count_error(path, lineno: int, dimension: int, n_fields: int) -> ValueError:
+    return ValueError(
+        f"{path}:{lineno}: expected token + {dimension} values, got {n_fields} fields")
+
+
+def _parse_rows(path, values: list[str], linenos: list[int], dimension: int) -> np.ndarray:
+    """The per-line parser: one float32 row per value text, or the first bad line's error.
+
+    A value past the float32 range reads as infinite without a warning, as
+    in ``np.loadtxt``.
+    """
+    rows = []
+    with np.errstate(over="ignore"):
+        for text, lineno in zip(values, linenos):
+            fields = text.split()
+            if len(fields) != dimension:
+                raise _field_count_error(path, lineno, dimension, len(fields) + 1)
+            try:
+                rows.append(np.array(fields, dtype=np.float32))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    return np.vstack(rows) if rows else np.zeros((0, dimension), dtype=np.float32)
 
 
 def embed_sequence(tokens, table: EmbeddingTable):

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -114,18 +115,22 @@ class CosinetParams:
     +-sqrt(6 / (fan_in + fan_out)), biases zero, all from one seeded generator.
     """
 
-    def __init__(self, config: CosinetConfig, dtype=np.float32):
+    def __init__(self, config: CosinetConfig, dtype=np.float32, *, draw: bool = True):
+        """The layout of ``config``'s weights, initialized as above.
+
+        With ``draw`` False every weight is left zero and no random number is
+        drawn, for a caller that fills in all of ``flat`` (``load_model``).
+        """
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(config.seed)
         k, e1, h = config.kernel_width, config.embedding_dim + 1, config.conv_hidden
-        arrays = {}
+        shapes, limits = {}, {}  # name -> shape; name -> uniform limit of each drawn weight
 
         def glorot(name, shape, fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays[name] = rng.uniform(-limit, limit, size=shape).astype(self.dtype)
+            shapes[name] = shape
+            limits[name] = np.sqrt(6.0 / (fan_in + fan_out))
 
         def zeros(name, shape):
-            arrays[name] = np.zeros(shape, dtype=self.dtype)
+            shapes[name] = shape
 
         glorot("q_conv_w", (k, e1, h), k * e1, h)
         zeros("q_conv_b", (h,))
@@ -143,12 +148,18 @@ class CosinetParams:
         glorot("head_w", (config.head_input_dim, 1), config.head_input_dim, 1)
         zeros("head_b", (1, 1))
 
-        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
-        ends = itertools.accumulate(a.size for a in arrays.values())
-        self._slots = {name: (slice(end - a.size, end), a.shape)
-                       for (name, a), end in zip(arrays.items(), ends)}
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self._slots = {name: (slice(end - size, end), shape)
+                       for (name, shape), size, end
+                       in zip(shapes.items(), sizes, itertools.accumulate(sizes))}
+        self.flat = np.zeros(sum(sizes), dtype=self.dtype)
         expected = expected_parameter_count(config)
         assert self.count() == expected, f"parameter count {self.count()} != expected {expected}"
+        if draw:
+            rng = np.random.default_rng(config.seed)
+            views = self._views(self.flat)
+            for name, limit in limits.items():  # declaration order: a seed fixes every weight
+                views[name][...] = rng.uniform(-limit, limit, size=shapes[name])
 
     def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
         return {name: buf[s].reshape(shape) for name, (s, shape) in self._slots.items()}
@@ -261,6 +272,13 @@ def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dic
     return ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
 
 
+def check_table_width(table: EmbeddingTable, config: CosinetConfig, caller: str) -> None:
+    """Reject a table whose width is not the config's ``embedding_dim``, naming both."""
+    if table.dimension != config.embedding_dim:
+        raise ValueError(f"{caller}: embedding table is {table.dimension} wide, "
+                         f"config embedding_dim is {config.embedding_dim}")
+
+
 def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
     return [prepare_pair(group.question_tokens, c.tokens, table) for c in group.candidates]
 
@@ -268,6 +286,7 @@ def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
 def score_group(group, table: EmbeddingTable, params: CosinetParams,
                 config: CosinetConfig) -> np.ndarray:
     """Inference-only scores for one group, in candidate order."""
+    check_table_width(table, config, "score_group")
     tape = Tape(dtype=params.dtype)  # the leaves hold it weakly
     leaves = params.as_leaves(tape)
     return score_pairs(prepare_group(group, table), table, config, leaves).data[:, 0]
@@ -296,9 +315,7 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
     (preamble, header and payload) closes the file. The file appears at
     ``path`` only once it is complete.
     """
-    if table.dimension != config.embedding_dim:
-        raise ValueError(f"save_model: embedding table is {table.dimension} wide, "
-                         f"config embedding_dim is {config.embedding_dim}")
+    check_table_width(table, config, "save_model")
     vocab = table.tokens_in_order()
     manifest = [["embedding_matrix", list(table.matrix.shape)]]
     manifest += [[name, list(arr.shape)] for name, arr in params.arrays.items()]
@@ -362,7 +379,7 @@ def load_model(path):
             raise ValueError(f"{path}: embedding matrix is {table.dimension} wide, header "
                              f"embedding_dim is {header['embedding_dim']}, config "
                              f"embedding_dim is {config.embedding_dim}")
-        params = CosinetParams(config, dtype=np.float32)
+        params = CosinetParams(config, dtype=np.float32, draw=False)  # filled in below
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
     unknown = sorted(set(arrays) - set(params.arrays))

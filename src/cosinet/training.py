@@ -18,7 +18,8 @@ from queue import Empty, SimpleQueue
 import numpy as np
 
 from . import metrics, ndgrad
-from .model import CosinetConfig, CosinetParams, make_scorer, prepare_pair, score_pairs
+from .model import (CosinetConfig, CosinetParams, check_table_width, make_scorer, prepare_pair,
+                    score_pairs)
 from .ndgrad import Tape
 
 LOSS_KINDS = ("pointwise", "listwise")
@@ -228,6 +229,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     when requested, is timed separately and excluded).
     """
     groups = _check_groups(groups)
+    check_table_width(table, config, "fit")
     if train_config.loss == "pointwise" and config.context != "none":
         raise ValueError("pointwise training scores pairs independently; "
                          "it cannot drive a rank contextualizer (use context=none)")

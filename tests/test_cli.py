@@ -290,6 +290,25 @@ class TestTrain:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("unseen,values,rest", [
+        (False, "1.0# " + "0 " * 15, "non-numeric value"),
+        (False, "0 " * 15, "expected token + 16 values, got 16 fields"),
+        (True, "0 " * 15, "expected token + 16 values, got 16 fields"),
+        (False, "1e39 " * 16, "non-finite value"),
+    ])
+    def test_malformed_vector_file_is_one_error_line(self, toy_jsonl, toy_vocab, small_settings,
+                                                     tmp_path, capsys, unseen, values, rest):
+        # the bad line comes first: a vocabulary word's own line is then a dropped duplicate
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        token = "zzzunseen" if unseen else min(toy_vocab)
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{token} {values}\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "m.bin"
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", small_settings, "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {emb}:1: {rest}")
+        assert not out.exists()
 
 @pytest.fixture
 def trained_model(toy_jsonl, toy_vocab, small_settings, tmp_path, capsys):

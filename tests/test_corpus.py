@@ -52,8 +52,10 @@ class TestTokenize:
         assert tokenize(" ".join(toks)) == toks
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(max_size=60) | st.text(st.sampled_from("aZ9_-. \t\u00e9\u0130\u00b2\u2003"),
-                                          max_size=30))
+    # \x1c is whitespace, \u00a0 a no-break space, \u0301 a combining accent (not alnum)
+    @given(st.text(max_size=60)
+           | st.text(st.sampled_from("aZ9_-. \t\u00e9\u0130\u00b2\u2003\x1c\u00a0\u0301"),
+                     max_size=30))
     def test_matches_character_loop(self, text):
         assert tokenize(text) == loop_tokenize(text)
 

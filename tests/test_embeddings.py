@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestLoad:
         with pytest.raises(ValueError, match=":2:"):
             load_embeddings(write_lines(tmp_path, lines), dimension=3)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "1e39"])
     def test_non_finite_value_names_line(self, tmp_path, bad):
         lines = ["cat 1 2 3", f"dog 4 {bad} 6"]
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite"):
@@ -99,6 +101,103 @@ class TestLoad:
         assert set(table.tokens_in_order()) == set(want)
         for tok, vec in want.items():
             np.testing.assert_array_equal(row(table, tok), vec)
+
+
+class TestBulkParity:
+    """The bulk parse and its per-line fallback accept and reject what the per-line parser does."""
+
+    @staticmethod
+    def assert_loads_as_reference(path, lines, dimension, vocab_filter=None):
+        table = load_embeddings(path, vocab_filter, dimension=dimension)
+        want = {tok: vec for tok, vec in parse_reference(lines, dimension).items()
+                if vocab_filter is None or tok in vocab_filter}
+        assert table.tokens_in_order() == list(want)
+        np.testing.assert_array_equal(
+            table.matrix, np.array(list(want.values())).reshape(-1, dimension))
+
+    @staticmethod
+    def message(path, lineno, rest):
+        """The pattern of an error message that starts with ``path:lineno: rest``."""
+        return "^" + re.escape(f"{path}:{lineno}: {rest}")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "+1_000.5"])
+    def test_values_only_the_per_line_parser_reads_still_load(self, tmp_path, value):
+        # np.loadtxt rejects these; the fallback parses them, it does not only locate an error
+        lines = ["cat 1 2 3", f"dog 4 {value} 6", "eel 7 8 9"]
+        self.assert_loads_as_reference(write_lines(tmp_path, lines), lines, 3)
+
+    @pytest.mark.parametrize("value", ["1.0#", "#", "#1"])
+    def test_hash_is_not_a_comment(self, tmp_path, value):
+        path = write_lines(tmp_path, ["cat 1 2 3", f"dog 4 {value} 6"])
+        with pytest.raises(ValueError, match=self.message(path, 2, "non-numeric value")):
+            load_embeddings(path, dimension=3)
+
+    def test_trailing_hash_field_is_counted(self, tmp_path):
+        path = write_lines(tmp_path, ["cat 1 2 3 #", "dog 4 5 6"])
+        with pytest.raises(ValueError, match=self.message(
+                path, 1, "expected token + 3 values, got 5 fields")):
+            load_embeddings(path, dimension=3)
+
+    def test_tab_separated_fields(self, tmp_path):
+        lines = ["2 3", "cat\t1\t2\t3", "dog \t-4.5\t 5e-3  6\t"]
+        self.assert_loads_as_reference(write_lines(tmp_path, lines), lines, 3)
+
+    def test_crlf_line_endings(self, tmp_path):
+        lines = ["2 3", "cat 1 2 3", "/c/en/dog 4 5 6"]
+        path = tmp_path / "vecs.txt"
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        self.assert_loads_as_reference(path, lines, 3)
+
+    @pytest.mark.parametrize("last,rest", [
+        ("dog 4 5", "expected token + 3 values, got 3 fields"),
+        ("dog", "expected token + 3 values, got 1 fields"),
+        ("dog 4 5 6e", "non-numeric value"),
+    ])
+    def test_truncated_last_line(self, tmp_path, last, rest):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"cat 1 2 3\n{last}", encoding="utf-8")  # no final newline
+        with pytest.raises(ValueError, match=self.message(path, 2, rest)):
+            load_embeddings(path, dimension=3)
+
+    def test_complete_last_line_without_newline_loads(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat 1 2 3\ndog 4 5 6", encoding="utf-8")
+        self.assert_loads_as_reference(path, ["cat 1 2 3", "dog 4 5 6"], 3)
+
+    def test_dropped_line_with_wrong_field_count_is_rejected(self, tmp_path):
+        path = write_lines(tmp_path, ["cat 1 2 3", "cat 1 2", "dog 4 5 6"])
+        with pytest.raises(ValueError, match=self.message(
+                path, 2, "expected token + 3 values, got 3 fields")):
+            load_embeddings(path, dimension=3)  # a duplicate is dropped
+        path = write_lines(tmp_path, ["cat 1 2 3", "dog 4 5", "eel 7 8 9"])
+        with pytest.raises(ValueError, match=self.message(
+                path, 2, "expected token + 3 values, got 3 fields")):
+            load_embeddings(path, {"cat", "eel"}, dimension=3)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # a kept line's bad value comes before a later dropped line's field count,
+        # and both before an earlier non-finite value
+        path = write_lines(tmp_path, ["cat nan 2 3", "eel 1 x 3", "dog 4 5"])
+        with pytest.raises(ValueError, match=self.message(path, 2, "non-numeric value")):
+            load_embeddings(path, {"cat", "eel"}, dimension=3)
+        path = write_lines(tmp_path, ["cat nan 2 3", "eel 1 1_0 3", "dog 4 5"])
+        with pytest.raises(ValueError, match=self.message(
+                path, 3, "expected token + 3 values, got 3 fields")):
+            load_embeddings(path, {"cat", "eel"}, dimension=3)
+        path = write_lines(tmp_path, ["cat 1 2 3", "eel 1 1_0 3", "dog 4 1e39 6"])
+        with pytest.raises(ValueError, match=self.message(path, 3, "non-finite value")):
+            load_embeddings(path, dimension=3)
+
+    @pytest.mark.parametrize("lines,vocab_filter", [
+        (["3 2"], None),
+        (["3 2", "cat 1 2", "dog 3 4"], {"eel"}),
+        ([], None),
+    ])
+    def test_nothing_kept_loads_empty_without_a_warning(self, tmp_path, lines, vocab_filter):
+        path = tmp_path / "vecs.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        table = load_embeddings(path, vocab_filter, dimension=2)
+        assert table.matrix.shape == (0, 2) and table.vocabulary == {}
 
 
 class TestTable:

@@ -475,6 +475,14 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (len(toy_groups[0].candidates),)
 
+    def test_score_group_rejects_a_table_of_another_width(self, toy_groups):
+        config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2)
+        words = {t for g in toy_groups for c in g.candidates for t in c.tokens}
+        narrow = make_table(words, dim=8)
+        with pytest.raises(ValueError, match="score_group: embedding table is 8 wide, "
+                                             "config embedding_dim is 16"):
+            score_group(toy_groups[0], narrow, CosinetParams(config), config)
+
     def test_make_scorer_feeds_evaluate(self, toy_groups, toy_table):
         config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2)
         params = CosinetParams(config)
@@ -624,6 +632,27 @@ class TestSerialization:
             np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
         assert table2.vocabulary == table.vocabulary
         np.testing.assert_array_equal(table2.matrix, table.matrix)
+
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_load_draws_no_random_numbers_and_reads_back_every_bit(self, tmp_path, kind,
+                                                                   monkeypatch):
+        config, params, table = self.build(seed=4, context=kind)
+        # trained-looking weights: every bias nonzero, so a weight left at its init shows
+        params.flat[:] = np.random.default_rng(9).standard_normal(params.flat.size)
+        path = tmp_path / "m.bin"
+        save_model(path, config, params, table)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        config2, params2, table2 = load_model(path)
+        assert config2 == config
+        assert params2.flat.dtype == params.flat.dtype
+        assert params2.flat.tobytes() == params.flat.tobytes()
+        assert [(n, a.shape) for n, a in params2.arrays.items()] == \
+            [(n, a.shape) for n, a in params.arrays.items()]
+        assert table2.matrix.tobytes() == table.matrix.tobytes()
 
     def test_round_trip_preserves_scores(self, tmp_path):
         config, params, table = self.build(seed=3)

@@ -457,6 +457,15 @@ class TestFit:
         assert report.parameter_count == params.count()
         assert report.wall_seconds >= 0.0
 
+    def test_table_of_another_width_rejected_up_front(self, toy_groups, monkeypatch):
+        config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2)
+        words = {t for g in toy_groups for c in g.candidates for t in c.tokens}
+        narrow = make_table(words, dim=8)
+        monkeypatch.setattr(training, "prepare_pair", None)  # rejected before any pair is read
+        with pytest.raises(ValueError, match="fit: embedding table is 8 wide, "
+                                             "config embedding_dim is 16"):
+            fit(toy_groups, narrow, CosinetParams(config), config, TrainConfig(epochs=1))
+
     def test_pointwise_step_accounting(self, toy_groups, toy_table):
         config = small_config()
         params = CosinetParams(config)
