@@ -16,6 +16,8 @@ import sys
 import typing
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import baselines, corpus, embeddings, metrics, model, training
 
 TRAIN_DEFAULTS = {**asdict(model.CosinetConfig()), **asdict(training.TrainConfig())}
@@ -121,7 +123,10 @@ def cmd_predict(args) -> None:
     n = 0
     with corpus.atomic_open(args.scores_out, "w", encoding="utf-8", newline="\n") as fh:
         for g in groups:
-            for s in model.score_group(g, table, params, cfg):
+            scores = model.score_group(g, table, params, cfg)
+            if not np.isfinite(scores).all():
+                raise ValueError(f"predict: non-finite score for question {g.question_id}")
+            for s in scores:
                 fh.write(f"{float(s):.9g}\n")  # 9 digits round-trip every float32
                 n += 1
     _emit({"n_scores": n, "n_questions": len(groups), "output": args.scores_out})

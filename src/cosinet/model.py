@@ -45,6 +45,8 @@ class CosinetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.kernel_width < 1:
             raise ValueError(f"kernel_width must be >= 1, got {self.kernel_width}")
         if self.conv_hidden < 1:

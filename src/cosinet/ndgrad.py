@@ -7,6 +7,9 @@ finite-difference gradient checking, which is unreliable at 32-bit.
 Conventions:
   - every operation writes a fresh output tensor (single assignment on the
     tape), so the record list is already in topological order;
+  - every operation makes one record through ``_op``: its output and every
+    tensor its backward reads or writes; ``Tape.backward`` runs that backward
+    only if the output got a gradient;
   - ``Tape.backward`` resets all gradients first, then fills them, so
     repeated calls never silently accumulate (a leaf's gradient buffer too);
   - every tensor on a tape takes a gradient: leaves are trainable
@@ -56,7 +59,7 @@ class Tape:
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._records = []      # (backward closure, its input tensors), in forward order
+        self._records = []      # (backward closure, output, input tensors), in forward order
         self._tensors = []      # every tensor created on this tape
         self._buffers = []      # (leaf, gradient buffer) pairs
 
@@ -74,10 +77,6 @@ class Tape:
         t = Tensor(data, self)
         self._tensors.append(t)
         return t
-
-    def _record(self, fn, *inputs: Tensor) -> None:
-        """Append a backward closure that reads or accumulates into ``inputs`` only."""
-        self._records.append((fn, inputs))
 
     def backward(self, loss: Tensor, on_final=None) -> None:
         """Fill ``grad`` on every tensor of the tape with d(loss)/d(tensor).
@@ -105,7 +104,7 @@ class Tape:
         due = [[] for _ in self._records]  # due[i]: leaves final once record i has run
         if on_final is not None:
             first = {}
-            for i, (_, inputs) in enumerate(self._records):
+            for i, (_, _, inputs) in enumerate(self._records):
                 for t in inputs:
                     first.setdefault(id(t), i)
             for t, _ in self._buffers:
@@ -113,8 +112,9 @@ class Tape:
                     due[first[id(t)]].append(t)
                 else:
                     on_final(t)
-        for (fn, _), final in zip(reversed(self._records), reversed(due)):
-            fn()
+        for (fn, out, _), final in zip(reversed(self._records), reversed(due)):
+            if out.grad is not None:
+                fn(out.grad)
             for t in final:
                 on_final(t)
         for t in self._tensors:
@@ -128,14 +128,21 @@ def _acc(t: Tensor, g) -> None:
     t.grad += g
 
 
-def _tape_of(name: str, *tensors: Tensor) -> Tape:
-    tape = tensors[0].tape
+def _op(name: str, data: np.ndarray, backward, *inputs: Tensor) -> Tensor:
+    """Record one op on the common tape of ``inputs`` and return its output.
+
+    ``data`` becomes the output; ``backward(g)`` runs only if the output got
+    a gradient ``g``, and reads or accumulates into ``inputs`` only.
+    """
+    tape = inputs[0].tape
     if tape is None:
         raise ValueError(f"{name}: input tensor outlived its tape")
-    for t in tensors[1:]:
+    for t in inputs[1:]:
         if t.tape is not tape:
             raise ValueError(f"{name}: inputs recorded on different tapes")
-    return tape
+    out = tape._output(data)
+    tape._records.append((backward, out, inputs))
+    return out
 
 
 def _shape_error(name: str, *shapes) -> ValueError:
@@ -148,25 +155,19 @@ def _shape_error(name: str, *shapes) -> ValueError:
 
 def _binary(name, a: Tensor, b: Tensor, fwd, bwd_a, bwd_b) -> Tensor:
     """Elementwise binary op on equal shapes, or a (1, C) row broadcast over (T, C)."""
-    tape = _tape_of(name, a, b)
     broadcast_b = False
     if a.data.shape != b.data.shape:
         if (a.data.ndim == 2 and b.data.ndim == 2 and b.data.shape == (1, a.data.shape[1])):
             broadcast_b = True
         else:
             raise _shape_error(name, a.data.shape, b.data.shape)
-    out = tape._output(fwd(a.data, b.data))
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         _acc(a, bwd_a(g, a.data, b.data))
         gb = bwd_b(g, a.data, b.data)
         _acc(b, gb.sum(axis=0, keepdims=True) if broadcast_b else gb)
 
-    tape._record(backward, a, b)
-    return out
+    return _op(name, fwd(a.data, b.data), backward, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -197,38 +198,28 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_error("matmul", a.data.shape, b.data.shape)
-    tape = _tape_of("matmul", a, b)
-    out = tape._output(a.data @ b.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        _acc(a, out.grad @ b.data.T)
-        _acc(b, a.data.T @ out.grad)
+    def backward(g):
+        _acc(a, g @ b.data.T)
+        _acc(b, a.data.T @ g)
 
-    tape._record(backward, a, b)
-    return out
+    return _op("matmul", a.data @ b.data, backward, a, b)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: needs at least one input")
-    tape = _tape_of("concat", *tensors)
-    out = tape._output(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.grad.ndim
+            idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _acc(t, out.grad[tuple(idx)])
+            _acc(t, g[tuple(idx)])
 
-    tape._record(backward, *tensors)
-    return out
+    return _op("concat", data, backward, *tensors)
 
 
 def kl_logits(scores: Tensor, target) -> Tensor:
@@ -240,24 +231,20 @@ def kl_logits(scores: Tensor, target) -> Tensor:
     the gradient is the closed form softmax(scores) - target (ListNet top-1).
     """
     s = scores.data
-    g = np.asarray(target, dtype=s.dtype)
-    if g.size != s.size:
-        raise _shape_error("kl_logits", s.shape, g.shape)
-    g = g.reshape(s.shape)
-    tape = _tape_of("kl_logits", scores)
+    p = np.asarray(target, dtype=s.dtype)
+    if p.size != s.size:
+        raise _shape_error("kl_logits", s.shape, p.shape)
+    p = p.reshape(s.shape)
     shifted = s - s.max()
     e = np.exp(shifted)
     z = e.sum()
-    pos = g > 0
-    kl = (g[pos] * (np.log(g[pos]) - (shifted - np.log(z))[pos])).sum()
-    out = tape._output(np.asarray(kl, dtype=s.dtype).reshape(1, 1))
+    pos = p > 0
+    kl = (p[pos] * (np.log(p[pos]) - (shifted - np.log(z))[pos])).sum()
 
-    def backward():
-        if out.grad is not None:
-            _acc(scores, out.grad[0, 0] * (e / z - g))
+    def backward(g):
+        _acc(scores, g[0, 0] * (e / z - p))
 
-    tape._record(backward, scores)
-    return out
+    return _op("kl_logits", np.asarray(kl, dtype=s.dtype).reshape(1, 1), backward, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +287,6 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
         raise _shape_error("conv1d mask", mask.shape, (n, t_len - k + 1))
     if ids.size and (ids.min() < 0 or ids.max() >= rows.shape[0]):
         raise ValueError(f"conv1d: ids outside the {rows.shape[0]} rows")
-    tape = _tape_of("conv1d", w, b)
 
     # the (W, K) row ids and r values of the true windows
     win_ids = np.lib.stride_tricks.sliding_window_view(ids, k, axis=1)[mask]
@@ -309,20 +295,15 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     acc = win_r @ w.data[:, e] + b.data
     for j in range(k):
         acc += proj[j].take(win_ids[:, j], axis=0)
-    out = tape._output(acc)
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         gw = np.empty_like(w.data)
         gw[:, :e] = (rows[win_ids].reshape(-1, k * e).T @ g).reshape(k, e, c_out)
         gw[:, e] = win_r.T @ g
         _acc(w, gw)
         _acc(b, g.sum(axis=0))
 
-    tape._record(backward, w, b)
-    return out
+    return _op("conv1d", acc, backward, w, b)
 
 
 def masked_max_pool(rows: Tensor, mask) -> Tensor:
@@ -340,24 +321,19 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
     counts = mask.sum(axis=1)
     if not counts.all():
         raise ValueError("masked_max_pool: mask has no valid timestep")
-    tape = _tape_of("masked_max_pool", rows)
     # one slice per sequence: on these shapes a loop of per-segment maxima
     # runs about 3x faster than np.maximum.reduceat along axis 0
     ends = np.cumsum(counts)
     segments = [slice(lo, hi) for lo, hi in zip((ends - counts).tolist(), ends.tolist())]
     x = rows.data
-    out = tape._output(np.stack([x[s].max(axis=0) for s in segments]))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         first = np.stack([x[s].argmax(axis=0) + s.start for s in segments])
         dx = np.zeros_like(x)
-        np.put_along_axis(dx, first, out.grad, axis=0)
+        np.put_along_axis(dx, first, g, axis=0)
         _acc(rows, dx)
 
-    tape._record(backward, rows)
-    return out
+    return _op("masked_max_pool", np.stack([x[s].max(axis=0) for s in segments]), backward, rows)
 
 
 def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: int,
@@ -374,7 +350,6 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
     if (x.data.ndim != 2 or w_ih.data.shape != (x.data.shape[1], gates * hdim)
             or w_hh.data.shape != (hdim, gates * hdim) or b.data.shape != (1, gates * hdim)):
         raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape, b.data.shape)
-    tape = _tape_of(name, x, w_ih, w_hh, b)
     order = slice(None, None, -1) if reverse else slice(None)
     xs = x.data[order]
     pre_x = xs @ w_ih.data + b.data
@@ -384,12 +359,9 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
     for t in range(xs.shape[0]):
         hs[t + 1], c, s = cell(pre_x[t] + hs[t] @ w_hh.data, c)
         saved.append(s)
-    out = tape._output(np.ascontiguousarray(hs[1:][order]))
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad[order]
+    def backward(g):
+        g = g[order]
         dpre = np.empty_like(pre_x)
         dh = np.zeros(hdim, dtype=pre_x.dtype)
         dc = np.zeros(hdim, dtype=pre_x.dtype)
@@ -401,8 +373,7 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
         _acc(w_hh, hs[:-1].T @ dpre)
         _acc(b, dpre.sum(axis=0, keepdims=True))
 
-    tape._record(backward, x, w_ih, w_hh, b)
-    return out
+    return _op(name, np.ascontiguousarray(hs[1:][order]), backward, x, w_ih, w_hh, b)
 
 
 def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
@@ -453,16 +424,13 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     Numerically stabilized form max(s,0) - s*y + log1p(exp(-|s|)); ``labels``
     is a plain array broadcastable to ``scores``. Output is (1, 1).
     """
-    tape = _tape_of("bce_logits_mean", scores)
     y = np.asarray(labels, dtype=scores.data.dtype).reshape(scores.data.shape)
     s = scores.data
     per = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     n = s.size
-    out = tape._output(np.asarray(per.mean(), dtype=s.dtype).reshape(1, 1))
 
-    def backward():
-        if out.grad is not None:
-            _acc(scores, out.grad[0, 0] * (_sigmoid(s) - y) / n)
+    def backward(g):
+        _acc(scores, g[0, 0] * (_sigmoid(s) - y) / n)
 
-    tape._record(backward, scores)
-    return out
+    return _op("bce_logits_mean", np.asarray(per.mean(), dtype=s.dtype).reshape(1, 1),
+               backward, scores)

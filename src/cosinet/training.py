@@ -43,8 +43,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_lr is not None and self.max_lr <= 0:
-            raise ValueError(f"max_lr must be > 0, got {self.max_lr}")
+        if self.max_lr is not None and not 0 < self.max_lr < math.inf:
+            raise ValueError(f"max_lr must be finite and > 0, got {self.max_lr}")
 
     @property
     def resolved_max_lr(self) -> float:

@@ -261,6 +261,20 @@ class TestTrain:
                             "--config", str(cfg), "--out", str(tmp_path / "m.bin")], capsys)
             assert rep["steps"] == 3
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_max_lr_rejected(self, toy_jsonl, toy_vocab, tmp_path, capsys, value):
+        # Python's json reads NaN and Infinity; training on them wrote all-NaN weights
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"embedding_dim": 16, "conv_hidden": 8, "kernel_width": 3, '
+                       f'"epochs": 1, "max_lr": {value}}}')
+        out = tmp_path / "m.bin"
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", str(bad), "--out", str(out)], capsys)
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: max_lr must be finite and > 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_nine_train_settings(self):
         assert sorted(cli.TRAIN_DEFAULTS) == ["batch_size", "context", "conv_hidden",
                                               "embedding_dim", "epochs", "kernel_width",
@@ -420,6 +434,29 @@ class TestEvalPredict:
         assert rc == 1 and out == "" and err.startswith("error:")
         assert len(calls) == 2
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_predict_rejects_non_finite_scores(self, trained_model, toy_jsonl, toy_groups,
+                                               tmp_path, capsys, existing):
+        # as eval does: an error naming the question, and no scores file written
+        cfg, params, table = model.load_model(trained_model)
+        params.arrays["head_b"][...] = np.nan
+        nan_model = tmp_path / "nan.bin"
+        model.save_model(nan_model, cfg, params, table)
+        out_dir = tmp_path / "scores"
+        out_dir.mkdir()
+        path = out_dir / "s.txt"
+        if existing:
+            path.write_text("0.5\n")
+        rc, out, err = run(["predict", "--model", str(nan_model), "--data", toy_jsonl,
+                            "--scores-out", str(path)], capsys)
+        assert (rc, out) == (1, "")
+        assert err == ("error: predict: non-finite score for question "
+                       f"{toy_groups[0].question_id}\n")
+        if existing:
+            assert list(out_dir.iterdir()) == [path] and path.read_text() == "0.5\n"
+        else:
+            assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("keep", [15, 60, -1])
     def test_eval_truncated_model_fails_cleanly(self, trained_model, toy_jsonl,

@@ -536,6 +536,9 @@ class TestParameterCount:
             CosinetConfig(conv_hidden=5, context="birnn")
         with pytest.raises(ValueError, match="kernel_width"):
             CosinetConfig(kernel_width=0)
+        for dim in (0, -2):  # named as a setting, not as a vector file of the wrong width
+            with pytest.raises(ValueError, match=f"embedding_dim must be >= 1, got {dim}"):
+                CosinetConfig(embedding_dim=dim)
 
 
 class TestInit:

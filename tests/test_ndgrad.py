@@ -258,6 +258,24 @@ class TestBackwardConventions:
         np.testing.assert_array_equal(b.grad, np.zeros((1, 2)))
         np.testing.assert_array_equal(unused.grad, np.zeros((1, 2)))
 
+    def test_backward_skips_records_whose_output_got_no_gradient(self, monkeypatch):
+        # the tape runs an op's backward only once its output has a gradient;
+        # a buffered leaf that only such a skipped record takes is still
+        # reported, with zeros
+        tape = nd.Tape(dtype=np.float64)
+        a = tape.leaf([[1.0, 2.0]])
+        u = tape.leaf([[5.0, 6.0]], grad=np.full((1, 2), 7.0))
+        unused = nd.mul(u, u)
+        loss = total(tape, a)
+        written, reported = [], []
+        acc = nd._acc
+        monkeypatch.setattr(nd, "_acc", lambda t, g: (written.append(t), acc(t, g)))
+        tape.backward(loss, on_final=lambda leaf: reported.append(leaf.grad.copy()))
+        assert written and not any(t is u or t is unused for t in written)
+        assert len(reported) == 1 and (reported[0] == 0).all()
+        np.testing.assert_array_equal(u.grad, np.zeros((1, 2)))
+        np.testing.assert_array_equal(unused.grad, np.zeros((1, 2)))
+
     def test_backward_rejects_non_scalar(self):
         tape = nd.Tape(dtype=np.float64)
         x = tape.leaf([[1.0, 2.0]])
