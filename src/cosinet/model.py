@@ -17,7 +17,6 @@ so they enter as plain arrays and nothing back-propagates through them.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -247,7 +246,7 @@ def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
 
     q_e = tower("q", [(p.q_ids, p.q_r) for p in pairs])
     c_e = tower("c", [(p.c_ids, p.c_r) for p in pairs])
-    return ndgrad.concat([ndgrad.mul(q_e, c_e), ndgrad.sub(q_e, c_e)], axis=1)
+    return ndgrad.pair_combine(q_e, c_e)
 
 
 def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
@@ -262,16 +261,15 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
         return pair_vecs
     cell = ndgrad.lstm_cell if gates == 4 else ndgrad.rnn_cell
     outs = [cell(pair_vecs, leaves[f"ctx_{d}w_ih"], leaves[f"ctx_{d}w_hh"],
-                 functools.reduce(ndgrad.add, (leaves[f"ctx_{d}{b}"] for b in biases)),
-                 reverse=d == "bw_")
+                 *(leaves[f"ctx_{d}{b}"] for b in biases), reverse=d == "bw_")
             for d in dirs]
-    return ndgrad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
+    return ndgrad.concat(outs) if len(outs) > 1 else outs[0]
 
 
 def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
     """Forward a rank-ordered list of PairInput (ids into ``table``) to an (n, 1) score column."""
     ctx = contextualize(encode_pair(pairs, table, leaves), config, leaves)
-    return ndgrad.add(ndgrad.matmul(ctx, leaves["head_w"]), leaves["head_b"])
+    return ndgrad.linear(ctx, leaves["head_w"], leaves["head_b"])
 
 
 def check_table_width(table: EmbeddingTable, config: CosinetConfig, caller: str) -> None:

@@ -1,6 +1,7 @@
 """Dense-tensor engine with tape-based reverse-mode automatic differentiation.
 
-Provides exactly the primitives the ranking model needs, backed by numpy.
+Provides exactly the stages the ranking model runs, one tape record per
+stage, backed by numpy.
 float32 is the training precision; build a ``Tape(dtype=np.float64)`` for
 finite-difference gradient checking, which is unreliable at 32-bit.
 
@@ -45,16 +46,14 @@ class Tensor:
         """The tape this tensor was recorded on, or None once it is freed."""
         return self._tape()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    A tape and its tensors are confined to a single worker; independent
-    tapes may run in parallel.
+    A tape and its tensors belong to the thread that records them, with one
+    exception: once ``backward`` has passed a leaf to ``on_final``, another
+    thread may update that leaf's data and gradient buffer (``training.fit``'s
+    Adam worker does). Independent tapes may run in parallel.
     """
 
     def __init__(self, dtype=np.float32):
@@ -149,42 +148,6 @@ def _shape_error(name: str, *shapes) -> ValueError:
     return ValueError(f"{name}: incompatible shapes " + " vs ".join(str(tuple(s)) for s in shapes))
 
 
-# ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def _binary(name, a: Tensor, b: Tensor, fwd, bwd_a, bwd_b) -> Tensor:
-    """Elementwise binary op on equal shapes, or a (1, C) row broadcast over (T, C)."""
-    broadcast_b = False
-    if a.data.shape != b.data.shape:
-        if (a.data.ndim == 2 and b.data.ndim == 2 and b.data.shape == (1, a.data.shape[1])):
-            broadcast_b = True
-        else:
-            raise _shape_error(name, a.data.shape, b.data.shape)
-
-    def backward(g):
-        _acc(a, bwd_a(g, a.data, b.data))
-        gb = bwd_b(g, a.data, b.data)
-        _acc(b, gb.sum(axis=0, keepdims=True) if broadcast_b else gb)
-
-    return _op(name, fwd(a.data, b.data), backward, a, b)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function without overflow in exp, in the dtype of ``v``."""
     e = np.exp(-np.abs(v))
@@ -192,32 +155,48 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and shape plumbing
+# pair features, head and joins
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise _shape_error("matmul", a.data.shape, b.data.shape)
+def pair_combine(q: Tensor, c: Tensor) -> Tensor:
+    """The (N, 2H) pair features [q * c; q - c] of two (N, H) sentence vectors."""
+    if q.data.ndim != 2 or q.data.shape != c.data.shape:
+        raise _shape_error("pair_combine", q.data.shape, c.data.shape)
+    h = q.data.shape[1]
 
     def backward(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc(q, g[:, h:] + g[:, :h] * c.data)
+        _acc(c, g[:, :h] * q.data - g[:, h:])
 
-    return _op("matmul", a.data @ b.data, backward, a, b)
+    return _op("pair_combine", np.concatenate([q.data * c.data, q.data - c.data], axis=1),
+               backward, q, c)
 
 
-def concat(tensors, axis: int) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for an (N, In) ``x``, an (In, Out) ``w`` and a (1, Out) bias row ``b``."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (1, w.data.shape[1])):
+        raise _shape_error("linear", x.data.shape, w.data.shape, b.data.shape)
+
+    def backward(g):
+        _acc(x, g @ w.data.T)
+        _acc(w, x.data.T @ g)
+        _acc(b, g.sum(axis=0, keepdims=True))
+
+    return _op("linear", x.data @ w.data + b.data, backward, x, w, b)
+
+
+def concat(tensors) -> Tensor:
+    """The column-wise join of (N, C_i) tensors."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: needs at least one input")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _acc(t, g[tuple(idx)])
+            _acc(t, g[:, lo:hi])
 
     return _op("concat", data, backward, *tensors)
 
@@ -336,11 +315,12 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
     return _op("masked_max_pool", np.stack([x[s].max(axis=0) for s in segments]), backward, rows)
 
 
-def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: int,
+def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, biases, gates: int,
                 reverse: bool, cell, cell_back) -> Tensor:
     """Run a recurrence over the rows of ``x`` from a zero state as one tape op.
 
-    The input projection ``x @ w_ih + b`` is one matmul for all steps. Per
+    The input projection ``x @ w_ih + b`` is one matmul for all steps, where
+    ``b`` sums the (1, gates * H) ``biases`` in the order given. Per
     step, ``cell(pre, c) -> (h, c, saved)`` maps the pre-activation and the
     carried cell state to the new hidden and cell state, and
     ``cell_back(dh, dc, saved) -> (dpre, dc_prev)`` is its derivative. Output
@@ -348,11 +328,13 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
     """
     hdim = w_hh.data.shape[0] if w_hh.data.ndim == 2 else -1
     if (x.data.ndim != 2 or w_ih.data.shape != (x.data.shape[1], gates * hdim)
-            or w_hh.data.shape != (hdim, gates * hdim) or b.data.shape != (1, gates * hdim)):
-        raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape, b.data.shape)
+            or w_hh.data.shape != (hdim, gates * hdim) or not biases
+            or any(b.data.shape != (1, gates * hdim) for b in biases)):
+        raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape,
+                           *(b.data.shape for b in biases))
     order = slice(None, None, -1) if reverse else slice(None)
     xs = x.data[order]
-    pre_x = xs @ w_ih.data + b.data
+    pre_x = xs @ w_ih.data + sum((b.data for b in biases[1:]), biases[0].data)
     hs = np.zeros((xs.shape[0] + 1, hdim), dtype=pre_x.dtype)  # hs[t]: state before step t
     c = np.zeros(hdim, dtype=pre_x.dtype)
     saved = []
@@ -371,17 +353,20 @@ def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, gates: i
         _acc(x, (dpre @ w_ih.data.T)[order])
         _acc(w_ih, xs.T @ dpre)
         _acc(w_hh, hs[:-1].T @ dpre)
-        _acc(b, dpre.sum(axis=0, keepdims=True))
+        db = dpre.sum(axis=0, keepdims=True)
+        for b in biases:
+            _acc(b, db)
 
-    return _op(name, np.ascontiguousarray(hs[1:][order]), backward, x, w_ih, w_hh, b)
+    return _op(name, np.ascontiguousarray(hs[1:][order]), backward, x, w_ih, w_hh, *biases)
 
 
-def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
+             reverse: bool = False) -> Tensor:
     """Simple recurrence h_t = tanh(x_t @ w_ih + h_{t-1} @ w_hh + b) over all rows.
 
-    ``x`` is (N, In), ``w_ih`` (In, H), ``w_hh`` (H, H), ``b`` (1, H); the
-    output is the (N, H) hidden states. ``reverse`` reads the rows last to
-    first.
+    ``x`` is (N, In), ``w_ih`` (In, H), ``w_hh`` (H, H), and ``b`` the sum of
+    one or more (1, H) ``biases`` (such as b_ih, b_hh); the output is the
+    (N, H) hidden states. ``reverse`` reads the rows last to first.
     """
     def cell(pre, c):
         h = np.tanh(pre)
@@ -390,16 +375,18 @@ def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = F
     def cell_back(dh, dc, h):
         return dh * (1.0 - h * h), dc
 
-    return _recurrence("rnn_cell", x, w_ih, w_hh, b, 1, reverse, cell, cell_back)
+    return _recurrence("rnn_cell", x, w_ih, w_hh, biases, 1, reverse, cell, cell_back)
 
 
-def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
+              reverse: bool = False) -> Tensor:
     """Standard 4-gate LSTM over all rows; returns the (N, H) hidden states.
 
-    Gate layout along the last axis of ``w_ih``/``w_hh``/``b`` is
+    Gate layout along the last axis of ``w_ih``/``w_hh``/``biases`` is
     [input, forget, cell-candidate, output], each of width H.
-    ``x`` is (N, In), ``w_ih`` (In, 4H), ``w_hh`` (H, 4H), ``b`` (1, 4H).
-    ``reverse`` reads the rows last to first.
+    ``x`` is (N, In), ``w_ih`` (In, 4H), ``w_hh`` (H, 4H), and the one or
+    more ``biases`` (1, 4H) each, summed. ``reverse`` reads the rows last to
+    first.
     """
     def cell(pre, c):
         i, f, g, o = np.split(pre, 4)
@@ -415,17 +402,21 @@ def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, reverse: bool = 
                                dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
         return dpre, dc * f
 
-    return _recurrence("lstm_cell", x, w_ih, w_hh, b, 4, reverse, cell, cell_back)
+    return _recurrence("lstm_cell", x, w_ih, w_hh, biases, 4, reverse, cell, cell_back)
 
 
 def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy between sigmoid(scores) and binary labels.
 
     Numerically stabilized form max(s,0) - s*y + log1p(exp(-|s|)); ``labels``
-    is a plain array broadcastable to ``scores``. Output is (1, 1).
+    is a plain array with one label per score (it is reshaped to the scores'
+    shape). Output is (1, 1).
     """
-    y = np.asarray(labels, dtype=scores.data.dtype).reshape(scores.data.shape)
     s = scores.data
+    y = np.asarray(labels, dtype=s.dtype)
+    if y.size != s.size:
+        raise _shape_error("bce_logits_mean", s.shape, y.shape)
+    y = y.reshape(s.shape)
     per = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     n = s.size
 

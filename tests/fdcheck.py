@@ -2,10 +2,27 @@
 
 The oracle only ever calls a scalar-valued function of plain numpy arrays;
 it never inspects analytic gradients, so it stays a fair second route for
-every gradient check in the suite.
+every gradient check in the suite. ``probe`` is the one tape op here: the
+scalar that gradient checks differentiate.
 """
 
 import numpy as np
+
+import cosinet.ndgrad as nd
+
+
+def probe(out, w=1.0):
+    """sum(out * w) as a (1, 1) tensor on ``out``'s tape, a test-only op.
+
+    ``w`` is a plain array broadcastable to ``out`` (ones by default), so
+    the full Jacobian of ``out`` is exercised.
+    """
+    w = np.broadcast_to(np.asarray(w, dtype=out.data.dtype), out.data.shape)
+
+    def backward(g):
+        nd._acc(out, g[0, 0] * w)
+
+    return nd._op("probe", (out.data * w).sum().reshape(1, 1), backward, out)
 
 
 def numeric_gradient(f, arrays, index, eps):

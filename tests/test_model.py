@@ -32,8 +32,9 @@ from cosinet.model import (
 from cosinet.embeddings import UNKNOWN
 from cosinet.metrics import evaluate
 from cosinet.ndgrad import Tape
+from cosinet.training import listwise_loss, pointwise_loss
 from conftest import make_group, make_table
-from fdcheck import max_rel_error, numeric_gradient
+from fdcheck import max_rel_error, numeric_gradient, probe
 
 
 def tiny_config(context="none", seed=0, kernel_width=2):
@@ -372,7 +373,7 @@ class TestForward:
         batch = Batch(np.random.default_rng(0), config, 3)
         tape = Tape(dtype=np.float32)
         vec = encode_pair(batch.pairs, batch.table, params.as_leaves(tape))
-        assert vec.shape == (3, 2 * config.conv_hidden)
+        assert vec.data.shape == (3, 2 * config.conv_hidden)
 
     def test_padding_invariance(self):
         # a pair scores the same alone as in a batch padded to longer pairs;
@@ -425,6 +426,20 @@ class TestForward:
                 records.add(len(tape._records))
             assert len(records) == 1, (kind, records)
 
+    @pytest.mark.parametrize("loss, kind, want", [
+        (listwise_loss, "none", 7), (pointwise_loss, "none", 7), (listwise_loss, "rnn", 8),
+        (listwise_loss, "lstm", 8), (listwise_loss, "birnn", 10), (listwise_loss, "bilstm", 10)])
+    def test_one_tape_record_per_model_stage(self, loss, kind, want):
+        # conv and pool per tower, the pair combine, one recurrence per
+        # direction (with its biases), their join, the head and the loss
+        config = tiny_config(kind)
+        batch = Batch(np.random.default_rng(13), config, 4)
+        tape = Tape(dtype=np.float32)
+        scores = score_pairs(batch.pairs, batch.table, config,
+                             CosinetParams(config).as_leaves(tape))
+        loss(scores, [1, 0, 0, 1])
+        assert len(tape._records) == want
+
     def test_identical_sides_with_shared_towers_have_zero_difference(self):
         # with the candidate tower forced equal to the question tower, the
         # two paths compute the same function, so the q - c half vanishes
@@ -465,7 +480,7 @@ class TestForward:
             batch = Batch(np.random.default_rng(8), config, n_pairs=4)
             tape = Tape(dtype=np.float32)
             col = score_pairs(batch.pairs, batch.table, config, params.as_leaves(tape))
-            assert col.shape == (4, 1)
+            assert col.data.shape == (4, 1)
 
     def test_score_group_is_deterministic(self, toy_groups, toy_table):
         config = CosinetConfig(embedding_dim=16, conv_hidden=4, kernel_width=2)
@@ -588,25 +603,23 @@ class TestEndToEndGradients:
             params = CosinetParams(config, dtype=np.float64)
             rng = np.random.default_rng(100 + seed)
             batch = Batch(rng, config, n_pairs=2, max_len=5)
-            probe = rng.uniform(-1, 1, (1, 2))
+            w = rng.uniform(-1, 1, (2, 1))
             names = list(params.arrays)
 
-            def loss_of(arrs):
-                # probe @ scores: the probe-weighted sum of the (n, 1) column
-                tape = Tape(dtype=np.float64)
+            def loss_of(tape, arrs):
+                # the w-weighted sum of the (n, 1) score column
                 leaves = {n: tape.leaf(a) for n, a in zip(names, arrs)}
-                return nd.matmul(tape.leaf(probe),
-                                 score_pairs(batch.pairs, batch.table, config, leaves))
+                return probe(score_pairs(batch.pairs, batch.table, config, leaves), w), leaves
 
             arrays = [params.arrays[n].astype(np.float64) for n in names]
             tape = Tape(dtype=np.float64)
-            leaves = {n: tape.leaf(a) for n, a in zip(names, arrays)}
-            tape.backward(nd.matmul(tape.leaf(probe),
-                                    score_pairs(batch.pairs, batch.table, config, leaves)))
+            loss, leaves = loss_of(tape, arrays)
+            tape.backward(loss)
 
             for i, name in enumerate(names):
                 num = numeric_gradient(
-                    lambda arrs: float(loss_of(arrs).data[0, 0]), arrays, i, 1e-6)
+                    lambda arrs: float(loss_of(Tape(dtype=np.float64), arrs)[0].data[0, 0]),
+                    arrays, i, 1e-6)
                 err = max_rel_error(leaves[name].grad, num)
                 assert err <= 1e-5, f"{kind} seed {seed} {name}: rel err {err:.3g}"
 
