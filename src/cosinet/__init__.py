@@ -2,7 +2,7 @@
 
 from .corpus import Candidate, QuestionGroup, ingest_jsonl, ingest_wikiqa, tokenize
 from .embeddings import EmbeddingTable, embed_sequence, load_embeddings
-from .metrics import RankingMetrics, average_precision, evaluate
+from .metrics import RankingMetrics, evaluate, group_metrics
 from .model import CosinetConfig, CosinetParams, load_model, save_model, score_group
 from .training import TrainConfig, TrainingReport, fit
 
@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate", "QuestionGroup", "ingest_jsonl", "ingest_wikiqa", "tokenize",
     "EmbeddingTable", "embed_sequence", "load_embeddings",
-    "RankingMetrics", "average_precision", "evaluate",
+    "RankingMetrics", "evaluate", "group_metrics",
     "CosinetConfig", "CosinetParams", "load_model", "save_model", "score_group",
     "TrainConfig", "TrainingReport", "fit",
 ]

@@ -12,8 +12,8 @@ from .corpus import QuestionGroup
 
 
 def score_rr(group: QuestionGroup) -> np.ndarray:
-    """Candidate at original rank k scores 1/k (preserves document order)."""
-    return np.array([1.0 / c.original_rank for c in group.candidates])
+    """Candidate at position k (1-based) scores 1/k (preserves document order)."""
+    return 1.0 / np.arange(1, len(group.candidates) + 1)
 
 
 def score_wo(group: QuestionGroup) -> np.ndarray:
@@ -33,10 +33,7 @@ def score_wo_rr(group: QuestionGroup) -> np.ndarray:
     strictly below the minimal overlap gap of 1, so it can never flip a
     strict overlap ordering.
     """
-    wo = score_wo(group)
-    n = len(group.candidates)
-    tie = np.array([1.0 / c.original_rank for c in group.candidates]) / (n + 1)
-    return wo + tie
+    return score_wo(group) + score_rr(group) / (len(group.candidates) + 1)
 
 
 SCORERS = {"wo": score_wo, "rr": score_rr, "wo_rr": score_wo_rr}

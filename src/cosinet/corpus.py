@@ -47,7 +47,6 @@ class Candidate:
     text: str
     tokens: tuple
     label: int
-    original_rank: int  # 1-based position in the source document order
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class QuestionGroup:
     question_id: str
     question: str
     question_tokens: tuple
-    candidates: tuple  # ordered by original_rank, exactly 1..n
+    candidates: tuple  # in document order: a candidate's position is its rank
 
     @property
     def labels(self):
@@ -81,8 +80,9 @@ def _build_groups(raw_groups):
 
     ``raw_groups`` is an ordered list of (question_id, question_text,
     [(sentence, label), ...]). Drops empty-after-tokenization candidates
-    (ranks recompacted), questions that tokenize to nothing, and groups
-    without a single positive label.
+    (the rest keep their order, so a candidate's position is its rank),
+    questions that tokenize to nothing, and groups without a single
+    positive label.
     """
     groups, report = [], IngestReport()
     for qid, question, rows in raw_groups:
@@ -98,8 +98,7 @@ def _build_groups(raw_groups):
             if not tokens:
                 report.dropped_empty_candidates += 1
                 continue
-            cands.append(Candidate(text=text, tokens=tokens, label=label,
-                                   original_rank=len(cands) + 1))
+            cands.append(Candidate(text=text, tokens=tokens, label=label))
         if not any(c.label for c in cands):
             report.dropped_unanswered += 1
             continue

@@ -135,7 +135,7 @@ def embed_sequence(tokens, table: EmbeddingTable):
     (len, dim) matrix of their vectors, zeros where the token is unknown.
     """
     if not tokens:
-        raise ValueError("embed_sequence: empty token list (pad before calling)")
+        raise ValueError("embed_sequence: empty token list: a question or candidate has no tokens")
     get = table.vocabulary.get
     ids = np.array([get(tok, UNKNOWN) for tok in tokens], dtype=np.intp)
     return ids, table.rows(ids)

@@ -1,8 +1,9 @@
 """Ranking metrics (MAP, MRR, P@1) and dataset-level evaluation.
 
-Rankings are stable descending sorts by score with ties broken by original
-rank (ascending), which makes metrics over rank-preserving scorers exact
-and reproducible. Metrics are reported x100.
+A group's candidates come in document order, so a candidate's position is
+its original rank. A group is ranked by descending score with ties in
+document order: one stable sort per group, which makes metrics over
+rank-preserving scorers exact and reproducible. Metrics are reported x100.
 """
 
 from __future__ import annotations
@@ -13,48 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _ranking(scores, original_ranks=None):
+def group_metrics(scores, labels) -> tuple:
+    """(AP, RR, P@1) of one group, each in [0, 1].
+
+    AP is the mean over positive ranks k of (#positives in top k) / k; RR is
+    1/k for the first positive rank k; P@1 is 1 when the top candidate is
+    positive. Raises ``ValueError`` when the score and label counts differ
+    or the group has no positive label.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    if original_ranks is None:
-        original_ranks = np.arange(1, n + 1)
-    else:
-        original_ranks = np.asarray(original_ranks)
-    # lexsort: last key is primary
-    return np.lexsort((original_ranks, -scores))
-
-
-def average_precision(scores, labels, original_ranks=None) -> float:
-    """AP in [0, 1]: mean over positive positions k of (#pos in top-k)/k."""
     labels = np.asarray(labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("average_precision: group has no positive label")
-    order = _ranking(scores, original_ranks)
-    ranked = labels[order]
-    hits = 0
-    total = 0.0
-    for k, lab in enumerate(ranked, start=1):
-        if lab:
-            hits += 1
-            total += hits / k
-    return total / n_pos
-
-
-def reciprocal_rank(scores, labels, original_ranks=None) -> float:
-    labels = np.asarray(labels)
-    if labels.sum() == 0:
-        raise ValueError("reciprocal_rank: group has no positive label")
-    order = _ranking(scores, original_ranks)
-    for k, i in enumerate(order, start=1):
-        if labels[i]:
-            return 1.0 / k
-    raise AssertionError("unreachable")
-
-
-def precision_at_1(scores, labels, original_ranks=None) -> float:
-    order = _ranking(scores, original_ranks)
-    return float(np.asarray(labels)[order[0]])
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError(f"group_metrics: scores of shape {scores.shape} "
+                         f"for labels of shape {labels.shape}")
+    order = np.argsort(-scores, kind="stable")
+    hit_ranks = (np.flatnonzero(labels[order]) + 1).tolist()
+    if not hit_ranks:
+        raise ValueError("group_metrics: group has no positive label")
+    ap = sum(hits / k for hits, k in enumerate(hit_ranks, start=1)) / len(hit_ranks)
+    return ap, 1.0 / hit_ranks[0], float(hit_ranks[0] == 1)
 
 
 @dataclass
@@ -86,7 +64,7 @@ def evaluate(scorer, groups) -> RankingMetrics:
     if not groups:
         raise ValueError("evaluate: empty dataset")
     t0 = time.perf_counter()
-    aps, rrs, p1s = [], [], []
+    per_group = []
     for g in groups:
         scores = np.asarray(scorer(g), dtype=np.float64)
         if scores.shape != (len(g.candidates),):
@@ -94,12 +72,9 @@ def evaluate(scorer, groups) -> RankingMetrics:
                              f"{g.question_id} with {len(g.candidates)} candidates")
         if not np.isfinite(scores).all():
             raise ValueError(f"evaluate: non-finite score for question {g.question_id}")
-        ranks = [c.original_rank for c in g.candidates]
-        labels = g.labels
-        aps.append(average_precision(scores, labels, ranks))
-        rrs.append(reciprocal_rank(scores, labels, ranks))
-        p1s.append(precision_at_1(scores, labels, ranks))
+        per_group.append(group_metrics(scores, g.labels))
     wall = time.perf_counter() - t0
+    aps, rrs, p1s = zip(*per_group)
     return RankingMetrics(
         map=100.0 * float(np.mean(aps)),
         mrr=100.0 * float(np.mean(rrs)),

@@ -71,9 +71,8 @@ def table_digest(table):
 def make_group(question_id, question, rows):
     """rows: list of (candidate_text, label)."""
     candidates = tuple(
-        Candidate(text=text, tokens=tuple(tokenize(text)), label=label,
-                  original_rank=i + 1)
-        for i, (text, label) in enumerate(rows)
+        Candidate(text=text, tokens=tuple(tokenize(text)), label=label)
+        for text, label in rows
     )
     return QuestionGroup(
         question_id=question_id,

@@ -13,7 +13,7 @@ from cosinet.corpus import (
     ingest_wikiqa,
     tokenize,
 )
-from conftest import MINI_WIKIQA_HEADER
+from conftest import MINI_WIKIQA_BODY, MINI_WIKIQA_HEADER
 
 
 class TestTokenize:
@@ -96,14 +96,18 @@ class TestWikiqaIngest:
         assert g.question == "how are glacier caves formed?"
         assert g.question_tokens[-1] == "?"
         assert g.labels == [1, 0]
-        assert [c.original_rank for c in g.candidates] == [1, 2]
+        assert [c.text for c in g.candidates] == [
+            "A glacier cave is a cave formed within the ice of a glacier.",
+            "Glacier caves are often called ice caves."]
         assert g.candidates[0].tokens[0] == "a"
 
     def test_ranks_are_one_based_and_contiguous(self, mini_wikiqa_tsv):
         groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
+        rows = [line.split("\t") for line in MINI_WIKIQA_BODY.splitlines()]
         for g in groups:
-            assert [c.original_rank for c in g.candidates] == list(
-                range(1, len(g.candidates) + 1))
+            # a candidate's rank is its position: the file order of its question's rows
+            assert [c.text for c in g.candidates] == [
+                row[5] for row in rows if row[0] == g.question_id]
 
     def test_empty_candidate_recompacts_ranks(self, tmp_path):
         body = (
@@ -118,7 +122,7 @@ class TestWikiqaIngest:
         assert report.dropped_empty_candidates == 1
         g = groups[0]
         assert len(g.candidates) == 3
-        assert [c.original_rank for c in g.candidates] == [1, 2, 3]
+        assert [c.text for c in g.candidates] == ["first sentence.", "...", "the answer."]
         assert g.candidates[2].label == 1
 
     def test_bad_label_names_row(self, tmp_path):

@@ -1,26 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cosinet.baselines import score_rr, score_wo
-from cosinet.metrics import (
-    RankingMetrics,
-    average_precision,
-    evaluate,
-    precision_at_1,
-    reciprocal_rank,
-)
-from conftest import make_group
+from cosinet.corpus import ingest_jsonl
+from cosinet.metrics import RankingMetrics, evaluate, group_metrics
 
 
-def brute_force_order(scores, original_ranks):
-    """Reference ranking: sort (descending score, ascending original rank)."""
-    keyed = sorted(range(len(scores)),
-                   key=lambda i: (-scores[i], original_ranks[i]))
-    return keyed
+def brute_force_order(scores):
+    """Reference ranking: sort (descending score, ascending position)."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def brute_force_ap(scores, labels, original_ranks):
-    order = brute_force_order(scores, original_ranks)
+def brute_force_ap(scores, labels):
+    order = brute_force_order(scores)
     hits, total = 0, 0.0
     for k, i in enumerate(order, start=1):
         if labels[i]:
@@ -29,37 +23,53 @@ def brute_force_ap(scores, labels, original_ranks):
     return total / sum(labels)
 
 
-def brute_force_rr(scores, labels, original_ranks):
-    order = brute_force_order(scores, original_ranks)
+def brute_force_rr(scores, labels):
+    order = brute_force_order(scores)
     for k, i in enumerate(order, start=1):
         if labels[i]:
             return 1.0 / k
 
 
+@pytest.fixture(scope="module")
+def synth_groups(tmp_path_factory):
+    """110 groups from the benchmark's data generator, through ``ingest_jsonl``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import synth
+    gen = synth.Generator(3)
+    path = tmp_path_factory.mktemp("synth") / "groups.jsonl"
+    synth.write_jsonl(gen.groups(synth.size_mix(gen.shape, 110), "g"), path)
+    return ingest_jsonl(path)[0]
+
+
 class TestExamples:
     def test_perfect_ranking(self):
-        assert average_precision([3.0, 2.0, 1.0], [1, 0, 0]) == 1.0
-        assert reciprocal_rank([3.0, 2.0, 1.0], [1, 0, 0]) == 1.0
-        assert precision_at_1([3.0, 2.0, 1.0], [1, 0, 0]) == 1.0
+        assert group_metrics([3.0, 2.0, 1.0], [1, 0, 0]) == (1.0, 1.0, 1.0)
 
     def test_positive_at_second(self):
-        assert average_precision([3.0, 2.0], [0, 1]) == 0.5
-        assert reciprocal_rank([3.0, 2.0], [0, 1]) == 0.5
-        assert precision_at_1([3.0, 2.0], [0, 1]) == 0.0
+        assert group_metrics([3.0, 2.0], [0, 1]) == (0.5, 0.5, 0.0)
 
     def test_two_positives_split(self):
         # positives land at ranks 1 and 3: AP = (1/1 + 2/3) / 2
-        scores = [5.0, 4.0, 3.0]
-        labels = [1, 0, 1]
-        np.testing.assert_allclose(average_precision(scores, labels),
-                                   (1.0 + 2.0 / 3.0) / 2.0)
-        assert reciprocal_rank(scores, labels) == 1.0
+        ap, rr, p1 = group_metrics([5.0, 4.0, 3.0], [1, 0, 1])
+        np.testing.assert_allclose(ap, (1.0 + 2.0 / 3.0) / 2.0)
+        assert rr == p1 == 1.0
 
     def test_no_positive_is_an_error(self):
-        with pytest.raises(ValueError, match="no positive"):
-            average_precision([1.0, 2.0], [0, 0])
-        with pytest.raises(ValueError, match="no positive"):
-            reciprocal_rank([1.0, 2.0], [0, 0])
+        with pytest.raises(ValueError, match="group has no positive label"):
+            group_metrics([1.0, 2.0], [0, 0])
+        with pytest.raises(ValueError, match="group has no positive label"):
+            group_metrics([], [])
+
+    @pytest.mark.parametrize("scores,labels,want", [
+        ([2.0, 1.0], [0, 0, 1], r"shape \(2,\) for labels of shape \(3,\)"),
+        ([2.0, 1.0, 0.5], [1, 0], r"shape \(3,\) for labels of shape \(2,\)"),
+        ([[2.0], [1.0]], [1, 0], r"shape \(2, 1\) for labels of shape \(2,\)"),
+        ([], [1], r"shape \(0,\) for labels of shape \(1,\)"),
+    ], ids=["fewer_scores", "more_scores", "score_column", "no_scores"])
+    def test_score_and_label_counts_must_match(self, scores, labels, want):
+        with pytest.raises(ValueError, match=want):
+            group_metrics(scores, labels)
 
 
 class TestAgainstBruteForce:
@@ -72,13 +82,10 @@ class TestAgainstBruteForce:
             labels = rng.integers(0, 2, n)
             if labels.sum() == 0:
                 labels[rng.integers(0, n)] = 1
-            ranks = np.arange(1, n + 1)
-            np.testing.assert_allclose(
-                average_precision(scores, labels, ranks),
-                brute_force_ap(scores, labels, ranks))
-            np.testing.assert_allclose(
-                reciprocal_rank(scores, labels, ranks),
-                brute_force_rr(scores, labels, ranks))
+            top = brute_force_order(scores)[0]
+            assert group_metrics(scores, labels) == (
+                brute_force_ap(scores, labels), brute_force_rr(scores, labels),
+                float(labels[top]))
 
     def test_single_positive_ap_equals_rr(self):
         for seed in range(50):
@@ -87,7 +94,8 @@ class TestAgainstBruteForce:
             scores = rng.uniform(0, 1, n)
             labels = np.zeros(n, dtype=int)
             labels[rng.integers(0, n)] = 1
-            assert average_precision(scores, labels) == reciprocal_rank(scores, labels)
+            ap, rr, _ = group_metrics(scores, labels)
+            assert ap == rr
 
 
 class TestRankingProperties:
@@ -100,19 +108,19 @@ class TestRankingProperties:
             if labels.sum() == 0:
                 labels[0] = 1
             for f in (lambda s: 3.0 * s + 1.0, np.exp, lambda s: s ** 3):
-                assert average_precision(scores, labels) == pytest.approx(
-                    average_precision(f(scores), labels))
+                assert group_metrics(scores, labels) == pytest.approx(
+                    group_metrics(f(scores), labels))
 
     def test_ties_resolved_by_original_rank(self):
+        # a candidate's position is its original rank: the earlier one wins a tie
         scores = [1.0, 1.0, 1.0]
-        assert reciprocal_rank(scores, [0, 1, 0], [1, 2, 3]) == 0.5
-        # renumbering the document order moves the tied winner
-        assert reciprocal_rank(scores, [0, 1, 0], [3, 1, 2]) == 1.0
+        assert group_metrics(scores, [0, 1, 0])[1] == 0.5
+        assert group_metrics(scores, [0, 0, 1])[1] == 1.0 / 3.0
 
     def test_tie_break_is_deterministic(self):
         scores = np.ones(6)
         labels = [0, 0, 1, 0, 1, 0]
-        vals = {average_precision(scores, labels) for _ in range(10)}
+        vals = {group_metrics(scores, labels) for _ in range(10)}
         assert len(vals) == 1
 
 
@@ -127,6 +135,15 @@ class TestEvaluate:
         np.testing.assert_allclose(m.p_at_1, 100.0 * 2.0 / 3.0)
         assert m.n_questions == 3
         assert m.wall_seconds >= 0.0
+
+    @pytest.mark.parametrize("dataset", ["toy_groups", "synth_groups"])
+    def test_tied_scores_rank_in_document_order(self, request, dataset):
+        # the tie rule end to end: all-equal scores rank every group as
+        # score_rr does, bit for bit
+        groups = request.getfixturevalue(dataset)
+        tied = evaluate(lambda g: np.zeros(len(g.candidates)), groups)
+        rr = evaluate(score_rr, groups)
+        assert (tied.map, tied.mrr, tied.p_at_1) == (rr.map, rr.mrr, rr.p_at_1)
 
     def test_wo_scorer_runs(self, toy_groups):
         m = evaluate(score_wo, toy_groups)
