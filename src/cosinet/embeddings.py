@@ -11,6 +11,7 @@ import numpy as np
 
 CONCEPT_PREFIX = "/c/en/"
 UNKNOWN = -1  # the id of a token without a vector (and of padding)
+NO_TOKENS = "embed_sequence: empty token list: a question or candidate has no tokens"
 
 
 class EmbeddingTable:
@@ -135,7 +136,7 @@ def embed_sequence(tokens, table: EmbeddingTable):
     (len, dim) matrix of their vectors, zeros where the token is unknown.
     """
     if not tokens:
-        raise ValueError("embed_sequence: empty token list: a question or candidate has no tokens")
+        raise ValueError(NO_TOKENS)
     get = table.vocabulary.get
     ids = np.array([get(tok, UNKNOWN) for tok in tokens], dtype=np.intp)
     return ids, table.rows(ids)

@@ -1,8 +1,11 @@
 """The Cosinet ranking model.
 
 Each word gets a relatedness feature (its best cosine match against the
-other text of its pair). The layers then work on a whole batch of pairs at
-once: ``encode_pair`` zero-pads every side to the batch's longest (and to at
+other text of its pair). ``prepare_group`` embeds a group's question once,
+all of its candidates' tokens in one lookup, and takes every candidate's
+relatedness from one cosine matmul; ``prepare_pair`` is its one-candidate
+case. The layers then work on a whole batch of pairs at once:
+``encode_pair`` zero-pads every side to the batch's longest (and to at
 least the kernel width), one CNN per side, which projects each distinct
 token of the batch once and runs at the windows that start at a real token
 only, with global max pooling over those windows turns the batch into
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import ndgrad
 from .corpus import atomic_open
-from .embeddings import UNKNOWN, EmbeddingTable, embed_sequence
+from .embeddings import NO_TOKENS, UNKNOWN, EmbeddingTable, embed_sequence
 from .ndgrad import Tape
 
 CONTEXT_KINDS = ("none", "rnn", "birnn", "lstm", "bilstm")
@@ -181,27 +184,38 @@ class CosinetParams:
 # forward pieces
 
 
-def relatedness(q_emb: np.ndarray, c_emb: np.ndarray):
+def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, c_lengths):
     """Per-word best cosine match against every word of the other text.
 
-    Returns (r_q, r_c): r_q[i] = max over j of cos(q_i, c_j), and
-    symmetrically for r_c. Cosine with a zero-norm (OOV) vector is defined
-    as 0.
+    ``c_emb`` holds the rows of one or more candidates back to back,
+    ``c_lengths[i]`` of them for candidate i. Returns (r_q, r_c): r_q is
+    (n, Tq), with r_q[i, t] the max over candidate i's words j of
+    cos(q_t, c_j); r_c[j] is the max over t of cos(q_t, c_j), one per row of
+    ``c_emb``. Cosine with a zero-norm (OOV) vector is defined as 0. Each
+    side is normalized once and all cosines come from one
+    (Tq, E) @ (E, sum Tc) matmul.
     """
     q_emb = np.asarray(q_emb)
     c_emb = np.asarray(c_emb)
     if q_emb.ndim != 2 or c_emb.ndim != 2 or q_emb.shape[1] != c_emb.shape[1]:
         raise ValueError(f"relatedness: bad shapes {q_emb.shape} vs {c_emb.shape}")
-    if q_emb.shape[0] == 0 or c_emb.shape[0] == 0:
+    lengths = np.array(c_lengths, dtype=np.intp)
+    # np.maximum.reduceat gives an empty segment its start's value, so a
+    # candidate without rows would take another candidate's relatedness
+    if q_emb.shape[0] == 0 or not lengths.size or lengths.min() < 1:
         raise ValueError("relatedness: empty side")
+    if lengths.sum() != c_emb.shape[0]:
+        raise ValueError(f"relatedness: candidate lengths sum to {lengths.sum()}, "
+                         f"not the {c_emb.shape[0]} candidate rows")
 
     def normalize(m):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
-        return np.divide(m, norms, out=np.zeros_like(m, dtype=np.result_type(m, np.float32)),
-                         where=norms > 0)
+        norms[norms == 0] = np.inf  # a zero row stays zero: cosine 0 with every word
+        return m / norms
 
     r = normalize(q_emb) @ normalize(c_emb).T
-    return r.max(axis=1), r.max(axis=0)
+    starts = np.cumsum(lengths) - lengths
+    return np.maximum.reduceat(r, starts, axis=1).T, r.max(axis=0)
 
 
 @dataclass
@@ -215,10 +229,29 @@ class PairInput:
 
 def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> PairInput:
     """Each side's token ids plus each word's relatedness to the other side."""
+    return _prepare(q_tokens, [c_tokens], table)[0]
+
+
+def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
+    """One PairInput per candidate of ``group``, in candidate order."""
+    return _prepare(group.question_tokens, [c.tokens for c in group.candidates], table)
+
+
+def _prepare(q_tokens, candidates, table: EmbeddingTable) -> list[PairInput]:
+    """The PairInputs of one question against each token list of ``candidates``.
+
+    The question is embedded once, every candidate token in one lookup, and
+    ``relatedness`` takes one cosine matmul for the lot.
+    """
     q_ids, q_emb = embed_sequence(q_tokens, table)
-    c_ids, c_emb = embed_sequence(c_tokens, table)
-    r_q, r_c = relatedness(q_emb, c_emb)
-    return PairInput(q_ids, r_q, c_ids, r_c)
+    lengths = [len(tokens) for tokens in candidates]
+    if not all(lengths):
+        raise ValueError(NO_TOKENS)
+    c_ids, c_emb = embed_sequence([t for tokens in candidates for t in tokens], table)
+    r_q, r_c = relatedness(q_emb, c_emb, lengths)
+    ends = list(itertools.accumulate(lengths))
+    return [PairInput(q_ids, q_r, c_ids[lo:hi], r_c[lo:hi])
+            for q_r, lo, hi in zip(r_q, [0] + ends, ends)]
 
 
 def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
@@ -230,14 +263,14 @@ def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
         # real token, so padding never changes a score
         w = leaves[f"{side}_conv_w"]
         k = w.data.shape[0]
-        t_max = max(k, max(len(ids) for ids, _ in sides))
-        ids = np.full((len(sides), t_max), UNKNOWN)
-        r = np.zeros((len(sides), t_max), dtype=w.data.dtype)
-        mask = np.zeros((len(sides), t_max - k + 1), dtype=bool)
-        for i, (side_ids, side_r) in enumerate(sides):
-            ids[i, :len(side_ids)] = side_ids
-            r[i, :len(side_ids)] = side_r
-            mask[i, :max(1, len(side_ids) - k + 1)] = True
+        lens = np.array([len(ids) for ids, _ in sides])
+        t_max = max(k, lens.max())
+        real = np.arange(t_max) < lens[:, None]  # fills row by row, in side order
+        ids = np.full(real.shape, UNKNOWN)
+        ids[real] = np.concatenate([side_ids for side_ids, _ in sides])
+        r = np.zeros(real.shape, dtype=w.data.dtype)
+        r[real] = np.concatenate([side_r for _, side_r in sides])
+        mask = np.arange(t_max - k + 1) < np.maximum(1, lens - k + 1)[:, None]
         # the conv projects each distinct token of the batch once
         distinct, inverse = np.unique(ids, return_inverse=True)
         rows = ndgrad.conv1d(table.rows(distinct), inverse.reshape(ids.shape), r,
@@ -277,10 +310,6 @@ def check_table_width(table: EmbeddingTable, config: CosinetConfig, caller: str)
     if table.dimension != config.embedding_dim:
         raise ValueError(f"{caller}: embedding table is {table.dimension} wide, "
                          f"config embedding_dim is {config.embedding_dim}")
-
-
-def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
-    return [prepare_pair(group.question_tokens, c.tokens, table) for c in group.candidates]
 
 
 def score_group(group, table: EmbeddingTable, params: CosinetParams,

@@ -267,9 +267,14 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= rows.shape[0]):
         raise ValueError(f"conv1d: ids outside the {rows.shape[0]} rows")
 
-    # the (W, K) row ids and r values of the true windows
-    win_ids = np.lib.stride_tricks.sliding_window_view(ids, k, axis=1)[mask]
-    win_r = np.lib.stride_tricks.sliding_window_view(r, k, axis=1)[mask]
+    # the (W, K) row ids and r values of the true windows: the flat mask
+    # index of window (i, s) is i * (T - K + 1) + s, its first input's flat
+    # index i * T + s
+    first = np.flatnonzero(mask)
+    first += first // mask.shape[1] * (k - 1)
+    window = first[:, None] + np.arange(k)
+    win_ids = ids.take(window)
+    win_r = r.take(window)
     proj = np.matmul(rows, w.data[:, :e])  # (K, U, C_out), no copy of w
     acc = win_r @ w.data[:, e] + b.data
     for j in range(k):

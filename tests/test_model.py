@@ -23,13 +23,15 @@ from cosinet.model import (
     expected_parameter_count,
     load_model,
     make_scorer,
+    prepare_group,
     prepare_pair,
     relatedness,
     save_model,
     score_group,
     score_pairs,
 )
-from cosinet.embeddings import UNKNOWN
+from cosinet.corpus import Candidate, QuestionGroup
+from cosinet.embeddings import UNKNOWN, embed_sequence
 from cosinet.metrics import evaluate
 from cosinet.ndgrad import Tape
 from cosinet.training import listwise_loss, pointwise_loss
@@ -62,24 +64,26 @@ def brute_relatedness(q, c):
 class TestRelatedness:
     def test_identical_vectors_score_one(self):
         v = np.array([[1.0, 2.0, 3.0]])
-        r_q, r_c = relatedness(v, 2.5 * v)  # cosine ignores magnitude
-        np.testing.assert_allclose(r_q, [1.0], atol=1e-7)
+        r_q, r_c = relatedness(v, 2.5 * v, [1])  # cosine ignores magnitude
+        np.testing.assert_allclose(r_q, [[1.0]], atol=1e-7)
         np.testing.assert_allclose(r_c, [1.0], atol=1e-7)
 
     def test_orthogonal_vectors_score_zero(self):
         q = np.array([[1.0, 0.0]])
         c = np.array([[0.0, 1.0]])
-        r_q, r_c = relatedness(q, c)
-        np.testing.assert_allclose(r_q, [0.0], atol=1e-7)
+        r_q, r_c = relatedness(q, c, [len(c)])
+        np.testing.assert_allclose(r_q, [[0.0]], atol=1e-7)
 
     def test_best_match_is_taken(self):
         q = np.array([[1.0, 0.0]])
         c = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]])
-        r_q, r_c = relatedness(q, c)
-        np.testing.assert_allclose(r_q, [np.sqrt(0.5)], atol=1e-7)
+        r_q, r_c = relatedness(q, c, [len(c)])
+        np.testing.assert_allclose(r_q, [[np.sqrt(0.5)]], atol=1e-7)
         np.testing.assert_allclose(r_c, [0.0, np.sqrt(0.5), -1.0], atol=1e-7)
 
     def test_matches_double_loop(self):
+        # one candidate, and the same rows split into several candidates:
+        # each question row's match is then taken within one candidate
         for seed in range(30):
             rng = np.random.default_rng(seed)
             nq, nc = rng.integers(1, 7, 2)
@@ -87,8 +91,14 @@ class TestRelatedness:
             c = rng.standard_normal((nc, 5))
             if nq > 1:
                 q[rng.integers(0, nq)] = 0.0  # an oov row
-            r_q, r_c = relatedness(q, c)
+            r_q, r_c = relatedness(q, c, [len(c)])
             want_q, want_c = brute_relatedness(q, c)
+            np.testing.assert_allclose(r_q, [want_q], atol=1e-6)
+            np.testing.assert_allclose(r_c, want_c, atol=1e-6)
+            cuts = np.sort(rng.choice(np.arange(1, nc), rng.integers(0, nc), replace=False))
+            lengths = np.diff(np.concatenate([[0], cuts, [nc]]))
+            r_q, r_c = relatedness(q, c, lengths)
+            want_q = [brute_relatedness(q, part)[0] for part in np.split(c, cuts)]
             np.testing.assert_allclose(r_q, want_q, atol=1e-6)
             np.testing.assert_allclose(r_c, want_c, atol=1e-6)
 
@@ -96,25 +106,31 @@ class TestRelatedness:
         # zero rows (unknown words) have cosine 0 with everything
         rng = np.random.default_rng(5)
         q = rng.standard_normal((3, 4))
-        r_q, r_c = relatedness(q, np.zeros((2, 4)))
-        np.testing.assert_array_equal(r_q, np.zeros(3))
+        r_q, r_c = relatedness(q, np.zeros((2, 4)), [2])
+        np.testing.assert_array_equal(r_q, np.zeros((1, 3)))
         np.testing.assert_array_equal(r_c, np.zeros(2))
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
         q = rng.standard_normal((3, 6))
         c = rng.standard_normal((5, 6))
-        r_q, r_c = relatedness(q, c)
-        s_c, s_q = relatedness(c, q)
-        np.testing.assert_allclose(r_q, s_q, atol=1e-12)
-        np.testing.assert_allclose(r_c, s_c, atol=1e-12)
+        r_q, r_c = relatedness(q, c, [len(c)])
+        s_c, s_q = relatedness(c, q, [len(q)])
+        np.testing.assert_allclose(r_q[0], s_q, atol=1e-12)
+        np.testing.assert_allclose(r_c, s_c[0], atol=1e-12)
 
     def test_errors(self):
         good = np.ones((2, 3))
         with pytest.raises(ValueError, match="empty side"):
-            relatedness(np.zeros((0, 3)), good)
+            relatedness(np.zeros((0, 3)), good, [len(good)])
         with pytest.raises(ValueError, match="shapes"):
-            relatedness(np.ones((2, 3)), np.ones((2, 4)))
+            relatedness(np.ones((2, 3)), np.ones((2, 4)), [2])
+        # an empty candidate would otherwise read its neighbour's maximum
+        for lengths in ([2, 0], [0, 2], []):
+            with pytest.raises(ValueError, match="empty side"):
+                relatedness(good, good, lengths)
+        with pytest.raises(ValueError, match="lengths sum to 3"):
+            relatedness(good, good, [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +232,90 @@ class TestPreparePair:
         # identical token on both sides: best cosine match is 1
         np.testing.assert_allclose(pair.q_r[0], 1.0, atol=1e-6)
         assert pair.q_r[1] == 0.0
+
+
+def token_group(q_tokens, candidates):
+    """A QuestionGroup built straight from token lists, bypassing ingestion's filters."""
+    return QuestionGroup("q", " ".join(q_tokens), tuple(q_tokens),
+                         tuple(Candidate(" ".join(c), tuple(c), 0) for c in candidates))
+
+
+def one_pair_relatedness(q_emb, c_emb):
+    """The one-pair formula written out: a masked divide, one matmul, a max per axis."""
+    def normalize(m):
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0)
+
+    r = normalize(q_emb) @ normalize(c_emb).T
+    return r.max(axis=1), r.max(axis=0)
+
+
+class TestPrepareGroup:
+    """``prepare_group`` shares one question embedding and one cosine matmul per group."""
+
+    CONFIG = tiny_config(kernel_width=3)
+
+    def groups(self):
+        # 1 and 30 candidates; sides shorter than the kernel, an all-OOV
+        # candidate, a repeated token, and a question with no known word
+        rng = np.random.default_rng(21)
+        q = random_tokens(rng, 4)
+        many = [random_tokens(rng, int(n)) for n in rng.integers(1, 10, 27)]
+        many += [["oov1", "oov2"], ["w1"] * 5, ["w2", "w3", "w2"]]
+        return [token_group(q, [random_tokens(rng, 6)]), token_group(q, many),
+                token_group(["oov1", "oov3"], many[:6])]
+
+    def test_group_matches_its_pairs(self):
+        table = words_table(self.CONFIG)
+        for group in self.groups():
+            got = prepare_group(group, table)
+            want = [prepare_pair(group.question_tokens, c.tokens, table) for c in group.candidates]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.q_ids, w.q_ids)
+                np.testing.assert_array_equal(g.c_ids, w.c_ids)
+                # the wider matmul may round the last bits differently
+                np.testing.assert_allclose(g.q_r, w.q_r, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(g.c_r, w.c_r, rtol=0, atol=1e-6)
+                if (g.q_ids == UNKNOWN).all() or (g.c_ids == UNKNOWN).all():
+                    assert not g.q_r.any() and not g.c_r.any()  # zero-norm rows score 0
+
+    def test_prepare_pair_keeps_the_one_pair_formula_bitwise(self):
+        table = words_table(self.CONFIG)
+        for group in self.groups():
+            q_emb = embed_sequence(group.question_tokens, table)[1]
+            for c in group.candidates:
+                pair = prepare_pair(group.question_tokens, c.tokens, table)
+                r_q, r_c = one_pair_relatedness(q_emb, embed_sequence(c.tokens, table)[1])
+                assert pair.q_r.tobytes() == r_q.tobytes()
+                assert pair.c_r.tobytes() == r_c.tobytes()
+
+    def test_score_group_matches_per_pair_inputs(self):
+        table = words_table(self.CONFIG)
+        for kind in CONTEXT_KINDS:
+            config = tiny_config(kind, kernel_width=3)
+            params = CosinetParams(config)
+            for group in self.groups():
+                pairs = [prepare_pair(group.question_tokens, c.tokens, table)
+                         for c in group.candidates]
+                tape = Tape(dtype=np.float32)
+                want = score_pairs(pairs, table, config, params.as_leaves(tape)).data[:, 0]
+                got = score_group(group, table, params, config)
+                np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6, err_msg=kind)
+
+    @pytest.mark.parametrize("q, candidates", [
+        ([], [["w1"], ["w2"]]), (["w1"], [[], ["w2"]]), (["w1"], [["w2"], [], ["w3"]]),
+        (["w1"], [["w2"], []])])
+    def test_empty_question_or_candidate_is_rejected(self, q, candidates):
+        # a zero-token candidate has no relatedness of its own to read
+        config = self.CONFIG
+        table = words_table(config)
+        group = token_group(q, candidates)
+        error = "embed_sequence: empty token list: a question or candidate has no tokens"
+        with pytest.raises(ValueError, match=error):
+            prepare_group(group, table)
+        with pytest.raises(ValueError, match=error):
+            score_group(group, table, CosinetParams(config), config)
 
 
 # ---------------------------------------------------------------------------
