@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import struct
+import typing
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
@@ -38,6 +39,17 @@ from .ndgrad import Tape
 CONTEXT_KINDS = ("none", "rnn", "birnn", "lstm", "bilstm")
 
 
+def check_setting_types(settings) -> None:
+    """Reject a dataclass field not of its declared type: a bool is no int, an int is a float."""
+    for name, want in typing.get_type_hints(type(settings)).items():
+        value = getattr(settings, name)
+        allowed = typing.get_args(want) or (want,)
+        allowed += (int,) if float in allowed else ()
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"setting {name!r} must be {getattr(want, '__name__', want)}, "
+                             f"got {value!r}")
+
+
 @dataclass
 class CosinetConfig:
     embedding_dim: int = 300
@@ -47,6 +59,7 @@ class CosinetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_setting_types(self)
         if self.embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.kernel_width < 1:
@@ -110,60 +123,54 @@ def context_rule(config: CosinetConfig):
     return dirs, gates, ("b_ih", "b_hh") if config.context == "rnn" else ("b",)
 
 
+def param_layout(config: CosinetConfig) -> dict[str, tuple[tuple[int, ...], bool]]:
+    """name -> (shape, drawn) of every trainable array, in declaration (and file) order.
+
+    A drawn weight starts uniform in +-sqrt(6 / (fan_in + fan_out)), with its
+    last axis as fan-out and the others as fan-in; a bias starts at zero.
+    """
+    k, e1, h = config.kernel_width, config.embedding_dim + 1, config.conv_hidden
+    layout = {"q_conv_w": ((k, e1, h), True), "q_conv_b": ((h,), False),
+              "c_conv_w": ((k, e1, h), True), "c_conv_b": ((h,), False)}
+    d_in, ch = config.pair_dim, config.context_hidden
+    dirs, gates, biases = context_rule(config)
+    for d in dirs:
+        layout[f"ctx_{d}w_ih"] = (d_in, gates * ch), True
+        layout[f"ctx_{d}w_hh"] = (ch, gates * ch), True
+        layout.update({f"ctx_{d}{b}": ((1, gates * ch), False) for b in biases})
+    return layout | {"head_w": ((config.head_input_dim, 1), True), "head_b": ((1, 1), False)}
+
+
 class CosinetParams:
-    """All trainable weights in one contiguous ``flat`` vector.
+    """All trainable weights in one contiguous ``flat`` vector, laid out by ``param_layout``.
 
     ``arrays`` is a read-only name -> view mapping into ``flat`` in declaration
     (and serialization) order, derived on every access so a deep copy's views
-    stay tied to its own buffer. Weights are initialized uniform in
-    +-sqrt(6 / (fan_in + fan_out)), biases zero, all from one seeded generator.
+    stay tied to its own buffer. The drawn weights come from one seeded generator.
     """
 
     def __init__(self, config: CosinetConfig, dtype=np.float32, *, draw: bool = True):
-        """The layout of ``config``'s weights, initialized as above.
+        """The layout of ``config``'s weights, initialized as ``param_layout`` says.
 
         With ``draw`` False every weight is left zero and no random number is
         drawn, for a caller that fills in all of ``flat`` (``load_model``).
         """
         self.dtype = np.dtype(dtype)
-        k, e1, h = config.kernel_width, config.embedding_dim + 1, config.conv_hidden
-        shapes, limits = {}, {}  # name -> shape; name -> uniform limit of each drawn weight
-
-        def glorot(name, shape, fan_in, fan_out):
-            shapes[name] = shape
-            limits[name] = np.sqrt(6.0 / (fan_in + fan_out))
-
-        def zeros(name, shape):
-            shapes[name] = shape
-
-        glorot("q_conv_w", (k, e1, h), k * e1, h)
-        zeros("q_conv_b", (h,))
-        glorot("c_conv_w", (k, e1, h), k * e1, h)
-        zeros("c_conv_b", (h,))
-
-        d_in, ch = config.pair_dim, config.context_hidden
-        dirs, gates, biases = context_rule(config)
-        for d in dirs:
-            glorot(f"ctx_{d}w_ih", (d_in, gates * ch), d_in, gates * ch)
-            glorot(f"ctx_{d}w_hh", (ch, gates * ch), ch, gates * ch)
-            for b in biases:
-                zeros(f"ctx_{d}{b}", (1, gates * ch))
-
-        glorot("head_w", (config.head_input_dim, 1), config.head_input_dim, 1)
-        zeros("head_b", (1, 1))
-
-        sizes = [math.prod(shape) for shape in shapes.values()]
+        layout = param_layout(config)
+        sizes = [math.prod(shape) for shape, _ in layout.values()]
         self._slots = {name: (slice(end - size, end), shape)
-                       for (name, shape), size, end
-                       in zip(shapes.items(), sizes, itertools.accumulate(sizes))}
+                       for (name, (shape, _)), size, end
+                       in zip(layout.items(), sizes, itertools.accumulate(sizes))}
         self.flat = np.zeros(sum(sizes), dtype=self.dtype)
         expected = expected_parameter_count(config)
         assert self.count() == expected, f"parameter count {self.count()} != expected {expected}"
         if draw:
             rng = np.random.default_rng(config.seed)
             views = self._views(self.flat)
-            for name, limit in limits.items():  # declaration order: a seed fixes every weight
-                views[name][...] = rng.uniform(-limit, limit, size=shapes[name])
+            for name, (shape, drawn) in layout.items():  # in order: a seed fixes every weight
+                if drawn:
+                    limit = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+                    views[name][...] = rng.uniform(-limit, limit, size=shape)
 
     def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
         return {name: buf[s].reshape(shape) for name, (s, shape) in self._slots.items()}
@@ -332,7 +339,7 @@ def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTa
 # serialization
 
 MAGIC = b"COSINET\x00"
-FORMAT_VERSION = 2  # version 1 files (digest over the payload only) still load
+FORMAT_VERSION = 2
 
 
 def save_model(path, config: CosinetConfig, params: CosinetParams, table: EmbeddingTable) -> None:
@@ -368,57 +375,55 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
 
 
 def load_model(path):
-    """Read a model container back; returns (config, params, table) or raises ValueError."""
+    """Read a model container back; returns (config, params, table) or raises ValueError.
+
+    Every error starts with ``path``. Nothing is allocated before the manifest
+    is the layout the header's config derives and the payload is its size.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 20 + 32 or blob[:8] != MAGIC:
-        raise ValueError(f"{path}: not a model file (too short or bad magic)")
-    version, header_len = struct.unpack_from("<IQ", blob, 8)
-    if version not in (1, FORMAT_VERSION):
-        raise ValueError(f"{path}: unsupported format version {version}")
-    header_end = 20 + header_len
-    if header_end > len(blob) - 32:
-        raise ValueError(f"{path}: header length {header_len} runs past the end of the file")
-    body = memoryview(blob)[:-32]
-    payload = body[header_end:]
-    if hashlib.sha256(payload if version == 1 else body).digest() != blob[-32:]:
-        raise ValueError(f"{path}: checksum mismatch (corrupt file)")
-
     try:
+        if len(blob) < 20 + 32 or blob[:8] != MAGIC:
+            raise ValueError("not a model file (too short or bad magic)")
+        version, header_len = struct.unpack_from("<IQ", blob, 8)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {version}")
+        header_end = 20 + header_len
+        if header_end > len(blob) - 32:
+            raise ValueError(f"header length {header_len} runs past the end of the file")
+        body = memoryview(blob)[:-32]
+        if hashlib.sha256(body).digest() != blob[-32:]:
+            raise ValueError("checksum mismatch (corrupt file)")
         header = json.loads(blob[20:header_end].decode("utf-8"))
-        settings = {**header["config"]}
-        written = settings.pop("context_hidden", None)  # in files from before it was derived
-        config = CosinetConfig(**settings)
-        if "context_hidden" in header["config"] and written != config.context_hidden:
-            raise ValueError(f"{path}: config context_hidden {written} is not the "
-                             f"width {config.context_hidden} that {config.context!r} derives")
-        offset, arrays = 0, {}
-        for name, shape in header["tensors"]:
-            if name in arrays:
-                raise ValueError(f"{path}: tensor {name} listed twice")
-            size = int(np.prod(shape)) * 4
-            arrays[name] = np.frombuffer(payload[offset:offset + size], "<f4").reshape(shape)
-            offset += size
-        if offset != len(payload):
-            raise ValueError(f"{path}: payload length mismatch")
-        vocab = {tok: i for i, tok in enumerate(header["vocab"])}
-        matrix = arrays.pop("embedding_matrix").copy()  # its own rows, not views of the file
-        table = EmbeddingTable(vocab, matrix)
-        if not header["embedding_dim"] == table.dimension == config.embedding_dim:
-            raise ValueError(f"{path}: embedding matrix is {table.dimension} wide, header "
-                             f"embedding_dim is {header['embedding_dim']}, config "
-                             f"embedding_dim is {config.embedding_dim}")
-        params = CosinetParams(config, dtype=np.float32, draw=False)  # filled in below
-    except (KeyError, TypeError) as exc:
+        config = CosinetConfig(**header["config"])
+        vocab, width = header["vocab"], config.embedding_dim
+        rows = {tok: i for i, tok in enumerate(vocab) if isinstance(tok, str)}
+        if not isinstance(vocab, list) or len(rows) != len(vocab):
+            raise ValueError("vocab is not a list of distinct strings")
+        if header["embedding_dim"] != width:
+            raise ValueError(f"header embedding_dim {header['embedding_dim']!r} is not "
+                             f"the config's embedding_dim {width}")
+        layout = [["embedding_matrix", [len(vocab), width]]]
+        layout += [[name, list(shape)] for name, (shape, _) in param_layout(config).items()]
+        manifest = header["tensors"]
+        if manifest != layout:  # name the first entry where the two differ
+            pairs = itertools.zip_longest(manifest, layout, fillvalue=())  # () is no JSON value
+            i, (got, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+            got, want = ("nothing" if entry == () else entry for entry in (got, want))
+            raise ValueError(f"manifest entry {i} is {got}, the layout its config derives "
+                             f"has {want}")
+        n_matrix = len(vocab) * width
+        payload, size = body[header_end:], 4 * (n_matrix + expected_parameter_count(config))
+        if len(payload) != size:
+            raise ValueError(f"payload is {len(payload)} bytes, its layout takes {size}")
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
-    unknown = sorted(set(arrays) - set(params.arrays))
-    if unknown:
-        raise ValueError(f"{path}: unknown tensor {unknown[0]}")
-    for name, view in params.arrays.items():
-        if name not in arrays:
-            raise ValueError(f"{path}: missing tensor {name}")
-        if tuple(arrays[name].shape) != view.shape:
-            raise ValueError(f"{path}: tensor {name} has shape {arrays[name].shape}, "
-                             f"expected {view.shape}")
-        view[...] = arrays[name]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+    floats = np.frombuffer(payload, "<f4")
+    matrix = floats[:n_matrix].reshape(len(vocab), width).copy()  # its own rows, not the file's
+    table = EmbeddingTable(rows, matrix)
+    params = CosinetParams(config, draw=False)
+    params.flat[...] = floats[n_matrix:]
     return config, params, table

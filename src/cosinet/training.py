@@ -18,8 +18,8 @@ from queue import Empty, SimpleQueue
 import numpy as np
 
 from . import metrics, ndgrad
-from .model import (CosinetConfig, CosinetParams, check_table_width, make_scorer, prepare_pair,
-                    score_pairs)
+from .model import (CosinetConfig, CosinetParams, check_setting_types, check_table_width,
+                    make_scorer, prepare_pair, score_pairs)
 from .ndgrad import Tape
 
 LOSS_KINDS = ("pointwise", "listwise")
@@ -37,6 +37,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_setting_types(self)
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
         if self.epochs < 1:

@@ -5,12 +5,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from cosinet import cli, model
 from cosinet.baselines import SCORERS
 from cosinet.corpus import export_jsonl, ingest_jsonl
 from cosinet.metrics import evaluate
 from conftest import make_group
+from modelfile import model_file, saved_model_bytes, split_model_file
 
 
 def run(argv, capsys):
@@ -474,6 +477,70 @@ class TestEvalPredict:
                           "--data", toy_jsonl], capsys)
         assert rc == 1
         assert err.startswith("error:")
+
+
+# One change to a saved model, as (what, which, value); model_file recomputes
+# the digest, so each reaches the loader's checks past the checksum.
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(),
+                    st.text(max_size=4))
+MODEL_CHANGES = st.one_of(
+    st.tuples(st.just("config"), st.sampled_from(sorted(cli.TRAIN_DEFAULTS)) | st.text(),
+              SCALARS),
+    st.tuples(st.just("tensor"), st.integers(0, 12),
+              st.lists(st.integers(-10**30, 10**30), max_size=3)),
+    st.tuples(st.just("vocab"), st.integers(0, 3),
+              st.sampled_from(["alpha", "beta", "gamma", "?"]) | SCALARS),
+    st.tuples(st.just("header"), st.sampled_from(["config", "embedding_dim", "vocab", "tensors"]),
+              SCALARS),
+    st.tuples(st.just("payload"), st.none(), st.integers(-4096, 64).filter(bool)),
+    st.tuples(st.just("version"), st.none(), st.integers(0, 2**32 - 1)))
+
+
+def changed_model(what, which, value):
+    """saved_model_bytes() with one change, or None where the change leaves a valid model."""
+    header, payload = split_model_file(saved_model_bytes())
+    if what == "payload":
+        return model_file(header, payload[:value] if value < 0 else payload + bytes(value))
+    if what == "version":
+        return None if value == model.FORMAT_VERSION else model_file(header, payload, version=value)
+    if what == "tensor":
+        target, which = header["tensors"][which], 1  # the shape of tensor ``which``
+    else:
+        target = header if what == "header" else header[what]
+    # KeyError stands for an absent config key: no JSON value has its type
+    old = target.get(which, KeyError) if what == "config" else target[which]
+    target[which] = value
+    if what == "config":  # any seed is valid, and no other value of another type
+        valid = type(value) is type(old) and (which == "seed" or value == old)
+    elif what == "vocab":  # another word for a word is valid
+        valid = isinstance(value, str) and header["vocab"].count(value) == 1
+    else:
+        valid = value == old
+    return None if valid else model_file(header, payload)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(change=MODEL_CHANGES)
+@example(change=("config", "kernel_width", 10**12))  # a layout of 218 TiB
+@example(change=("config", "conv_hidden", 10**12))
+@example(change=("tensor", 0, [-2, -4]))
+@example(change=("tensor", 1, [10**30]))
+@example(change=("vocab", 1, "alpha"))
+@example(change=("header", "vocab", [0, 1, 2, 3]))
+@example(change=("config", "seed", "x"))
+@example(change=("config", "embedding_dim", True))
+@example(change=("config", "context_hidden", 3))  # the legacy config key
+@example(change=("version", None, 1))  # the legacy format
+@example(change=("payload", None, -4))
+def test_changed_model_file_is_one_error_line(tmp_path, capsys, toy_jsonl, change):
+    blob = changed_model(*change)
+    assume(blob is not None)
+    path = tmp_path / "m.bin"
+    path.write_bytes(blob)
+    rc, out, err = run(["eval", "--model", str(path), "--data", toy_jsonl], capsys)
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
 
 class TestHelp:

@@ -1,12 +1,8 @@
 import collections
 import contextlib
 import copy
-import functools
 import hashlib
-import json
 import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +33,7 @@ from cosinet.ndgrad import Tape
 from cosinet.training import listwise_loss, pointwise_loss
 from conftest import make_group, make_table
 from fdcheck import max_rel_error, numeric_gradient, probe
+from modelfile import model_file, saved_model_bytes, small_model, split_model_file
 
 
 def tiny_config(context="none", seed=0, kernel_width=2):
@@ -729,13 +726,7 @@ class TestEndToEndGradients:
 
 
 class TestSerialization:
-    @staticmethod
-    def build(seed=0, context="birnn"):
-        config = CosinetConfig(embedding_dim=4, conv_hidden=6, kernel_width=2,
-                               context=context, seed=seed)
-        table = make_table(["alpha", "beta", "gamma", "?"], dim=4, seed=seed)
-        params = CosinetParams(config)
-        return config, params, table
+    build = staticmethod(small_model)
 
     def test_round_trip_bit_exact(self, tmp_path):
         config, params, table = self.build()
@@ -816,16 +807,16 @@ class TestSerialization:
             load_model(path)
 
     def test_future_version_rejected(self, tmp_path):
-        import struct
-
+        # version 1, whose digest covered the payload only, is no longer read either
         config, params, table = self.build()
         path = tmp_path / "m.bin"
         save_model(path, config, params, table)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = struct.pack("<I", 99)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)
+        for version in (1, 99):
+            blob[8:12] = struct.pack("<I", version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_model(path)
 
     def test_unknown_tensor_rejected(self, tmp_path):
         # a well-formed file with a valid digest whose manifest also names a
@@ -833,8 +824,8 @@ class TestSerialization:
         header, payload = split_model_file(saved_model_bytes())
         header["tensors"].append(["bogus", [3]])
         path = tmp_path / "m.bin"
-        path.write_bytes(model_file(header, payload + bytes(12), version=2))
-        with pytest.raises(ValueError, match="unknown tensor bogus"):
+        path.write_bytes(model_file(header, payload + bytes(12)))
+        with pytest.raises(ValueError, match=r"is \['bogus', \[3\]\], .* has nothing"):
             load_model(path)
 
     def test_repeated_tensor_rejected(self, tmp_path):
@@ -842,8 +833,8 @@ class TestSerialization:
         header, payload = split_model_file(saved_model_bytes())
         header["tensors"].append(["head_b", [1, 1]])
         path = tmp_path / "m.bin"
-        path.write_bytes(model_file(header, payload + bytes(4), version=2))
-        with pytest.raises(ValueError, match="head_b listed twice"):
+        path.write_bytes(model_file(header, payload + bytes(4)))
+        with pytest.raises(ValueError, match=r"is \['head_b', \[1, 1\]\], .* has nothing"):
             load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
@@ -853,8 +844,8 @@ class TestSerialization:
         assert header["tensors"][-1] == ["head_b", [1, 1]]
         header["tensors"][-1][1] = [2, 2]
         path = tmp_path / "m.bin"
-        path.write_bytes(model_file(header, payload + bytes(12), version=2))
-        with pytest.raises(ValueError, match="head_b"):
+        path.write_bytes(model_file(header, payload + bytes(12)))
+        with pytest.raises(ValueError, match=r"\['head_b', \[2, 2\]\], .* \['head_b', \[1, 1\]\]"):
             load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -881,57 +872,24 @@ class TestSerialization:
             with pytest.raises(ValueError, match="header length"):
                 load_model(path)
 
+    def test_header_nested_past_the_recursion_limit_rejected(self, tmp_path):
+        # json.loads recurses once per level and raises RecursionError, no ValueError
+        raw = b"[" * 100_000 + b"]" * 100_000
+        body = model.MAGIC + struct.pack("<IQ", model.FORMAT_VERSION, len(raw)) + raw
+        path = tmp_path / "m.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(ValueError, match=f"^{path}: malformed header"):
+            load_model(path)
+
     def test_unknown_config_key_rejected(self, tmp_path):
-        header, payload = split_model_file(saved_model_bytes())
-        header["config"]["dropout"] = 0.5
+        # context_hidden is derived: files that listed it in the config no longer load
         path = tmp_path / "m.bin"
-        path.write_bytes(model_file(header, payload, version=2))
-        with pytest.raises(ValueError, match="dropout"):
-            load_model(path)
-
-    def test_version_1_file_loads(self, tmp_path):
-        # version 1: the same layout, with the digest over the payload only
-        config, params, table = self.build(seed=4)
-        path = tmp_path / "m.bin"
-        save_model(path, config, params, table)
-        header, payload = split_model_file(path.read_bytes())
-        header["format_version"] = 1
-        path.write_bytes(model_file(header, payload, version=1))
-        config2, params2, table2 = load_model(path)
-        assert config2 == config
-        for name in params.arrays:
-            np.testing.assert_array_equal(params2.arrays[name], params.arrays[name])
-        np.testing.assert_array_equal(table2.matrix, table.matrix)
-        assert table2.vocabulary == table.vocabulary
-
-    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
-    def test_file_with_derived_context_hidden_in_header_loads(self, tmp_path, kind):
-        # files written while context_hidden was a setting list it in the
-        # header config; its derived value loads and scores as before
-        config, params, table = self.build(seed=5, context=kind)
-        group = make_group("q", "alpha beta ?", [("beta gamma .", 1), ("alpha .", 0)])
-        path = tmp_path / "m.bin"
-        save_model(path, config, params, table)
-        header, payload = split_model_file(path.read_bytes())
-        assert "context_hidden" not in header["config"]
-        header["config"]["context_hidden"] = {"none": None, "rnn": 6, "lstm": 6}.get(kind, 3)
-        path.write_bytes(model_file(header, payload, version=2))
-        config2, params2, table2 = load_model(path)
-        assert config2 == config
-        np.testing.assert_array_equal(params2.flat, params.flat)
-        np.testing.assert_array_equal(score_group(group, table2, params2, config2),
-                                      score_group(group, table, params, config))
-
-    @pytest.mark.parametrize("kind,width", [("none", 6), ("rnn", 3), ("bilstm", 6)])
-    def test_header_context_hidden_other_than_derived_rejected(self, tmp_path, kind, width):
-        config, params, table = self.build(context=kind)
-        path = tmp_path / "m.bin"
-        save_model(path, config, params, table)
-        header, payload = split_model_file(path.read_bytes())
-        header["config"]["context_hidden"] = width
-        path.write_bytes(model_file(header, payload, version=2))
-        with pytest.raises(ValueError, match="context_hidden"):
-            load_model(path)
+        for key, value in (("dropout", 0.5), ("context_hidden", 3)):
+            header, payload = split_model_file(saved_model_bytes())
+            header["config"][key] = value
+            path.write_bytes(model_file(header, payload))
+            with pytest.raises(ValueError, match=key):
+                load_model(path)
 
     def test_embedding_width_other_than_config_rejected(self, tmp_path):
         # an 8-wide table under a 4-wide config: neither written nor read
@@ -945,14 +903,18 @@ class TestSerialization:
         header, payload = split_model_file(path.read_bytes())
         matrix = np.frombuffer(payload[:table.matrix.nbytes], "<f4").reshape(table.matrix.shape)
         rest = payload[table.matrix.nbytes:]
-        # header embedding_dim, matrix width, config embedding_dim
-        for header_dim, width, config_dim in ((8, 8, 4), (4, 8, 4), (8, 4, 8)):
+        # header embedding_dim, matrix width, config embedding_dim; the error names the
+        # width that disagrees with the config's
+        for header_dim, width, config_dim, named in (
+                (8, 8, 4, "header embedding_dim 8 is not the config's embedding_dim 4"),
+                (4, 8, 4, r"is \['embedding_matrix', \[4, 8\]\], .* \[4, 4\]"),
+                (8, 4, 8, r"is \['embedding_matrix', \[4, 4\]\], .* \[4, 8\]")):
             header["embedding_dim"] = header_dim
             header["tensors"][0][1] = [len(matrix), width]
             header["config"]["embedding_dim"] = config_dim
             body = np.tile(matrix, (1, width // 4)).tobytes() + rest
-            path.write_bytes(model_file(header, body, version=2))
-            with pytest.raises(ValueError, match=f"embedding matrix is {width} wide"):
+            path.write_bytes(model_file(header, body))
+            with pytest.raises(ValueError, match=named):
                 load_model(path)
 
     @pytest.mark.parametrize("existing", [False, True])
@@ -988,29 +950,6 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == (["m.bin"] if existing else [])
         if existing:
             assert path.read_bytes() == before
-
-
-def split_model_file(blob):
-    """(header object, payload bytes) of a model file."""
-    (hlen,) = struct.unpack_from("<Q", blob, 12)
-    return json.loads(blob[20:20 + hlen]), blob[20 + hlen:-32]
-
-
-def model_file(header, payload, version):
-    """A model file written by hand: version 1 digests the payload only,
-    version 2 every byte before the digest."""
-    raw = json.dumps(header).encode("utf-8")
-    body = b"COSINET\x00" + struct.pack("<IQ", version, len(raw)) + raw + payload
-    return body + hashlib.sha256(payload if version == 1 else body).digest()
-
-
-@functools.lru_cache(maxsize=None)
-def saved_model_bytes():
-    config, params, table = TestSerialization.build()
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "m.bin"
-        save_model(path, config, params, table)
-        return path.read_bytes()
 
 
 FUZZ = settings(max_examples=150, deadline=None,
