@@ -11,7 +11,7 @@ token of the batch once and runs at the windows that start at a real token
 only, with global max pooling over those windows turns the batch into
 sentence vectors, and each pair combines into [q * c; q - c].
 The (n, 2H) pair embeddings can then be contextualized along the original
-rank by a recurrent layer, one tape op per direction, before a single
+rank by a recurrent layer, one tape op for both directions, before a single
 linear head produces an (n, 1) column of scores, one per candidate.
 
 Relatedness features are computed outside the tape: embeddings are frozen,
@@ -66,6 +66,8 @@ class CosinetConfig:
             raise ValueError(f"kernel_width must be >= 1, got {self.kernel_width}")
         if self.conv_hidden < 1:
             raise ValueError(f"conv_hidden must be >= 1, got {self.conv_hidden}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.context not in CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {self.context!r}, expected one of {CONTEXT_KINDS}")
         if self.bidirectional and self.conv_hidden % 2:
@@ -293,17 +295,15 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
     """Run the configured recurrence down the rank-ordered (n, 2H) pair embeddings.
 
     Returns one context row per candidate: the input unchanged for ``none``,
-    the hidden states for rnn/lstm, and the forward/backward concatenation
+    the hidden states for rnn/lstm, and both directions' states side by side
     for the bidirectional variants. Initial states are zero.
     """
     dirs, gates, biases = context_rule(config)
     if not dirs:
         return pair_vecs
     cell = ndgrad.lstm_cell if gates == 4 else ndgrad.rnn_cell
-    outs = [cell(pair_vecs, leaves[f"ctx_{d}w_ih"], leaves[f"ctx_{d}w_hh"],
-                 *(leaves[f"ctx_{d}{b}"] for b in biases), reverse=d == "bw_")
-            for d in dirs]
-    return ndgrad.concat(outs) if len(outs) > 1 else outs[0]
+    return cell(pair_vecs, *([leaves[f"ctx_{d}{p}"] for p in ("w_ih", "w_hh", *biases)]
+                             for d in dirs))
 
 
 def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
@@ -400,16 +400,17 @@ def load_model(path):
         rows = {tok: i for i, tok in enumerate(vocab) if isinstance(tok, str)}
         if not isinstance(vocab, list) or len(rows) != len(vocab):
             raise ValueError("vocab is not a list of distinct strings")
-        if header["embedding_dim"] != width:
+        # header values compare as JSON text, so 4.0 is no 4 and true no 1
+        if json.dumps(header["embedding_dim"]) != str(width):
             raise ValueError(f"header embedding_dim {header['embedding_dim']!r} is not "
                              f"the config's embedding_dim {width}")
         layout = [["embedding_matrix", [len(vocab), width]]]
         layout += [[name, list(shape)] for name, (shape, _) in param_layout(config).items()]
-        manifest = header["tensors"]
-        if manifest != layout:  # name the first entry where the two differ
-            pairs = itertools.zip_longest(manifest, layout, fillvalue=())  # () is no JSON value
-            i, (got, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
-            got, want = ("nothing" if entry == () else entry for entry in (got, want))
+        manifest = list(header["tensors"])
+        texts = [[json.dumps(entry) for entry in entries] for entries in (manifest, layout)]
+        if texts[0] != texts[1]:  # name the first entry where the two differ
+            i = next(i for i, (a, b) in enumerate(itertools.zip_longest(*texts)) if a != b)
+            got, want = (e[i] if i < len(e) else "nothing" for e in (manifest, layout))
             raise ValueError(f"manifest entry {i} is {got}, the layout its config derives "
                              f"has {want}")
         n_matrix = len(vocab) * width

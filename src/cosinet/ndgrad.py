@@ -186,21 +186,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _op("linear", x.data @ w.data + b.data, backward, x, w, b)
 
 
-def concat(tensors) -> Tensor:
-    """The column-wise join of (N, C_i) tensors."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat: needs at least one input")
-    data = np.concatenate([t.data for t in tensors], axis=1)
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _acc(t, g[:, lo:hi])
-
-    return _op("concat", data, backward, *tensors)
-
-
 def kl_logits(scores: Tensor, target) -> Tensor:
     """KL(target || softmax(scores)) over all entries of ``scores``, as a (1, 1) tensor.
 
@@ -320,58 +305,69 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
     return _op("masked_max_pool", np.stack([x[s].max(axis=0) for s in segments]), backward, rows)
 
 
-def _recurrence(name, x: Tensor, w_ih: Tensor, w_hh: Tensor, biases, gates: int,
-                reverse: bool, cell, cell_back) -> Tensor:
-    """Run a recurrence over the rows of ``x`` from a zero state as one tape op.
+def _recurrence(name, x: Tensor, directions, gates: int, cell, cell_back) -> Tensor:
+    """Run a recurrence over the rows of ``x`` from a zero state, per direction, as one tape op.
 
-    The input projection ``x @ w_ih + b`` is one matmul for all steps, where
-    ``b`` sums the (1, gates * H) ``biases`` in the order given. Per
-    step, ``cell(pre, c) -> (h, c, saved)`` maps the pre-activation and the
-    carried cell state to the new hidden and cell state, and
-    ``cell_back(dh, dc, saved) -> (dpre, dc_prev)`` is its derivative. Output
-    row t is the hidden state after row t, whichever way the rows are read.
+    Each of the one or two ``directions`` is a ``[w_ih, w_hh, *biases]`` list;
+    the second reads the rows last to first. A direction's input projection
+    ``x @ w_ih + b`` is one matmul for all steps, where ``b`` sums its
+    (1, gates * H) biases in the order given. Per step, ``cell(pre, c) -> (h,
+    c, saved)`` maps the pre-activation and the carried cell state to the new
+    hidden and cell state, and ``cell_back(dh, dc, saved) -> (dpre, dc_prev)``
+    is its derivative. Output row t joins, column-wise, each direction's hidden
+    state after row t, whichever way it reads the rows.
     """
-    hdim = w_hh.data.shape[0] if w_hh.data.ndim == 2 else -1
-    if (x.data.ndim != 2 or w_ih.data.shape != (x.data.shape[1], gates * hdim)
-            or w_hh.data.shape != (hdim, gates * hdim) or not biases
-            or any(b.data.shape != (1, gates * hdim) for b in biases)):
-        raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape,
-                           *(b.data.shape for b in biases))
-    order = slice(None, None, -1) if reverse else slice(None)
-    xs = x.data[order]
-    pre_x = xs @ w_ih.data + sum((b.data for b in biases[1:]), biases[0].data)
-    hs = np.zeros((xs.shape[0] + 1, hdim), dtype=pre_x.dtype)  # hs[t]: state before step t
-    c = np.zeros(hdim, dtype=pre_x.dtype)
-    saved = []
-    for t in range(xs.shape[0]):
-        hs[t + 1], c, s = cell(pre_x[t] + hs[t] @ w_hh.data, c)
-        saved.append(s)
+    if x.data.ndim != 2 or len(directions) not in (1, 2):
+        raise ValueError(f"{name}: needs an (N, In) input and one or two directions, "
+                         f"got {x.data.shape} and {len(directions)}")
+    runs = []  # per direction: row order, weights, inputs, pre-activations, states, saved
+    for reverse, (w_ih, w_hh, *biases) in enumerate(directions):
+        hdim = w_hh.data.shape[0] if w_hh.data.ndim == 2 else -1
+        if (w_ih.data.shape != (x.data.shape[1], gates * hdim)
+                or w_hh.data.shape != (hdim, gates * hdim) or not biases
+                or any(b.data.shape != (1, gates * hdim) for b in biases)):
+            raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape,
+                               *(b.data.shape for b in biases))
+        order = slice(None, None, -1 if reverse else None)
+        xs = x.data[order]
+        pre_x = xs @ w_ih.data + sum((b.data for b in biases[1:]), biases[0].data)
+        hs = np.zeros((xs.shape[0] + 1, hdim), dtype=pre_x.dtype)  # hs[t]: state before step t
+        c = np.zeros(hdim, dtype=pre_x.dtype)
+        saved = []
+        for t in range(xs.shape[0]):
+            hs[t + 1], c, s = cell(pre_x[t] + hs[t] @ w_hh.data, c)
+            saved.append(s)
+        runs.append((order, w_ih, w_hh, biases, xs, pre_x, hs, saved))
 
     def backward(g):
-        g = g[order]
-        dpre = np.empty_like(pre_x)
-        dh = np.zeros(hdim, dtype=pre_x.dtype)
-        dc = np.zeros(hdim, dtype=pre_x.dtype)
-        for t in reversed(range(xs.shape[0])):
-            dpre[t], dc = cell_back(g[t] + dh, dc, saved[t])
-            dh = dpre[t] @ w_hh.data.T
-        _acc(x, (dpre @ w_ih.data.T)[order])
-        _acc(w_ih, xs.T @ dpre)
-        _acc(w_hh, hs[:-1].T @ dpre)
-        db = dpre.sum(axis=0, keepdims=True)
-        for b in biases:
-            _acc(b, db)
+        lo = 0  # each direction's columns of g
+        for order, w_ih, w_hh, biases, xs, pre_x, hs, saved in runs:
+            hdim = hs.shape[1]
+            g_dir, lo = g[order, lo:lo + hdim], lo + hdim
+            dpre = np.empty_like(pre_x)
+            dh = np.zeros(hdim, dtype=pre_x.dtype)
+            dc = np.zeros(hdim, dtype=pre_x.dtype)
+            for t in reversed(range(xs.shape[0])):
+                dpre[t], dc = cell_back(g_dir[t] + dh, dc, saved[t])
+                dh = dpre[t] @ w_hh.data.T
+            _acc(x, (dpre @ w_ih.data.T)[order])
+            _acc(w_ih, xs.T @ dpre)
+            _acc(w_hh, hs[:-1].T @ dpre)
+            db = dpre.sum(axis=0, keepdims=True)
+            for b in biases:
+                _acc(b, db)
 
-    return _op(name, np.ascontiguousarray(hs[1:][order]), backward, x, w_ih, w_hh, *biases)
+    out = np.concatenate([hs[1:][order] for order, *_, hs, _ in runs], axis=1)
+    return _op(name, out, backward, x, *(t for d in directions for t in d))
 
 
-def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
-             reverse: bool = False) -> Tensor:
+def rnn_cell(x: Tensor, *directions) -> Tensor:
     """Simple recurrence h_t = tanh(x_t @ w_ih + h_{t-1} @ w_hh + b) over all rows.
 
-    ``x`` is (N, In), ``w_ih`` (In, H), ``w_hh`` (H, H), and ``b`` the sum of
-    one or more (1, H) ``biases`` (such as b_ih, b_hh); the output is the
-    (N, H) hidden states. ``reverse`` reads the rows last to first.
+    ``x`` is (N, In); each of the one or two ``directions`` is a list of
+    ``w_ih`` (In, H), ``w_hh`` (H, H) and one or more (1, H) biases (such as
+    b_ih, b_hh) summed into ``b``. The output is the (N, H) hidden states per
+    direction, side by side; the second direction reads the rows last to first.
     """
     def cell(pre, c):
         h = np.tanh(pre)
@@ -380,17 +376,17 @@ def rnn_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
     def cell_back(dh, dc, h):
         return dh * (1.0 - h * h), dc
 
-    return _recurrence("rnn_cell", x, w_ih, w_hh, biases, 1, reverse, cell, cell_back)
+    return _recurrence("rnn_cell", x, directions, 1, cell, cell_back)
 
 
-def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
-              reverse: bool = False) -> Tensor:
-    """Standard 4-gate LSTM over all rows; returns the (N, H) hidden states.
+def lstm_cell(x: Tensor, *directions) -> Tensor:
+    """Standard 4-gate LSTM over all rows; returns the (N, H) hidden states per direction.
 
-    Gate layout along the last axis of ``w_ih``/``w_hh``/``biases`` is
-    [input, forget, cell-candidate, output], each of width H.
-    ``x`` is (N, In), ``w_ih`` (In, 4H), ``w_hh`` (H, 4H), and the one or
-    more ``biases`` (1, 4H) each, summed. ``reverse`` reads the rows last to
+    Gate layout along the last axis of ``w_ih``/``w_hh``/biases is
+    [input, forget, cell-candidate, output], each of width H. ``x`` is
+    (N, In); each of the one or two ``directions`` is a list of ``w_ih``
+    (In, 4H), ``w_hh`` (H, 4H) and one or more (1, 4H) biases, summed. The
+    directions' states sit side by side; the second reads the rows last to
     first.
     """
     def cell(pre, c):
@@ -407,7 +403,7 @@ def lstm_cell(x: Tensor, w_ih: Tensor, w_hh: Tensor, *biases: Tensor,
                                dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
         return dpre, dc * f
 
-    return _recurrence("lstm_cell", x, w_ih, w_hh, biases, 4, reverse, cell, cell_back)
+    return _recurrence("lstm_cell", x, directions, 4, cell, cell_back)
 
 
 def bce_logits_mean(scores: Tensor, labels) -> Tensor:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -42,6 +41,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_lr is not None and not 0 < self.max_lr < math.inf:
@@ -126,8 +127,8 @@ class Adam:
 
         ``backward(final)`` fills ``g`` and calls ``final(lo, hi)`` as soon
         as ``g[lo:hi]`` is final and nothing reads ``w[lo:hi]`` any more;
-        the worker updates those blocks while backward goes on, and this
-        thread then takes every block the worker has not started. If
+        those blocks join the worker's queue while backward goes on, and this
+        thread then takes every block whose future it can still cancel. If
         ``backward`` raises, no further block starts, but the blocks
         already written stay written and ``t`` stays advanced: the step is
         left partial. A worker error is raised from ``step``, with any error
@@ -135,29 +136,27 @@ class Adam:
         """
         self.t += 1
         coef = (lr, 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t)
-        blocks = SimpleQueue()  # (lo, hi) of each block not yet started; None stops the worker
-        worker = self._worker.submit(self._work, blocks, w, g, coef)
+        blocks = []  # (lo, hi, the worker's future) of each block, in hand-over order
 
         def final(lo, hi):
             for a in range(lo, hi, BLOCK):
-                blocks.put((a, min(a + BLOCK, hi)))
+                b = min(a + BLOCK, hi)
+                blocks.append((a, b, self._worker.submit(self._update, w, g, a, b, coef, 1)))
 
         try:
             backward(final)
-            for lo, hi in _queued(blocks):
-                self._update(w, g, lo, hi, coef, 0)
+            for lo, hi, job in blocks:
+                if job.cancel():  # the worker has not started it
+                    self._update(w, g, lo, hi, coef, 0)
         except BaseException:
-            for _ in _queued(blocks):  # start no further block
-                pass
+            for *_, job in blocks:  # start no further block
+                job.cancel()
             raise
         finally:
-            blocks.put(None)
-            worker.result()  # returns after the worker's last block; raises its error, if any
-
-    def _work(self, blocks, w, g, coef) -> None:
-        """The worker's part of one step: each block from ``blocks`` until None."""
-        for lo, hi in iter(blocks.get, None):
-            self._update(w, g, lo, hi, coef, 1)
+            started = [job for *_, job in blocks if not job.cancelled()]
+            wait(started)  # every block the worker started is written
+            for job in started:
+                job.result()  # raises the worker's error, if any
 
     def _update(self, w, g, lo, hi, coef, thread) -> None:
         lr, b1c, b2c = coef
@@ -177,15 +176,6 @@ class Adam:
         u *= lr
         u /= s
         wb -= u
-
-
-def _queued(blocks: SimpleQueue):
-    """Take each item still in ``blocks`` without waiting."""
-    while True:
-        try:
-            yield blocks.get_nowait()
-        except Empty:
-            return
 
 
 @dataclass

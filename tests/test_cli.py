@@ -510,12 +510,12 @@ def changed_model(what, which, value):
     # KeyError stands for an absent config key: no JSON value has its type
     old = target.get(which, KeyError) if what == "config" else target[which]
     target[which] = value
-    if what == "config":  # any seed is valid, and no other value of another type
-        valid = type(value) is type(old) and (which == "seed" or value == old)
+    if what == "config":  # any seed >= 0 is valid, and no other value of another type
+        valid = type(value) is type(old) and (value >= 0 if which == "seed" else value == old)
     elif what == "vocab":  # another word for a word is valid
         valid = isinstance(value, str) and header["vocab"].count(value) == 1
-    else:
-        valid = value == old
+    else:  # equal as JSON: 4.0 is no 4 and true no 1
+        valid = json.dumps(value) == json.dumps(old)
     return None if valid else model_file(header, payload)
 
 
@@ -529,6 +529,9 @@ def changed_model(what, which, value):
 @example(change=("vocab", 1, "alpha"))
 @example(change=("header", "vocab", [0, 1, 2, 3]))
 @example(change=("config", "seed", "x"))
+@example(change=("config", "seed", -1))
+@example(change=("header", "embedding_dim", 4.0))
+@example(change=("tensor", 12, [True, True]))  # head_b's shape is [1, 1]
 @example(change=("config", "embedding_dim", True))
 @example(change=("config", "context_hidden", 3))  # the legacy config key
 @example(change=("version", None, 1))  # the legacy format

@@ -497,8 +497,9 @@ class TestForward:
                 np.testing.assert_allclose(scores[1], base[0], rtol=1e-6, atol=1e-6)
 
     def test_one_tape_op_per_layer_per_batch(self, monkeypatch):
-        # conv and pool once per tower, each recurrence direction once,
-        # and a tape whose length does not grow with the candidate count
+        # conv and pool once per tower, the recurrence once for both
+        # directions, and a tape whose length does not grow with the
+        # candidate count
         calls = collections.Counter()
         for name in ("conv1d", "masked_max_pool", "rnn_cell", "lstm_cell"):
             def counted(*args, _fn=getattr(nd, name), _name=name, **kwargs):
@@ -512,7 +513,7 @@ class TestForward:
             cell = "lstm_cell" if kind.endswith("lstm") else "rnn_cell"
             want = {"conv1d": 2, "masked_max_pool": 2}
             if kind != "none":
-                want[cell] = 2 if config.bidirectional else 1
+                want[cell] = 1
             records = set()
             for n in (1, 2, 7):
                 calls.clear()
@@ -525,10 +526,10 @@ class TestForward:
 
     @pytest.mark.parametrize("loss, kind, want", [
         (listwise_loss, "none", 7), (pointwise_loss, "none", 7), (listwise_loss, "rnn", 8),
-        (listwise_loss, "lstm", 8), (listwise_loss, "birnn", 10), (listwise_loss, "bilstm", 10)])
+        (listwise_loss, "lstm", 8), (listwise_loss, "birnn", 8), (listwise_loss, "bilstm", 8)])
     def test_one_tape_record_per_model_stage(self, loss, kind, want):
-        # conv and pool per tower, the pair combine, one recurrence per
-        # direction (with its biases), their join, the head and the loss
+        # conv and pool per tower, the pair combine, one recurrence for all
+        # directions (with their biases), the head and the loss
         config = tiny_config(kind)
         batch = Batch(np.random.default_rng(13), config, 4)
         tape = Tape(dtype=np.float32)
@@ -651,6 +652,10 @@ class TestParameterCount:
         for dim in (0, -2):  # named as a setting, not as a vector file of the wrong width
             with pytest.raises(ValueError, match=f"embedding_dim must be >= 1, got {dim}"):
                 CosinetConfig(embedding_dim=dim)
+        # named as a setting, not by the random generator once the data has loaded
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CosinetConfig(seed=-1)
+        assert CosinetConfig(seed=0).seed == 0
 
 
 class TestInit:

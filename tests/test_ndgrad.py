@@ -78,12 +78,6 @@ def linear_case(n):
     return case
 
 
-def case_concat_cols(rng):
-    parts = [rng.uniform(-1, 1, (3, n)) for n in (2, 4, 1)]
-    w = rng.uniform(-1, 1, (3, 7))
-    return parts, lambda t, lv: probe(nd.concat(lv), w)
-
-
 def random_target(rng, size):
     """A flat probability distribution over ``size`` entries, with some exact zeros."""
     t = rng.uniform(0, 1, size)
@@ -135,30 +129,31 @@ def case_masked_max_pool(rng):
     return [x], lambda t, lv: probe(nd.masked_max_pool(lv[0], mask), w)
 
 
-def both_directions(cell, rng, arrays, hdim):
-    """One case running ``cell`` forward and reversed over the same inputs."""
-    w = rng.uniform(-1, 1, (arrays[0].shape[0], 2 * hdim))
+def directions_case(name, cell, gates, n_biases, width):
+    """A case probing the sum of a two-direction run of ``cell``, with distinct
+    weights, and a one-direction run with the first direction's weights."""
+    def case(rng):
+        shapes = [(3, gates * width), (width, gates * width)] + [(1, gates * width)] * n_biases
+        arrays = [rng.uniform(-1, 1, (4, 3))]
+        arrays += [rng.uniform(-1, 1, shape) for _ in range(2) for shape in shapes]
+        w = rng.uniform(-1, 1, (4, 3 * width))
 
-    def build(t, lv):
-        return probe(nd.concat([cell(*lv, reverse=rev) for rev in (False, True)]), w)
+        def build(t, lv):
+            x, fw, bw = lv[0], lv[1:1 + len(shapes)], lv[1 + len(shapes):]
+            both = probe(cell(x, fw, bw), w[:, :2 * width])
+            return nd.linear(both, t.leaf([[1.0]]), probe(cell(x, fw), w[:, 2 * width:]))  # a sum
 
-    return arrays, build
+        return arrays, build
 
-
-def case_rnn_cell(rng):
-    arrays = [rng.uniform(-1, 1, shape) for shape in ((4, 3), (3, 4), (4, 4), (1, 4))]
-    return both_directions(nd.rnn_cell, rng, arrays, 4)
-
-
-def case_rnn_cell_two_biases(rng):
-    # b_ih and b_hh, as the unidirectional rnn context passes them
-    arrays = [rng.uniform(-1, 1, shape) for shape in ((4, 3), (3, 4), (4, 4), (1, 4), (1, 4))]
-    return both_directions(nd.rnn_cell, rng, arrays, 4)
+    case.__name__ = name
+    return case
 
 
-def case_lstm_cell(rng):
-    arrays = [rng.uniform(-1, 1, shape) for shape in ((4, 3), (3, 16), (4, 16), (1, 16))]
-    return both_directions(nd.lstm_cell, rng, arrays, 4)
+# the rnn cases take b_ih alone, then b_ih and b_hh as the unidirectional rnn
+# context passes them; the LSTM runs 2 wide to keep its check fast
+case_rnn_cell = directions_case("case_rnn_cell", nd.rnn_cell, 1, 1, 4)
+case_rnn_cell_two_biases = directions_case("case_rnn_cell_two_biases", nd.rnn_cell, 1, 2, 4)
+case_lstm_cell = directions_case("case_lstm_cell", nd.lstm_cell, 4, 1, 2)
 
 
 def case_bce(rng):
@@ -169,7 +164,7 @@ def case_bce(rng):
 
 ALL_CASES = [
     case_pair_combine, pair_combine_half(0), pair_combine_half(1), linear_case(1), linear_case(3),
-    case_concat_cols, case_kl_logits, case_conv1d, case_masked_max_pool, case_rnn_cell,
+    case_kl_logits, case_conv1d, case_masked_max_pool, case_rnn_cell,
     case_rnn_cell_two_biases, case_lstm_cell, case_bce,
 ]
 
@@ -264,17 +259,19 @@ class TestBackwardConventions:
             nd.pair_combine(a, b)
 
     def test_reused_tensor_accumulates_fanout(self):
-        # d/dx of sum([x * x, x - x, x]) = 2x + 1, with x feeding two records
-        # and twice into one
+        # d/dx of sum([x * x, x - x]) - sum(-x) = 2x + 1, with x feeding two
+        # records and twice into one
         tape = nd.Tape(dtype=np.float64)
         x = tape.leaf([[1.5, -0.5]])
-        tape.backward(probe(nd.concat([nd.pair_combine(x, x), x])))
+        joined = nd.pair_combine(probe(nd.pair_combine(x, x)), probe(x, -1.0))  # [p * q, p - q]
+        tape.backward(probe(joined, [[0.0, 1.0]]))
         np.testing.assert_allclose(x.grad, [[4.0, 0.0]])
 
     def test_on_final_reports_each_buffered_leaf_once_when_its_gradient_is_final(self):
         # a feeds two records; the report comes after the earlier one's
         # backward, when a's gradient is complete, and never sooner; u feeds
-        # no record, so it is final at once; c has no buffer and is not reported
+        # no record, so it is final at once; c and the ones have no buffer
+        # and are not reported
         tape = nd.Tape(dtype=np.float64)
         bufs = {name: np.full((1, 2), 7.0) for name in "abdu"}
         a = tape.leaf([[2.0, -3.0]], grad=bufs["a"])
@@ -282,8 +279,9 @@ class TestBackwardConventions:
         d = tape.leaf([[1.0, 1.0]], grad=bufs["d"])
         tape.leaf([[9.0, 9.0]], grad=bufs["u"])
         c = tape.leaf([[3.0, 3.0]])
-        y = nd.concat([nd.pair_combine(a, b), a])  # [a * b, a - b, a]
-        loss = probe(nd.concat([y, nd.pair_combine(d, c)]))
+        y = nd.pair_combine(a, b)  # [a * b, a - b]
+        with_a = nd.linear(a, tape.leaf(np.ones((2, 1))), probe(y))  # sum(a) + sum(y)
+        loss = nd.linear(nd.pair_combine(d, c), tape.leaf(np.ones((4, 1))), with_a)
         names = {id(bufs[name]): name for name in bufs}
         seen = []
 
@@ -398,7 +396,12 @@ class TestShapeErrors:
         x, w_ih, w_hh = (tape.leaf(np.zeros(s)) for s in ((2, 3), (3, 4), (4, 4)))
         for biases in ((), ((1, 4), (4,)), ((1, 3),)):
             with pytest.raises(ValueError, match="rnn_cell"):
-                nd.rnn_cell(x, w_ih, w_hh, *(tape.leaf(np.zeros(s)) for s in biases))
+                nd.rnn_cell(x, [w_ih, w_hh, *(tape.leaf(np.zeros(s)) for s in biases)])
+        # and one or two directions
+        direction = [w_ih, w_hh, tape.leaf(np.zeros((1, 4)))]
+        for directions in ((), (direction,) * 3):
+            with pytest.raises(ValueError, match="rnn_cell"):
+                nd.rnn_cell(x, *directions)
 
     def test_bce_needs_one_label_per_score(self):
         tape = nd.Tape()
@@ -545,6 +548,21 @@ class TestPrimitiveSemantics:
         np.testing.assert_array_equal(leaves[1].grad, gx[:, :3] * q - gx[:, 3:])
         np.testing.assert_array_equal(leaves[2].grad, x.T @ g)
         np.testing.assert_array_equal(leaves[3].grad, g.sum(axis=0, keepdims=True))
+
+    def test_second_direction_reads_the_rows_last_to_first(self):
+        # its half of the output is a one-direction run over the reversed
+        # rows, reversed back; the first half is the one-direction run
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, (5, 3))
+        for cell, gates in ((nd.rnn_cell, 1), (nd.lstm_cell, 4)):
+            fw, bw = ([rng.uniform(-1, 1, s) for s in ((3, 4 * gates), (4, 4 * gates),
+                                                        (1, 4 * gates))] for _ in range(2))
+            tape = nd.Tape(dtype=np.float64)
+            fw, bw = [tape.leaf(a) for a in fw], [tape.leaf(a) for a in bw]
+            both = cell(tape.leaf(x), fw, bw).data
+            ahead = cell(tape.leaf(x), fw).data
+            back = cell(tape.leaf(x[::-1]), bw).data[::-1]
+            np.testing.assert_allclose(both, np.hstack([ahead, back]), rtol=1e-12, atol=1e-15)
 
     def test_max_pool_tie_routes_gradient_to_first(self):
         # packed rows: [1, 3, 3] for the first sequence, [2, 2] for the second

@@ -438,6 +438,8 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="max_lr"):
             TrainConfig(max_lr=-1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
         for max_lr in (float("nan"), float("inf")):  # nan <= 0 is False
             with pytest.raises(ValueError, match=f"max_lr must be finite and > 0, got {max_lr}"):
                 TrainConfig(max_lr=max_lr)
