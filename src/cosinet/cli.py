@@ -55,28 +55,38 @@ def cmd_baseline(args) -> None:
     _emit(result.to_dict())
 
 
-def _merged_train_settings(args) -> dict:
+def _train_configs(args):
+    """(CosinetConfig, TrainConfig) of the defaults, then the --config file, then the flags.
+
+    The file's settings must hold on their own, and every error they cause
+    starts with the file's path.
+    """
     settings = dict(TRAIN_DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"{args.config}: settings must be a JSON object")
-        unknown = set(file_cfg) - set(TRAIN_DEFAULTS)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown settings {sorted(unknown)}")
-        settings.update(file_cfg)
-    for key in ("loss", "context", "epochs", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
+
+    def configs():
+        return [cls(**{f.name: settings[f.name] for f in fields(cls)})
+                for cls in (model.CosinetConfig, training.TrainConfig)]
+
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+            if not isinstance(file_cfg, dict):
+                raise ValueError("settings must be a JSON object")
+            unknown = set(file_cfg) - set(TRAIN_DEFAULTS)
+            if unknown:
+                raise ValueError(f"unknown settings {sorted(unknown)}")
+            settings.update(file_cfg)
+            configs()
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise ValueError(f"{args.config}: {exc}") from exc
+    settings.update({key: value for key in ("loss", "context", "epochs", "seed")
+                     if (value := getattr(args, key)) is not None})
+    return configs()
 
 
 def cmd_train(args) -> None:
-    s = _merged_train_settings(args)
-    cfg, tc = (cls(**{f.name: s[f.name] for f in fields(cls)})
-               for cls in (model.CosinetConfig, training.TrainConfig))
+    cfg, tc = _train_configs(args)
 
     train_groups = _load_groups(args.train)
     dev_groups = _load_groups(args.dev) if args.dev else None
@@ -95,8 +105,7 @@ def cmd_train(args) -> None:
     model.save_model(args.out, cfg, params, table)
 
     out = report.to_dict()
-    out.update({"loss": s["loss"], "context": s["context"], "seed": s["seed"],
-                "model": args.out})
+    out.update({"loss": tc.loss, "context": cfg.context, "seed": tc.seed, "model": args.out})
     _emit(out)
 
 

@@ -108,6 +108,19 @@ def _build_groups(raw_groups):
     return groups, report
 
 
+def read_lines(path, lines):
+    """Yield ``lines``, a text file's or a csv reader's; an undecodable byte or a csv
+    error becomes a ValueError that starts with ``path``."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            yield line
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}:{lineno + 1}: {exc}") from exc
+
+
 def _parse_label(value, where: str) -> int:
     if isinstance(value, bool):
         return int(value)
@@ -127,11 +140,10 @@ def ingest_wikiqa(tsv_path):
     order = []
     by_qid = {}
     with open(tsv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{tsv_path}: empty file") from None
+        reader = read_lines(tsv_path, csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{tsv_path}: empty file")
         col = {name: i for i, name in enumerate(header)}
         for name in WIKIQA_COLUMNS:
             if name not in col:
@@ -159,13 +171,14 @@ def ingest_jsonl(path):
     """
     raw = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(read_lines(path, fh), start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # ValueError: an int of > 4300 digits
+                raise ValueError(f"{path}:{lineno}: malformed JSON "
+                                 f"({getattr(exc, 'msg', exc)})") from exc
             try:
                 qid = str(rec["question_id"])
                 question, cand_list = rec["question"], rec["candidates"]

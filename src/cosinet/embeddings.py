@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import read_lines
+
 CONCEPT_PREFIX = "/c/en/"
 UNKNOWN = -1  # the id of a token without a vector (and of padding)
 NO_TOKENS = "embed_sequence: empty token list: a question or candidate has no tokens"
@@ -64,7 +66,7 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     except OSError as exc:
         raise ValueError(f"cannot read embedding file {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(read_lines(path, fh), start=1):
             head = line.split(None, 1)
             if not head:
                 continue

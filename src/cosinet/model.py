@@ -70,57 +70,15 @@ class CosinetConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.context not in CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {self.context!r}, expected one of {CONTEXT_KINDS}")
-        if self.bidirectional and self.conv_hidden % 2:
+        if len(context_rule(self)[0]) == 2 and self.conv_hidden % 2:
             raise ValueError("bidirectional context needs an even conv_hidden")
-
-    @property
-    def bidirectional(self) -> bool:
-        return self.context in ("birnn", "bilstm")
-
-    @property
-    def context_hidden(self) -> int | None:
-        """Recurrence width per direction; the directions together are conv_hidden wide."""
-        dirs = context_rule(self)[0]
-        return self.conv_hidden // len(dirs) if dirs else None
-
-    @property
-    def pair_dim(self) -> int:
-        return 2 * self.conv_hidden
-
-    @property
-    def head_input_dim(self) -> int:
-        return self.pair_dim if self.context == "none" else self.conv_hidden
-
-
-def expected_parameter_count(config: CosinetConfig) -> int:
-    """Closed-form trainable parameter count (excludes the frozen table).
-
-    Two unshared conv towers, the contextualizer cell, and the linear head.
-    The unidirectional simple recurrence keeps separate input and hidden
-    biases; the LSTM and both bidirectional variants use one fused bias.
-    """
-    k, e, h = config.kernel_width, config.embedding_dim, config.conv_hidden
-    towers = 2 * ((e + 1) * k * h + h)
-    ctx = 0
-    d_in = 2 * h
-    ch = config.context_hidden or 0
-    if config.context == "rnn":
-        ctx = d_in * ch + ch * ch + 2 * ch
-    elif config.context == "birnn":
-        ctx = 2 * (d_in * ch + ch * ch + ch)
-    elif config.context == "lstm":
-        ctx = d_in * 4 * ch + ch * 4 * ch + 4 * ch
-    elif config.context == "bilstm":
-        ctx = 2 * (d_in * 4 * ch + ch * 4 * ch + 4 * ch)
-    head = config.head_input_dim + 1
-    return towers + ctx + head
 
 
 def context_rule(config: CosinetConfig):
     """(direction prefixes, gate count, bias names) of the context recurrence's parameters."""
     if config.context == "none":
         return (), 0, ()
-    dirs = ("fw_", "bw_") if config.bidirectional else ("",)
+    dirs = ("fw_", "bw_") if config.context.startswith("bi") else ("",)
     gates = 4 if config.context.endswith("lstm") else 1
     return dirs, gates, ("b_ih", "b_hh") if config.context == "rnn" else ("b",)
 
@@ -134,13 +92,20 @@ def param_layout(config: CosinetConfig) -> dict[str, tuple[tuple[int, ...], bool
     k, e1, h = config.kernel_width, config.embedding_dim + 1, config.conv_hidden
     layout = {"q_conv_w": ((k, e1, h), True), "q_conv_b": ((h,), False),
               "c_conv_w": ((k, e1, h), True), "c_conv_b": ((h,), False)}
-    d_in, ch = config.pair_dim, config.context_hidden
     dirs, gates, biases = context_rule(config)
-    for d in dirs:
-        layout[f"ctx_{d}w_ih"] = (d_in, gates * ch), True
+    for d in dirs:  # the directions' states together are h wide and read the (n, 2h) pairs
+        ch = h // len(dirs)
+        layout[f"ctx_{d}w_ih"] = (2 * h, gates * ch), True
         layout[f"ctx_{d}w_hh"] = (ch, gates * ch), True
         layout.update({f"ctx_{d}{b}": ((1, gates * ch), False) for b in biases})
-    return layout | {"head_w": ((config.head_input_dim, 1), True), "head_b": ((1, 1), False)}
+    head_in = h if dirs else 2 * h  # the context rows, or the pairs themselves
+    return layout | {"head_w": ((head_in, 1), True), "head_b": ((1, 1), False)}
+
+
+def file_manifest(config: CosinetConfig, n_words: int) -> list[list]:
+    """[name, shape] of every payload tensor in file order: the table, then ``param_layout``."""
+    return [["embedding_matrix", [n_words, config.embedding_dim]],
+            *([name, list(shape)] for name, (shape, _) in param_layout(config).items())]
 
 
 class CosinetParams:
@@ -164,8 +129,6 @@ class CosinetParams:
                        for (name, (shape, _)), size, end
                        in zip(layout.items(), sizes, itertools.accumulate(sizes))}
         self.flat = np.zeros(sum(sizes), dtype=self.dtype)
-        expected = expected_parameter_count(config)
-        assert self.count() == expected, f"parameter count {self.count()} != expected {expected}"
         if draw:
             rng = np.random.default_rng(config.seed)
             views = self._views(self.flat)
@@ -349,12 +312,16 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
     matrix first, then every trainable array in declaration order, which is
     ``params.flat`` as it stands. A SHA-256 over every byte before it
     (preamble, header and payload) closes the file. The file appears at
-    ``path`` only once it is complete.
+    ``path`` only once it is complete; ``params`` not of ``config``'s layout
+    size is a ValueError before anything is written.
     """
     check_table_width(table, config, "save_model")
     vocab = table.tokens_in_order()
-    manifest = [["embedding_matrix", list(table.matrix.shape)]]
-    manifest += [[name, list(arr.shape)] for name, arr in params.arrays.items()]
+    manifest = file_manifest(config, len(vocab))
+    size = sum(math.prod(shape) for _, shape in manifest[1:])
+    if params.flat.size != size:
+        raise ValueError(f"save_model: params hold {params.flat.size} values, "
+                         f"the config's layout takes {size}")
     header = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
@@ -404,8 +371,7 @@ def load_model(path):
         if json.dumps(header["embedding_dim"]) != str(width):
             raise ValueError(f"header embedding_dim {header['embedding_dim']!r} is not "
                              f"the config's embedding_dim {width}")
-        layout = [["embedding_matrix", [len(vocab), width]]]
-        layout += [[name, list(shape)] for name, (shape, _) in param_layout(config).items()]
+        layout = file_manifest(config, len(vocab))
         manifest = list(header["tensors"])
         texts = [[json.dumps(entry) for entry in entries] for entries in (manifest, layout)]
         if texts[0] != texts[1]:  # name the first entry where the two differ
@@ -413,8 +379,7 @@ def load_model(path):
             got, want = (e[i] if i < len(e) else "nothing" for e in (manifest, layout))
             raise ValueError(f"manifest entry {i} is {got}, the layout its config derives "
                              f"has {want}")
-        n_matrix = len(vocab) * width
-        payload, size = body[header_end:], 4 * (n_matrix + expected_parameter_count(config))
+        payload, size = body[header_end:], 4 * sum(math.prod(shape) for _, shape in layout)
         if len(payload) != size:
             raise ValueError(f"payload is {len(payload)} bytes, its layout takes {size}")
     except (KeyError, TypeError, RecursionError) as exc:
@@ -422,7 +387,7 @@ def load_model(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-    floats = np.frombuffer(payload, "<f4")
+    floats, n_matrix = np.frombuffer(payload, "<f4"), len(vocab) * width
     matrix = floats[:n_matrix].reshape(len(vocab), width).copy()  # its own rows, not the file's
     table = EmbeddingTable(rows, matrix)
     params = CosinetParams(config, draw=False)

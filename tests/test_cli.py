@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from cosinet import cli, model
 from cosinet.baselines import SCORERS
 from cosinet.corpus import export_jsonl, ingest_jsonl
 from cosinet.metrics import evaluate
-from conftest import make_group
+from cosinet.training import TrainConfig
+from conftest import MINI_WIKIQA_HEADER, make_group
 from modelfile import model_file, saved_model_bytes, split_model_file
 
 
@@ -275,7 +277,7 @@ class TestTrain:
         rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
                                "--config", str(bad), "--out", str(out)], capsys)
         assert rc == 1 and stdout == "" and not out.exists()
-        assert err.startswith("error: max_lr must be finite and > 0")
+        assert err.startswith(f"error: {bad}: max_lr must be finite and > 0")
         assert len(err.strip().splitlines()) == 1
 
     def test_nine_train_settings(self):
@@ -544,6 +546,158 @@ def test_changed_model_file_is_one_error_line(tmp_path, capsys, toy_jsonl, chang
     rc, out, err = run(["eval", "--model", str(path), "--data", toy_jsonl], capsys)
     assert (rc, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
+def exit_status(path, argv, out_dir, capsys) -> int:
+    """The exit status of ``argv`` through ``cli.main``, after checking that it is 0, or 1
+    with one stderr line that starts ``error: <path>`` and no file in ``out_dir`` new or
+    changed."""
+    before = {p: p.read_bytes() for p in out_dir.iterdir()}
+    rc, out, err = run([str(a) for a in argv], capsys)
+    if rc:
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}"), err
+        assert {p: p.read_bytes() for p in out_dir.iterdir()} == before
+    return rc
+
+
+def changed_bytes(blob, change):
+    """``blob`` with one change (position, bytes cut, bytes put in); the position
+    counts modulo the length plus one, so every change lands in the file."""
+    pos, cut, put = change
+    pos %= len(blob) + 1
+    return blob[:pos] + put + blob[pos + cut:]
+
+
+PIECES = [b"\xff", b"\x00", b"\t", b"\n", b"\r", b" ", b'"', b"\\", b"[", b"{", b"}",
+          b",", b":", b"-", b"0", b"1", b"e", b"nan", b"/c/en/"]
+BYTE_CHANGES = st.tuples(
+    st.integers(0, 10**6), st.integers(0, 16),
+    st.lists(st.sampled_from(PIECES) | st.binary(max_size=2), max_size=4).map(b"".join))
+INPUT_FUZZ = settings(max_examples=100, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+NOT_UTF8 = (0, 0, b"\xff")
+
+
+@pytest.fixture
+def out_dir(tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    return path
+
+
+@INPUT_FUZZ
+@given(change=BYTE_CHANGES)
+@example(change=(0, 0, b"[" * 100_000))  # json.loads raised RecursionError
+@example(change=(20, 0, b"1" * 5_000))  # past Python's 4,300-digit int limit
+@example(change=NOT_UTF8)
+def test_changed_jsonl_file_is_one_error_line(tmp_path, capsys, toy_jsonl, out_dir, change):
+    path = tmp_path / "data.jsonl"
+    with open(toy_jsonl, "rb") as fh:
+        path.write_bytes(changed_bytes(fh.read(), change))
+    exit_status(path, ["ingest", "--dataset", "jsonl", "--input", path,
+                       "--output", out_dir / "o.jsonl"], out_dir, capsys)
+
+
+# a field longer than csv.field_size_limit(), 131,072 characters: csv.Error, no ValueError
+LONG_FIELD = (len(MINI_WIKIQA_HEADER + "Q1\t"), 0, b"a" * 131_073)
+
+
+@INPUT_FUZZ
+@given(change=BYTE_CHANGES)
+@example(change=LONG_FIELD)
+@example(change=NOT_UTF8)
+def test_changed_wikiqa_file_is_one_error_line(tmp_path, capsys, mini_wikiqa_tsv, out_dir,
+                                               change):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(changed_bytes(mini_wikiqa_tsv.read_bytes(), change))
+    exit_status(path, ["ingest", "--dataset", "wikiqa", "--input", path,
+                       "--output", out_dir / "o.jsonl"], out_dir, capsys)
+
+
+@pytest.mark.parametrize("command", ["ingest", "baseline", "train", "eval", "predict"])
+def test_wikiqa_field_past_the_csv_limit_is_one_error_line(tmp_path, capsys, mini_wikiqa_tsv,
+                                                           toy_vocab, small_settings,
+                                                           trained_model, out_dir, command):
+    tsv = tmp_path / "long.tsv"
+    tsv.write_bytes(changed_bytes(mini_wikiqa_tsv.read_bytes(), LONG_FIELD))
+    emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+    argv = {"ingest": ["--dataset", "wikiqa", "--input", tsv, "--output", out_dir / "o.jsonl"],
+            "baseline": ["--method", "rr", "--data", tsv],
+            "train": ["--train", tsv, "--embeddings", emb, "--config", small_settings,
+                      "--out", out_dir / "m.bin"],
+            "eval": ["--model", trained_model, "--data", tsv],
+            "predict": ["--model", trained_model, "--data", tsv,
+                        "--scores-out", out_dir / "s.txt"]}[command]
+    rc, out, err = run([command, *map(str, argv)], capsys)
+    assert (rc, out) == (1, "") and list(out_dir.iterdir()) == []
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {tsv}:2: field larger")
+
+
+@INPUT_FUZZ
+@given(change=BYTE_CHANGES)
+@example(change=NOT_UTF8)
+def test_changed_vector_file_is_one_error_line(tmp_path, capsys, toy_jsonl, toy_vocab,
+                                               small_settings, out_dir, change):
+    path = tmp_path / "vec.txt"
+    write_embeddings(path, toy_vocab, 16)
+    path.write_bytes(changed_bytes(path.read_bytes(), change))
+    exit_status(path, ["train", "--train", toy_jsonl, "--embeddings", path,
+                       "--config", small_settings, "--out", out_dir / "m.bin"], out_dir, capsys)
+
+
+def valid_settings(text: bytes) -> bool:
+    """Whether ``text`` is a settings file that ``train`` accepts on its own."""
+    try:
+        values = json.loads(text)
+        if not isinstance(values, dict) or set(values) - set(cli.TRAIN_DEFAULTS):
+            return False
+        values = cli.TRAIN_DEFAULTS | values
+        for cls in (model.CosinetConfig, TrainConfig):
+            cls(**{f.name: values[f.name] for f in fields(cls)})
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+@INPUT_FUZZ
+@given(change=st.tuples(st.just("bytes"), BYTE_CHANGES)
+       | st.tuples(st.sampled_from(sorted(cli.TRAIN_DEFAULTS)) | st.text(max_size=4), SCALARS))
+@example(change=("bytes", (0, 0, b"[" * 100_000)))  # json.load raised RecursionError
+@example(change=("bytes", NOT_UTF8))
+@example(change=("bytes", (0, 1, b"")))  # no opening brace: not JSON
+@example(change=("epochs", "3"))
+@example(change=("max_lr", float("nan")))
+@example(change=("context_hidden", 3))
+def test_changed_settings_file_is_one_error_line(tmp_path, capsys, toy_jsonl, toy_vocab,
+                                                 small_settings, out_dir, change):
+    # a settings file that train accepts trains at whatever sizes it names, so only
+    # rejected ones run; each error names the file
+    what, value = change
+    with open(small_settings, "rb") as fh:
+        text = fh.read()
+    if what == "bytes":
+        text = changed_bytes(text, value)
+    else:
+        text = json.dumps(json.loads(text) | {what: value}).encode()
+    assume(not valid_settings(text))
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+    argv = ["train", "--train", toy_jsonl, "--embeddings", emb, "--config", path,
+            "--out", out_dir / "m.bin"]
+    assert exit_status(f"{path}: ", argv, out_dir, capsys) == 1
+
+
+def test_error_of_the_flags_alone_does_not_name_the_settings_file(toy_jsonl, toy_vocab,
+                                                                  small_settings, tmp_path,
+                                                                  out_dir, capsys):
+    emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+    rc, out, err = run(["train", "--train", toy_jsonl, "--embeddings", emb, "--config",
+                        small_settings, "--epochs", "0", "--out", str(out_dir / "m.bin")],
+                       capsys)
+    assert (rc, out, err) == (1, "", "error: epochs must be >= 1, got 0\n")
+    assert list(out_dir.iterdir()) == []
 
 
 class TestHelp:

@@ -16,9 +16,9 @@ from cosinet.model import (
     CosinetConfig,
     CosinetParams,
     encode_pair,
-    expected_parameter_count,
     load_model,
     make_scorer,
+    param_layout,
     prepare_group,
     prepare_pair,
     relatedness,
@@ -620,9 +620,24 @@ class TestParameterCount:
 
     @pytest.mark.parametrize("kind", CONTEXT_KINDS)
     def test_default_config_matches_published(self, kind):
-        config = CosinetConfig(context=kind)
-        assert expected_parameter_count(config) == self.PUBLISHED[kind]
-        assert CosinetParams(config).count() == self.PUBLISHED[kind]
+        assert CosinetParams(CosinetConfig(context=kind)).count() == self.PUBLISHED[kind]
+
+    @staticmethod
+    def closed_form_count(config):
+        """Two unshared conv towers, the context recurrence and the linear head.
+
+        The unidirectional simple recurrence keeps separate input and hidden
+        biases; the LSTM and both bidirectional variants use one fused bias.
+        """
+        k, e, h = config.kernel_width, config.embedding_dim, config.conv_hidden
+        towers = 2 * ((e + 1) * k * h + h)
+        ch = h // 2 if config.context.startswith("bi") else h
+        ctx = {"none": 0,
+               "rnn": 2 * h * ch + ch * ch + 2 * ch,
+               "birnn": 2 * (2 * h * ch + ch * ch + ch),
+               "lstm": 2 * h * 4 * ch + ch * 4 * ch + 4 * ch,
+               "bilstm": 2 * (2 * h * 4 * ch + ch * 4 * ch + 4 * ch)}[config.context]
+        return towers + ctx + (2 * h if config.context == "none" else h) + 1
 
     def test_closed_form_matches_actual_on_small_configs(self):
         rng = np.random.default_rng(9)
@@ -634,13 +649,20 @@ class TestParameterCount:
                     kernel_width=int(rng.integers(1, 5)),
                     context=kind)
                 params = CosinetParams(config)
-                assert params.count() == expected_parameter_count(config)
+                assert params.count() == self.closed_form_count(config)
+        for kind, want in self.PUBLISHED.items():
+            assert self.closed_form_count(CosinetConfig(context=kind)) == want
 
     def test_context_hidden_defaults(self):
-        assert CosinetConfig(context="rnn").context_hidden == 300
-        assert CosinetConfig(context="birnn").context_hidden == 150
-        assert CosinetConfig(context="bilstm").context_hidden == 150
-        assert CosinetConfig(context="none").context_hidden is None
+        # the recurrence width is conv_hidden split over the directions
+        def hidden_shapes(kind):
+            layout = param_layout(CosinetConfig(context=kind))
+            return [shape for name, (shape, _) in layout.items() if name.endswith("w_hh")]
+        assert hidden_shapes("rnn") == [(300, 300)]
+        assert hidden_shapes("lstm") == [(300, 1200)]
+        assert hidden_shapes("birnn") == [(150, 150)] * 2
+        assert hidden_shapes("bilstm") == [(150, 600)] * 2
+        assert hidden_shapes("none") == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="context"):
@@ -859,6 +881,37 @@ class TestSerialization:
         save_model(p1, config, params, table)
         save_model(p2, config, params, table)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # SHA-256 of the file save_model writes for small_model(context=kind): the
+    # format and the initial weights stay byte for byte what earlier code wrote
+    PINNED_DIGESTS = {
+        "none": "b3620874f9f8c7536ca3d84a59864e79aa3818b57984878e94557c06f40a46f2",
+        "rnn": "4624404e8d96348fb2d15ef905a60cc8df9eda803f9d0a66201c5fdbce44917e",
+        "birnn": "2f96b9b610258ffd8e5a15845bfae84023bafe240d403f1c6171664925cc337a",
+        "lstm": "cddd50fd5bb12d94b16970e685a21c80305054711f409088b4f8d457cc374381",
+        "bilstm": "d32c1dc5bf2248d99eb6a172f0db2f170da41d6c21fd489b9f38587cc1688603",
+    }
+
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_saved_bytes_match_pinned_digest(self, tmp_path, kind):
+        path = tmp_path / "m.bin"
+        save_model(path, *small_model(context=kind))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_DIGESTS[kind]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_params_of_another_layout_not_saved(self, tmp_path, existing):
+        # a none model's weights under a birnn config: the file would not load
+        config, _, table = small_model(context="birnn")
+        _, other, _ = small_model(context="none")
+        path = tmp_path / "m.bin"
+        if existing:
+            path.write_bytes(b"older")
+        with pytest.raises(ValueError, match=f"params hold {other.count()} values, "
+                                             f"the config's layout takes "
+                                             f"{CosinetParams(config).count()}"):
+            save_model(path, config, other, table)
+        assert [p.name for p in tmp_path.iterdir()] == (["m.bin"] if existing else [])
+        assert not existing or path.read_bytes() == b"older"
 
     def test_short_file_rejected(self, tmp_path):
         blob = saved_model_bytes()
