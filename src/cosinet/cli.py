@@ -22,12 +22,13 @@ from . import baselines, corpus, embeddings, metrics, model, training
 TRAIN_DEFAULTS = {**asdict(model.CosinetConfig()), **asdict(training.TrainConfig())}
 
 
+def _ingest(path):
+    """(groups, report) of a data file: WikiQA TSV if the path ends in .tsv, else JSONL."""
+    return (corpus.ingest_wikiqa if str(path).endswith(".tsv") else corpus.ingest_jsonl)(path)
+
+
 def _load_groups(path):
-    """Interchange files by default; raw WikiQA TSVs accepted via extension."""
-    if str(path).endswith(".tsv"):
-        groups, _ = corpus.ingest_wikiqa(path)
-    else:
-        groups, _ = corpus.ingest_jsonl(path)
+    groups, _ = _ingest(path)
     if not groups:
         raise ValueError(f"{path}: no answered question groups")
     return groups
@@ -38,10 +39,7 @@ def _emit(obj) -> None:
 
 
 def cmd_ingest(args) -> None:
-    if args.dataset == "wikiqa":
-        groups, report = corpus.ingest_wikiqa(args.input)
-    else:
-        groups, report = corpus.ingest_jsonl(args.input)
+    groups, report = _ingest(args.input)
     corpus.export_jsonl(groups, args.output)
     out = report.to_dict()
     out["dropped_groups"] = (report.dropped_unanswered + report.dropped_empty_questions)
@@ -139,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="convert a raw dataset to the JSONL interchange format")
-    p.add_argument("--dataset", required=True, choices=["wikiqa", "jsonl"],
-                   help="input format (default: none, required)")
-    p.add_argument("--input", required=True, help="input file path (default: none, required)")
+    p.add_argument("--input", required=True,
+                   help="input path, WikiQA .tsv or .jsonl interchange (default: none, required)")
     p.add_argument("--output", required=True, help="output JSONL path (default: none, required)")
     p.set_defaults(func=cmd_ingest)
 
@@ -188,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (ValueError, OSError) as exc:
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)  # one line
+        with np.errstate(all="ignore"):  # an overflow ends in a check's one line, not a warning
+            args.func(args)
+    except (ValueError, OSError) as exc:  # an OSError as "<path as given>: <reason>"
+        text = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else str(exc)
+        print("error:", " ".join(text.splitlines()), file=sys.stderr)  # one line
         return 1
     return 0
 

@@ -208,17 +208,17 @@ def atomic_open(path, mode: str = "w", **kwargs):
     removed. Either way no partial ``path`` and no temporary file is left
     behind. A symlinked ``path`` stays a link: the file it resolves to is
     replaced. An existing ``path`` that is not a regular file (a FIFO, a
-    device) is written directly instead, never replaced.
-    """
-    path = os.fspath(path)
+    device) is written directly instead, never replaced. An ``OSError`` of
+    these steps or of the block's writes names ``path`` as given."""
+    given = path = os.fspath(path)
     if os.path.islink(path):
         path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, **kwargs) as fh:
-            yield fh
-        return
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, mode, **kwargs) as fh:
+                yield fh
+            return
         with open(tmp, mode, **kwargs) as fh:
             yield fh
             fh.flush()
@@ -229,6 +229,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
+    except OSError as exc:
+        if exc.strerror and exc.filename in (None, path, tmp):  # a system error on this file
+            exc.filename = given
+        raise
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -50,8 +50,8 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     the "/c/en/" concept prefix are stored with the prefix stripped.
     Duplicate tokens keep the first occurrence. When ``vocab_filter`` is
     given, only those tokens are kept (checked after prefix stripping).
-    Any other line with the wrong number of fields, or a kept line with a
-    value that is not a finite number, is rejected by line number.
+    Any other line with the wrong number of fields, or a kept line whose
+    values or float32 squared norm are not finite, is rejected by line number.
 
     The kept lines' values are converted in one ``np.loadtxt`` call. Where
     that call raises or returns another shape, the per-line parser decides,
@@ -61,11 +61,7 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     vocab: dict[str, int] = {}
     values: list[str] = []  # each kept line's value text, unparsed
     linenos: list[int] = []  # source line of each kept line, for error messages
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read embedding file {path}: {exc}") from exc
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(read_lines(path, fh), start=1):
             head = line.split(None, 1)
             if not head:
@@ -101,9 +97,10 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
             pass
     if matrix is None or matrix.shape != (len(values), dimension):
         matrix = _parse_rows(path, values, linenos, dimension)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    with np.errstate(over="ignore"):  # NaN, inf and a norm past float32 all square to non-finite
+        bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", matrix, matrix)))
     if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value or squared norm")
     return EmbeddingTable(vocab, matrix)
 
 

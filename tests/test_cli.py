@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import stat
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,8 +71,7 @@ def small_settings(tmp_path):
 class TestIngest:
     def test_wikiqa_report(self, mini_wikiqa_tsv, tmp_path, capsys):
         out_path = tmp_path / "out.jsonl"
-        rep = run_json(["ingest", "--dataset", "wikiqa",
-                        "--input", str(mini_wikiqa_tsv),
+        rep = run_json(["ingest", "--input", str(mini_wikiqa_tsv),
                         "--output", str(out_path)], capsys)
         assert rep["total_questions"] == 3
         assert rep["kept_groups"] == 2
@@ -81,21 +83,18 @@ class TestIngest:
     def test_idempotent_output(self, mini_wikiqa_tsv, tmp_path, capsys):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for p in (p1, p2):
-            run_json(["ingest", "--dataset", "wikiqa",
-                      "--input", str(mini_wikiqa_tsv), "--output", str(p)], capsys)
+            run_json(["ingest", "--input", str(mini_wikiqa_tsv), "--output", str(p)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_jsonl_round_trip_same_counts(self, toy_jsonl, tmp_path, capsys):
         out_path = tmp_path / "again.jsonl"
-        rep = run_json(["ingest", "--dataset", "jsonl", "--input", toy_jsonl,
-                        "--output", str(out_path)], capsys)
+        rep = run_json(["ingest", "--input", toy_jsonl, "--output", str(out_path)], capsys)
         before, _ = ingest_jsonl(toy_jsonl)
         after, _ = ingest_jsonl(out_path)
         assert rep["kept_groups"] == len(before) == len(after)
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
-        rc, out, err = run(["ingest", "--dataset", "wikiqa",
-                            "--input", str(tmp_path / "nope.tsv"),
+        rc, out, err = run(["ingest", "--input", str(tmp_path / "nope.tsv"),
                             "--output", str(tmp_path / "o.jsonl")], capsys)
         assert rc == 1
         assert err.startswith("error:")
@@ -328,6 +327,26 @@ class TestTrain:
         assert (rc, stdout) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {emb}:1: {rest}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["3e38", "1e18"])
+    def test_large_vector_values_are_at_most_one_error_line(self, tmp_path, capsys, value):
+        # 3e38 is a finite float32 whose square is not; 1e18 squares to a finite 1e36
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"question_id": "q", "question": "a b", "candidates": [
+            {"text": "a", "label": 1}, {"text": "b", "label": 0}]}) + "\n")
+        settings_file = tmp_path / "s.json"
+        settings_file.write_text(json.dumps({"embedding_dim": 2, "conv_hidden": 4,
+                                             "kernel_width": 1, "epochs": 1}))
+        emb = tmp_path / "vec.txt"
+        emb.write_text(f"a {value} {value}\nb 0.3 0.4\n")
+        out = tmp_path / "m.bin"
+        rc, stdout, err = run(["train", "--train", str(data), "--embeddings", str(emb),
+                               "--config", str(settings_file), "--out", str(out)], capsys)
+        if value == "3e38":
+            assert (rc, stdout) == (1, "") and not out.exists()
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {emb}:1: non-finite")
+        else:
+            assert rc == 0 or len(err.splitlines()) == 1, err
 
 @pytest.fixture
 def trained_model(toy_jsonl, toy_vocab, small_settings, tmp_path, capsys):
@@ -595,7 +614,7 @@ def test_changed_jsonl_file_is_one_error_line(tmp_path, capsys, toy_jsonl, out_d
     path = tmp_path / "data.jsonl"
     with open(toy_jsonl, "rb") as fh:
         path.write_bytes(changed_bytes(fh.read(), change))
-    exit_status(path, ["ingest", "--dataset", "jsonl", "--input", path,
+    exit_status(path, ["ingest", "--input", path,
                        "--output", out_dir / "o.jsonl"], out_dir, capsys)
 
 
@@ -611,7 +630,7 @@ def test_changed_wikiqa_file_is_one_error_line(tmp_path, capsys, mini_wikiqa_tsv
                                                change):
     path = tmp_path / "data.tsv"
     path.write_bytes(changed_bytes(mini_wikiqa_tsv.read_bytes(), change))
-    exit_status(path, ["ingest", "--dataset", "wikiqa", "--input", path,
+    exit_status(path, ["ingest", "--input", path,
                        "--output", out_dir / "o.jsonl"], out_dir, capsys)
 
 
@@ -622,7 +641,7 @@ def test_wikiqa_field_past_the_csv_limit_is_one_error_line(tmp_path, capsys, min
     tsv = tmp_path / "long.tsv"
     tsv.write_bytes(changed_bytes(mini_wikiqa_tsv.read_bytes(), LONG_FIELD))
     emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
-    argv = {"ingest": ["--dataset", "wikiqa", "--input", tsv, "--output", out_dir / "o.jsonl"],
+    argv = {"ingest": ["--input", tsv, "--output", out_dir / "o.jsonl"],
             "baseline": ["--method", "rr", "--data", tsv],
             "train": ["--train", tsv, "--embeddings", emb, "--config", small_settings,
                       "--out", out_dir / "m.bin"],
@@ -632,6 +651,38 @@ def test_wikiqa_field_past_the_csv_limit_is_one_error_line(tmp_path, capsys, min
     rc, out, err = run([command, *map(str, argv)], capsys)
     assert (rc, out) == (1, "") and list(out_dir.iterdir()) == []
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {tsv}:2: field larger")
+
+
+# Every command's file flags; an input can be missing or a directory, an output's directory
+# can be missing.
+FILE_FLAGS = [("ingest", "--input"), ("ingest", "--output"), ("baseline", "--data"),
+              ("train", "--train"), ("train", "--dev"), ("train", "--embeddings"),
+              ("train", "--config"), ("train", "--out"), ("eval", "--model"), ("eval", "--data"),
+              ("predict", "--model"), ("predict", "--data"), ("predict", "--scores-out")]
+OUTPUT_FLAGS = {"--output", "--out", "--scores-out"}
+
+
+@pytest.mark.parametrize("command,flag,case", [
+    (command, flag, case) for command, flag in FILE_FLAGS
+    for case in (["no directory"] if flag in OUTPUT_FLAGS else ["missing", "directory"])])
+def test_file_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, toy_jsonl, toy_vocab,
+                                                      small_settings, trained_model, out_dir,
+                                                      command, flag, case):
+    emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+    argv = {"ingest": {"--input": toy_jsonl, "--output": out_dir / "o.jsonl"},
+            "baseline": {"--method": "rr", "--data": toy_jsonl},
+            "train": {"--train": toy_jsonl, "--dev": toy_jsonl, "--embeddings": emb,
+                      "--config": small_settings, "--out": out_dir / "m.bin"},
+            "eval": {"--model": trained_model, "--data": toy_jsonl},
+            "predict": {"--model": trained_model, "--data": toy_jsonl,
+                        "--scores-out": out_dir / "s.txt"}}[command]
+    path = {"missing": tmp_path / "nope", "directory": out_dir,
+            "no directory": tmp_path / "nope" / "out"}[case]
+    argv[flag] = path
+    before = sorted(tmp_path.rglob("*"))
+    rc, out, err = run([command, *(str(a) for item in argv.items() for a in item)], capsys)
+    assert (rc, out) == (1, "") and sorted(tmp_path.rglob("*")) == before
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: "), err
 
 
 @INPUT_FUZZ
@@ -702,7 +753,7 @@ def test_error_of_the_flags_alone_does_not_name_the_settings_file(toy_jsonl, toy
 
 class TestHelp:
     FLAGS = {
-        "ingest": ["--dataset", "--input", "--output"],
+        "ingest": ["--input", "--output"],
         "baseline": ["--method", "--data"],
         "train": ["--train", "--dev", "--embeddings", "--loss", "--context",
                   "--epochs", "--seed", "--config", "--out"],
@@ -719,6 +770,18 @@ class TestHelp:
             for flag in flags:
                 assert flag in text, f"{command} help is missing {flag}"
             assert "default:" in text
+
+    def test_readme_command_lines_parse(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line, comments=True) for line in lines if line.startswith("cosinet ")]
+        assert {argv[1] for argv in argvs} == set(self.FLAGS)
+        for argv in argvs:
+            try:
+                cli.build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README: {shlex.join(argv)}: {capsys.readouterr().err}")
 
     def test_unknown_command_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import stat
@@ -234,6 +235,25 @@ class TestJsonl:
         assert link.is_symlink() and os.readlink(link) == before
         assert len(target.read_text(encoding="utf-8").splitlines()) == len(groups)
         assert sorted(p.name for p in out.rglob("*")) == ["data", "link.jsonl", "target.jsonl"]
+
+    def test_export_error_names_the_path_given(self, mini_wikiqa_tsv, tmp_path, monkeypatch):
+        # not the temporary file beside it, nor a link's target
+        groups, _ = ingest_wikiqa(mini_wikiqa_tsv)
+        out = tmp_path / "out"
+        out.mkdir()
+        link = out / "link.jsonl"
+        link.symlink_to(tmp_path / "gone" / "target.jsonl")
+        with pytest.raises(FileNotFoundError) as info:
+            export_jsonl(groups, link)
+        assert info.value.filename == str(link)
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError) as info:
+            export_jsonl(groups, out / "o.jsonl")
+        assert info.value.filename == str(out / "o.jsonl") and list(out.iterdir()) == [link]
 
     def test_export_one_object_per_line(self, mini_wikiqa_tsv, tmp_path):
         groups, _ = ingest_wikiqa(mini_wikiqa_tsv)

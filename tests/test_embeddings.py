@@ -78,15 +78,17 @@ class TestLoad:
         with pytest.raises(ValueError, match=":2:"):
             load_embeddings(write_lines(tmp_path, lines), dimension=3)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "1e39"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "1e39",
+                                     "3e38"])  # a finite float32 whose square is not
     def test_non_finite_value_names_line(self, tmp_path, bad):
         lines = ["cat 1 2 3", f"dog 4 {bad} 6"]
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite"):
             load_embeddings(write_lines(tmp_path, lines), dimension=3)
 
-    def test_missing_file_is_a_value_error(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read"):
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
             load_embeddings(tmp_path / "nope.txt", dimension=3)
+        assert info.value.filename == str(tmp_path / "nope.txt")
 
     def test_matches_reference_parser(self, tmp_path):
         rng = np.random.default_rng(11)
