@@ -99,8 +99,10 @@ def cmd_train(args) -> None:
                                        dimension=cfg.embedding_dim)
 
     params = model.CosinetParams(cfg)
-    report = training.fit(train_groups, table, params, cfg, tc, dev_groups=dev_groups)
-    model.save_model(args.out, cfg, params, table)
+    # an --out that cannot be written fails here, before any training
+    with corpus.atomic_open(args.out, "wb") as fh:
+        report = training.fit(train_groups, table, params, cfg, tc, dev_groups=dev_groups)
+        model.write_model(fh, cfg, params, table)
 
     out = report.to_dict()
     out.update({"loss": tc.loss, "context": cfg.context, "seed": tc.seed, "model": args.out})

@@ -306,14 +306,19 @@ FORMAT_VERSION = 2
 
 
 def save_model(path, config: CosinetConfig, params: CosinetParams, table: EmbeddingTable) -> None:
-    """Write the versioned model container (layout documented in README).
+    """``write_model`` to a file that appears at ``path`` only once it is complete."""
+    with atomic_open(path, "wb") as fh:
+        write_model(fh, config, params, table)
+
+
+def write_model(fh, config: CosinetConfig, params: CosinetParams, table: EmbeddingTable) -> None:
+    """Write the versioned model container (layout documented in README) to binary file ``fh``.
 
     Payload tensors are 32-bit little-endian floats: the frozen embedding
     matrix first, then every trainable array in declaration order, which is
     ``params.flat`` as it stands. A SHA-256 over every byte before it
-    (preamble, header and payload) closes the file. The file appears at
-    ``path`` only once it is complete; ``params`` not of ``config``'s layout
-    size is a ValueError before anything is written.
+    (preamble, header and payload) closes the file. ``params`` not of
+    ``config``'s layout size is a ValueError before anything is written.
     """
     check_table_width(table, config, "save_model")
     vocab = table.tokens_in_order()
@@ -334,11 +339,10 @@ def save_model(path, config: CosinetConfig, params: CosinetParams, table: Embedd
              np.ascontiguousarray(table.matrix, dtype="<f4"),
              np.ascontiguousarray(params.flat, dtype="<f4")]
     digest = hashlib.sha256()
-    with atomic_open(path, "wb") as fh:
-        for part in parts:
-            digest.update(part)
-            fh.write(part)
-        fh.write(digest.digest())
+    for part in parts:
+        digest.update(part)
+        fh.write(part)
+    fh.write(digest.digest())
 
 
 def load_model(path):

@@ -104,10 +104,10 @@ class Adam:
     ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
     ``BLOCK`` at a time, in the elementwise operation order of
     m += (1-BETA1)(g-m), v += (1-BETA2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + EPS),
-    so it is bit for bit that expression whichever thread runs a block.
-    The calling thread and one worker thread each have their own pair of
-    block-sized scratch buffers. Use it in a ``with`` block, whose exit
-    joins the worker.
+    so it is bit for bit that expression whichever thread runs a block, and
+    under the caller's ``np.errstate`` either way. The calling thread and
+    one worker thread each have their own pair of block-sized scratch
+    buffers. Use it in a ``with`` block, whose exit joins the worker.
     """
 
     def __init__(self, w: np.ndarray):
@@ -137,11 +137,16 @@ class Adam:
         self.t += 1
         coef = (lr, 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t)
         blocks = []  # (lo, hi, the worker's future) of each block, in hand-over order
+        err = np.geterr()  # numpy's error state is per thread: the worker takes the caller's
+
+        def on_worker(*args):
+            with np.errstate(**err):
+                self._update(*args)
 
         def final(lo, hi):
             for a in range(lo, hi, BLOCK):
                 b = min(a + BLOCK, hi)
-                blocks.append((a, b, self._worker.submit(self._update, w, g, a, b, coef, 1)))
+                blocks.append((a, b, self._worker.submit(on_worker, w, g, a, b, coef, 1)))
 
         try:
             backward(final)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cosinet import cli, model
+from cosinet import cli, model, training
 from cosinet.baselines import SCORERS
 from cosinet.corpus import export_jsonl, ingest_jsonl
 from cosinet.metrics import evaluate
@@ -347,6 +347,43 @@ class TestTrain:
             assert len(err.splitlines()) == 1 and err.startswith(f"error: {emb}:1: non-finite")
         else:
             assert rc == 0 or len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("case", ["no directory", "directory"])
+    def test_unwritable_out_fails_before_training(self, toy_jsonl, toy_vocab, small_settings,
+                                                  tmp_path, capsys, monkeypatch, case):
+        def fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output was opened")
+
+        monkeypatch.setattr(training, "fit", fit)
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        out = {"no directory": tmp_path / "nope" / "m.bin", "directory": tmp_path}[case]
+        before = sorted(tmp_path.rglob("*"))
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", small_settings, "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "") and sorted(tmp_path.rglob("*")) == before
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {out}: ")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_training_leaves_no_file(self, toy_jsonl, toy_vocab, small_settings,
+                                            tmp_path, capsys, monkeypatch, existing):
+        # the output is open while fit runs; an error in fit removes it, and
+        # an older file at the path stays as it was
+        def fit(*args, **kwargs):
+            raise ValueError("fit: non-finite loss")
+
+        monkeypatch.setattr(training, "fit", fit)
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 16)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "m.bin"
+        if existing:
+            out.write_bytes(b"older")
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", small_settings, "--out", str(out)], capsys)
+        assert (rc, stdout, err) == (1, "", "error: fit: non-finite loss\n")
+        assert list(out_dir.iterdir()) == ([out] if existing else [])
+        assert not existing or out.read_bytes() == b"older"
+
 
 @pytest.fixture
 def trained_model(toy_jsonl, toy_vocab, small_settings, tmp_path, capsys):

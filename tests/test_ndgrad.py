@@ -1,6 +1,7 @@
 import collections
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -449,6 +450,84 @@ class TestShapeErrors:
         x = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="masked_max_pool"):
             nd.masked_max_pool(x, [[True, False, True], [False, False, True], [True, False, False]])
+
+
+def conv_backward(rows, ids, r, wd, bd, mask, pooled, dtype):
+    """(w grad, b grad, the conv output's gradient) under a probe of the pooled
+    output, or of the conv output itself when ``pooled`` is false."""
+    tape = nd.Tape(dtype=dtype)
+    w, b = tape.leaf(wd), tape.leaf(bd)
+    out = nd.conv1d(rows, ids, r, w, b, mask)
+    top = nd.masked_max_pool(out, mask) if pooled else out
+    rng = np.random.default_rng(5)
+    tape.backward(probe(top, rng.uniform(0.5, 1.5, top.data.shape)))
+    return w.grad, b.grad, out.grad
+
+
+def dense_conv_grads(rows, ids, r, k, mask, g):
+    """The float64 w and b gradients by the dense im2col formula over the true windows."""
+    x = np.concatenate([rows[ids], r[:, :, None]], axis=2).astype(np.float64)
+    windows = np.stack([x[n, t:t + k] for n, t in zip(*np.nonzero(mask))])
+    g = g.astype(np.float64)
+    return np.einsum("wkc,wh->kch", windows, g), g.sum(axis=0)
+
+
+def conv_case(shape):
+    """(rows, ids, r, mask) of a conv batch whose distinct rows U are fewer or
+    more than its windows W."""
+    rng = np.random.default_rng(11)
+    if shape == "U<W":
+        # one question repeated over a group of 12 candidates
+        rows, q_ids, _ = conv_input(rng, 1, 9, 6, 7)
+        ids = np.repeat(q_ids, 12, axis=0)
+        r = rng.uniform(-1, 1, ids.shape)
+    else:
+        # short sequences of distinct tokens, one or two windows each
+        rows = rng.uniform(-1, 1, (40, 6))
+        ids = rng.permutation(40).reshape(10, 4)
+        r = rng.uniform(-1, 1, ids.shape)
+    mask = np.ones((ids.shape[0], ids.shape[1] - 3 + 1), dtype=bool)
+    mask[1::2, -1] = False
+    return rows, ids, r, mask
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["f64", "f32"])
+@pytest.mark.parametrize("shape,pooled", [("U<W", True), ("U>W", True), ("U<W", False)],
+                         ids=["fewer-rows-than-windows", "more-rows-than-windows",
+                              "dense-gradient"])
+def test_conv1d_weight_gradient_matches_dense_reference(shape, pooled, dtype, tol):
+    # the token-space weight gradient against the dense im2col sum over the
+    # true windows; a probe of the conv output gives a gradient with no zero
+    rows, ids, r, mask = conv_case(shape)
+    n_windows = int(mask.sum())
+    assert (len(rows) < n_windows) == (shape == "U<W")
+    rng = np.random.default_rng(3)
+    wd, bd = rng.uniform(-1, 1, (3, 7, 5)), rng.uniform(-1, 1, 5)
+    gw, gb, g = conv_backward(rows, ids, r, wd, bd, mask, pooled, dtype)
+    assert (g != 0).all() != pooled
+    want_w, want_b = dense_conv_grads(rows, ids, r, 3, mask, g)
+    assert max_rel_error(gw, want_w) <= tol
+    assert max_rel_error(gb, want_b) <= tol
+
+
+def test_conv1d_backward_builds_no_im2col_matrix():
+    # the weight gradient of a pooled conv allocates less than one
+    # (W, K * E) gather of the window inputs would take
+    n, t, k, e, h = 64, 60, 5, 256, 8
+    rng = np.random.default_rng(6)
+    rows, ids, r = conv_input(rng, n, t, e, 500)
+    mask = np.ones((n, t - k + 1), dtype=bool)
+    tape = nd.Tape(dtype=np.float64)
+    w, b = tape.leaf(rng.uniform(-1, 1, (k, e + 1, h))), tape.leaf(np.zeros(h))
+    loss = probe(nd.masked_max_pool(nd.conv1d(rows, ids, r, w, b, mask), mask))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mask.sum() * k * e * 8
 
 
 class TestPrimitiveSemantics:

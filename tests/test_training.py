@@ -418,6 +418,26 @@ class TestAdam:
                 adam.step(w, np.ones_like(w), 0.1, backward)
         assert isinstance(info.value.__context__, KeyError)
 
+    def test_worker_blocks_run_under_the_callers_error_state(self):
+        # numpy's error state is per thread; a 1e30 gradient squares past
+        # float32 in the worker's block, which must stay silent under the
+        # caller's errstate, as it does on the calling thread (warnings are
+        # errors in this suite, so a warning would surface from step)
+        w = np.zeros(BLOCK * 2, dtype=np.float32)
+        g = np.full_like(w, 1e30)
+        with Adam(w) as adam:
+            def backward(final):
+                final(0, BLOCK)
+                deadline = time.monotonic() + 30
+                while adam.m[0] == 0 and time.monotonic() < deadline:  # the worker took it
+                    time.sleep(1e-3)
+                assert adam.m[0] != 0
+                final(BLOCK, w.size)
+
+            with np.errstate(all="ignore"):
+                adam.step(w, g, 0.1, backward)
+        assert np.isinf(adam.v).all() and np.isfinite(w).all()
+
 
 class TestTrainConfig:
     def test_defaults(self):
