@@ -189,9 +189,9 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # an overflow ends in a check's one line, not a warning
             args.func(args)
-    except (ValueError, OSError) as exc:  # an OSError as "<path as given>: <reason>"
+    except (ValueError, OSError, MemoryError) as exc:  # an OSError as "<path as given>: <reason>"
         text = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else str(exc)
-        print("error:", " ".join(text.splitlines()), file=sys.stderr)  # one line
+        print("error:", " ".join(text.splitlines()) or type(exc).__name__, file=sys.stderr)
         return 1
     return 0
 

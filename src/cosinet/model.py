@@ -245,9 +245,8 @@ def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
         mask = np.arange(t_max - k + 1) < np.maximum(1, lens - k + 1)[:, None]
         # the conv projects each distinct token of the batch once
         distinct, inverse = np.unique(ids, return_inverse=True)
-        rows = ndgrad.conv1d(table.rows(distinct), inverse.reshape(ids.shape), r,
+        return ndgrad.conv1d(table.rows(distinct), inverse.reshape(ids.shape), r,
                              w, leaves[f"{side}_conv_b"], mask)
-        return ndgrad.masked_max_pool(rows, mask)
 
     q_e = tower("q", [(p.q_ids, p.q_r) for p in pairs])
     c_e = tower("c", [(p.c_ids, p.c_r) for p in pairs])

@@ -216,26 +216,26 @@ def kl_logits(scores: Tensor, target) -> Tensor:
 
 
 def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
-    """Valid 1-d convolution over time, at the unmasked windows of a batch only.
+    """Valid 1-d convolution over time, max-pooled per sequence over the unmasked windows.
 
     The input is x[n, t] = [rows[ids[n, t]], r[n, t]], as plain arrays (the
     input takes no gradient): ``rows`` is (U, C_in - 1), one row per distinct
     token, ``ids`` an (N, T) integer array of row indices and ``r`` the
     (N, T) last input channel. ``w`` is (K, C_in, C_out), ``b`` is (C_out,)
     and ``mask`` an (N, T - K + 1) boolean array marking the windows to
-    compute; requires T >= K (pad the input first). Output is the packed
-    (W, C_out) rows of the W = mask.sum() true windows, in row-major mask
-    order.
+    compute, at least one per sequence; requires T >= K (pad the input
+    first). Output is the (N, C_out) maximum of each sequence's true windows
+    (``masked_max_pool``): one tape record for a whole tower.
 
     By linearity each distinct row is projected once per kernel offset,
     proj[k] = rows @ w[k, :-1], and a window sums K gathered projection rows
-    plus its ``r`` channel's share. The weight gradient runs the same way
-    back, in token space: for each offset k, ``np.bincount`` sums the nonzero
-    entries of the output gradient onto the distinct rows their windows read
-    at k, and gw[k, :-1] = rows[kept].T @ those sums. After a max pool only
-    the winning windows carry a gradient, and kept is never more than
-    min(U, W), so this does no more matmul work than an im2col matmul over
-    the windows and builds no (W, K * (C_in - 1)) matrix.
+    plus its ``r`` channel's share. Only the winning window of each sequence
+    and channel takes the gradient: the first maximum, or a NaN, as in
+    ``np.argmax``. The backward finds those N * C_out winners and works in
+    token space: for each offset k, ``np.bincount`` sums the gradient onto
+    the distinct rows the winners read at k, and gw[k, :-1] = rows[kept].T @
+    those sums, with kept at most min(U, N * C_out) rows. It builds no
+    (W, C_out) gradient and no (W, K * (C_in - 1)) im2col matrix.
     """
     rows = np.asarray(rows, dtype=w.data.dtype)
     ids = np.asarray(ids)
@@ -270,37 +270,36 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     for j in range(k):
         acc += proj[j].take(win_ids[:, j], axis=0)
 
+    pooled, segments = masked_max_pool(acc, mask)
+
     def backward(g):
-        # flatnonzero of a bool array is about 4x faster than np.nonzero(g)
-        at = np.flatnonzero(g != 0)
-        win, col = np.divmod(at, c_out)
-        gv = g.take(at)
+        win = np.stack([acc[s].argmax(axis=0) + s.start for s in segments])  # (N, C_out)
+        col = np.arange(c_out)
         gw = np.empty_like(w.data)
         for j in range(k):
             u = win_ids[win, j]
-            kept = np.bincount(u, minlength=len(rows)) > 0
-            block = np.bincount((np.cumsum(kept) - 1)[u] * c_out + col, weights=gv,
-                                minlength=kept.sum() * c_out)
+            kept = np.bincount(u.ravel(), minlength=len(rows)) > 0
+            block = np.bincount(((np.cumsum(kept) - 1)[u] * c_out + col).ravel(),
+                                weights=g.ravel(), minlength=kept.sum() * c_out)
             gw[j, :e] = rows[kept].T @ block.reshape(-1, c_out).astype(gw.dtype, copy=False)
-        gw[:, e] = win_r.T @ g
+            gw[j, e] = (win_r[win, j] * g).sum(axis=0)
         _acc(w, gw)
         _acc(b, g.sum(axis=0))
 
-    return _op("conv1d", acc, backward, w, b)
+    return _op("conv1d", pooled, backward, w, b)
 
 
-def masked_max_pool(rows: Tensor, mask) -> Tensor:
-    """Per-sequence max over the packed rows of the true entries of ``mask``.
+def masked_max_pool(x: np.ndarray, mask) -> tuple[np.ndarray, list[slice]]:
+    """Per-sequence max over the packed rows of the true entries of ``mask``; no tape op.
 
-    ``mask`` is an (N, T) boolean array (plain array, not a tensor) with at
-    least one true entry per row; ``rows`` is (W, C) with W = mask.sum(),
-    one row per true entry in row-major order (as ``conv1d`` returns them).
-    Output is (N, C). Among equal maxima the first row takes the gradient;
-    a NaN counts as the maximum, as in ``np.argmax``.
+    ``mask`` is an (N, T) boolean array with at least one true entry per
+    row; ``x`` is a (W, C) array with W = mask.sum(), one row per true entry
+    in row-major order (as ``conv1d`` packs its windows). Returns the (N, C)
+    maxima, where a NaN wins, and each sequence's slice of the rows of ``x``.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or rows.data.ndim != 2 or rows.data.shape[0] != mask.sum():
-        raise _shape_error("masked_max_pool", rows.data.shape, mask.shape)
+    if mask.ndim != 2 or x.ndim != 2 or x.shape[0] != mask.sum():
+        raise _shape_error("masked_max_pool", x.shape, mask.shape)
     counts = mask.sum(axis=1)
     if not counts.all():
         raise ValueError("masked_max_pool: mask has no valid timestep")
@@ -308,15 +307,7 @@ def masked_max_pool(rows: Tensor, mask) -> Tensor:
     # runs about 3x faster than np.maximum.reduceat along axis 0
     ends = np.cumsum(counts)
     segments = [slice(lo, hi) for lo, hi in zip((ends - counts).tolist(), ends.tolist())]
-    x = rows.data
-
-    def backward(g):
-        first = np.stack([x[s].argmax(axis=0) + s.start for s in segments])
-        dx = np.zeros_like(x)
-        np.put_along_axis(dx, first, g, axis=0)
-        _acc(rows, dx)
-
-    return _op("masked_max_pool", np.stack([x[s].max(axis=0) for s in segments]), backward, rows)
+    return np.stack([x[s].max(axis=0) for s in segments]), segments
 
 
 def _recurrence(name, x: Tensor, directions, gates: int, cell, cell_back) -> Tensor:

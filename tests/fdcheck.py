@@ -50,12 +50,3 @@ def max_rel_error(analytic, numeric):
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
 
-
-def spaced_values(rng, shape, lo=-1.0, hi=1.0, min_gap=0.03):
-    """Random-looking values with pairwise gaps >= min_gap (for max-pool kinks)."""
-    n = int(np.prod(shape))
-    span = hi - lo
-    grid = lo + span * (np.arange(n) + 0.5) / n
-    if n > 1 and span / n < min_gap:
-        raise ValueError("shape too large for requested min_gap")
-    return rng.permutation(grid).reshape(shape)

@@ -363,6 +363,23 @@ class TestTrain:
         assert (rc, stdout) == (1, "") and sorted(tmp_path.rglob("*")) == before
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {out}: ")
 
+    def test_model_too_large_for_memory_is_one_error_line(self, toy_jsonl, toy_vocab, tmp_path,
+                                                          capsys):
+        # the weights of a 10**13-wide kernel take more than 2**48 bytes, past
+        # any 64-bit address space, so allocating them fails at once
+        settings_file = tmp_path / "huge.json"
+        settings_file.write_text(json.dumps({"embedding_dim": 4, "conv_hidden": 4,
+                                             "kernel_width": 10**13}))
+        cfg = model.CosinetConfig(embedding_dim=4, conv_hidden=4, kernel_width=10**13)
+        assert sum(np.prod(shape) for shape, _ in model.param_layout(cfg).values()) * 4 > 2**48
+        emb = write_embeddings(tmp_path / "vec.txt", toy_vocab, 4)
+        out = tmp_path / "m.bin"
+        before = sorted(tmp_path.rglob("*"))
+        rc, stdout, err = run(["train", "--train", toy_jsonl, "--embeddings", emb,
+                               "--config", str(settings_file), "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "") and sorted(tmp_path.rglob("*")) == before
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_training_leaves_no_file(self, toy_jsonl, toy_vocab, small_settings,
                                             tmp_path, capsys, monkeypatch, existing):

@@ -525,10 +525,10 @@ class TestForward:
             assert len(records) == 1, (kind, records)
 
     @pytest.mark.parametrize("loss, kind, want", [
-        (listwise_loss, "none", 7), (pointwise_loss, "none", 7), (listwise_loss, "rnn", 8),
-        (listwise_loss, "lstm", 8), (listwise_loss, "birnn", 8), (listwise_loss, "bilstm", 8)])
+        (listwise_loss, "none", 5), (pointwise_loss, "none", 5), (listwise_loss, "rnn", 6),
+        (listwise_loss, "lstm", 6), (listwise_loss, "birnn", 6), (listwise_loss, "bilstm", 6)])
     def test_one_tape_record_per_model_stage(self, loss, kind, want):
-        # conv and pool per tower, the pair combine, one recurrence for all
+        # one pooled conv per tower, the pair combine, one recurrence for all
         # directions (with their biases), the head and the loss
         config = tiny_config(kind)
         batch = Batch(np.random.default_rng(13), config, 4)

@@ -13,7 +13,7 @@ import cosinet.ndgrad as nd
 from cosinet.model import (CONTEXT_KINDS, CosinetConfig, CosinetParams, prepare_pair, score_group,
                            score_pairs)
 from cosinet.training import TrainConfig, fit
-from fdcheck import max_rel_error, numeric_gradient, probe, spaced_values
+from fdcheck import max_rel_error, numeric_gradient, probe
 
 # (dtype, fd step, max relative error) — float32 needs a coarser step because
 # forward rounding would otherwise dominate the difference quotient
@@ -112,22 +112,31 @@ def direct_conv(rows, ids, r, w, b, n, t):
     return b + sum(np.append(rows[ids[n, t + j]], r[n, t + j]) @ w[j] for j in range(len(w)))
 
 
+def pool_lead(rows, ids, r, w, mask):
+    """The least lead of a sequence's maximum window over its runner-up, over all channels."""
+    lead = np.inf
+    for n in range(len(mask)):
+        outs = np.sort([direct_conv(rows, ids, r, w, 0.0, n, t) for t in np.flatnonzero(mask[n])],
+                       axis=0)
+        if len(outs) > 1:
+            lead = min(lead, (outs[-1] - outs[-2]).min())
+    return lead
+
+
 def case_conv1d(rng):
-    # the inputs are plain arrays: the model's conv input takes no gradient
-    rows, ids, r = conv_input(rng, 2, 7, 2, 4)
-    mask = random_mask(rng, 2, 5)
-    w = rng.uniform(-1, 1, (3, 3, 4))
+    # the inputs are plain arrays: the model's conv input takes no gradient;
+    # the probe reads the pooled output, and draws repeat until every
+    # winning window leads by 0.1, so no fd step (a window moves by at most
+    # 1e-2) changes a winner
+    while True:
+        rows, ids, r = conv_input(rng, 2, 7, 2, 4)
+        mask = random_mask(rng, 2, 5)
+        w = rng.uniform(-1, 1, (3, 3, 4))
+        if pool_lead(rows, ids, r, w, mask) > 0.1:
+            break
     b = rng.uniform(-1, 1, (4,))
-    probe_w = rng.uniform(-1, 1, (mask.sum(), 4))
+    probe_w = rng.uniform(-1, 1, (2, 4))
     return [w, b], lambda t, lv: probe(nd.conv1d(rows, ids, r, lv[0], lv[1], mask), probe_w)
-
-
-def case_masked_max_pool(rng):
-    # well separated values keep the argmax stable under the fd perturbation
-    mask = random_mask(rng, 3, 5)
-    x = spaced_values(rng, (mask.sum(), 4))
-    w = rng.uniform(-1, 1, (3, 4))
-    return [x], lambda t, lv: probe(nd.masked_max_pool(lv[0], mask), w)
 
 
 def directions_case(name, cell, gates, n_biases, width):
@@ -165,8 +174,8 @@ def case_bce(rng):
 
 ALL_CASES = [
     case_pair_combine, pair_combine_half(0), pair_combine_half(1), linear_case(1), linear_case(3),
-    case_kl_logits, case_conv1d, case_masked_max_pool, case_rnn_cell,
-    case_rnn_cell_two_biases, case_lstm_cell, case_bce,
+    case_kl_logits, case_conv1d, case_rnn_cell, case_rnn_cell_two_biases,
+    case_lstm_cell, case_bce,
 ]
 
 
@@ -439,74 +448,83 @@ class TestShapeErrors:
                           np.ones((2, 3), dtype=bool))
 
     def test_masked_max_pool_empty_mask(self):
-        # one row of the batch without a valid timestep is enough
-        tape = nd.Tape()
-        x = tape.leaf(np.zeros((1, 2)))
+        # one row of the batch without a valid timestep is enough, in the
+        # pool itself and in the conv that calls it
         with pytest.raises(ValueError, match="no valid timestep"):
-            nd.masked_max_pool(x, [[True, False, False], [False, False, False]])
+            nd.masked_max_pool(np.zeros((1, 2)), [[True, False, False], [False, False, False]])
+        tape = nd.Tape()
+        w, b = tape.leaf(np.zeros((2, 3, 4))), tape.leaf(np.zeros(4))
+        with pytest.raises(ValueError, match="no valid timestep"):
+            nd.conv1d(np.zeros((1, 2)), np.zeros((2, 4), dtype=int), np.zeros((2, 4)), w, b,
+                      [[True, False, True], [False, False, False]])
 
     def test_masked_max_pool_needs_one_row_per_true_entry(self):
-        tape = nd.Tape()
-        x = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="masked_max_pool"):
-            nd.masked_max_pool(x, [[True, False, True], [False, False, True], [True, False, False]])
+            nd.masked_max_pool(np.zeros((3, 2)),
+                               [[True, False, True], [False, False, True], [True, False, False]])
 
 
-def conv_backward(rows, ids, r, wd, bd, mask, pooled, dtype):
-    """(w grad, b grad, the conv output's gradient) under a probe of the pooled
-    output, or of the conv output itself when ``pooled`` is false."""
+def conv_backward(rows, ids, r, wd, bd, mask, dtype):
+    """(w grad, b grad) of the pooled conv under a probe, and the probe's weights."""
     tape = nd.Tape(dtype=dtype)
     w, b = tape.leaf(wd), tape.leaf(bd)
     out = nd.conv1d(rows, ids, r, w, b, mask)
-    top = nd.masked_max_pool(out, mask) if pooled else out
-    rng = np.random.default_rng(5)
-    tape.backward(probe(top, rng.uniform(0.5, 1.5, top.data.shape)))
-    return w.grad, b.grad, out.grad
+    g = np.random.default_rng(5).uniform(0.5, 1.5, out.data.shape)
+    tape.backward(probe(out, g))
+    return w.grad, b.grad, g
 
 
-def dense_conv_grads(rows, ids, r, k, mask, g):
-    """The float64 w and b gradients by the dense im2col formula over the true windows."""
+def dense_conv_grads(rows, ids, r, wd, bd, mask, g):
+    """The float64 w and b gradients by the dense im2col formula over the true
+    windows, and the dense (W, H) window gradient: each sequence's pooled
+    gradient on its first maximum window, per channel."""
     x = np.concatenate([rows[ids], r[:, :, None]], axis=2).astype(np.float64)
-    windows = np.stack([x[n, t:t + k] for n, t in zip(*np.nonzero(mask))])
-    g = g.astype(np.float64)
-    return np.einsum("wkc,wh->kch", windows, g), g.sum(axis=0)
+    at = np.nonzero(mask)
+    windows = np.stack([x[n, t:t + len(wd)] for n, t in zip(*at)])
+    out = np.einsum("wkc,kch->wh", windows, wd) + bd
+    dense = np.zeros_like(out)
+    for n in range(len(mask)):
+        rows_n = np.flatnonzero(at[0] == n)
+        np.put_along_axis(dense, rows_n[out[rows_n].argmax(axis=0)][None], g[n][None], axis=0)
+    return np.einsum("wkc,wh->kch", windows, dense), dense.sum(axis=0), dense
 
 
 def conv_case(shape):
     """(rows, ids, r, mask) of a conv batch whose distinct rows U are fewer or
-    more than its windows W."""
+    more than its windows W, or that has one window per sequence."""
     rng = np.random.default_rng(11)
-    if shape == "U<W":
-        # one question repeated over a group of 12 candidates
-        rows, q_ids, _ = conv_input(rng, 1, 9, 6, 7)
-        ids = np.repeat(q_ids, 12, axis=0)
-        r = rng.uniform(-1, 1, ids.shape)
-    else:
+    if shape == "U>W":
         # short sequences of distinct tokens, one or two windows each
         rows = rng.uniform(-1, 1, (40, 6))
         ids = rng.permutation(40).reshape(10, 4)
-        r = rng.uniform(-1, 1, ids.shape)
+    else:
+        # one question repeated over a group of 12 candidates
+        rows, q_ids, _ = conv_input(rng, 1, 9, 6, 7)
+        ids = np.repeat(q_ids, 12, axis=0)
+    r = rng.uniform(-1, 1, ids.shape)
     mask = np.ones((ids.shape[0], ids.shape[1] - 3 + 1), dtype=bool)
     mask[1::2, -1] = False
+    if shape == "one window":
+        mask = np.eye(mask.shape[1], dtype=bool)[rng.integers(0, mask.shape[1], len(mask))]
     return rows, ids, r, mask
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                          ids=["f64", "f32"])
-@pytest.mark.parametrize("shape,pooled", [("U<W", True), ("U>W", True), ("U<W", False)],
+@pytest.mark.parametrize("shape", ["U<W", "U>W", "one window"],
                          ids=["fewer-rows-than-windows", "more-rows-than-windows",
                               "dense-gradient"])
-def test_conv1d_weight_gradient_matches_dense_reference(shape, pooled, dtype, tol):
-    # the token-space weight gradient against the dense im2col sum over the
-    # true windows; a probe of the conv output gives a gradient with no zero
+def test_conv1d_weight_gradient_matches_dense_reference(shape, dtype, tol):
+    # the winners-only token-space weight gradient against the dense im2col
+    # sum over the true windows; with one window per sequence every window
+    # wins, so the window gradient is dense: it has no zero
     rows, ids, r, mask = conv_case(shape)
-    n_windows = int(mask.sum())
-    assert (len(rows) < n_windows) == (shape == "U<W")
+    assert (len(rows) < mask.sum()) == (shape != "U>W")
     rng = np.random.default_rng(3)
     wd, bd = rng.uniform(-1, 1, (3, 7, 5)), rng.uniform(-1, 1, 5)
-    gw, gb, g = conv_backward(rows, ids, r, wd, bd, mask, pooled, dtype)
-    assert (g != 0).all() != pooled
-    want_w, want_b = dense_conv_grads(rows, ids, r, 3, mask, g)
+    gw, gb, g = conv_backward(rows, ids, r, wd, bd, mask, dtype)
+    want_w, want_b, dense = dense_conv_grads(rows, ids, r, wd, bd, mask, g)
+    assert (dense != 0).all() == (shape == "one window")
     assert max_rel_error(gw, want_w) <= tol
     assert max_rel_error(gb, want_b) <= tol
 
@@ -520,7 +538,7 @@ def test_conv1d_backward_builds_no_im2col_matrix():
     mask = np.ones((n, t - k + 1), dtype=bool)
     tape = nd.Tape(dtype=np.float64)
     w, b = tape.leaf(rng.uniform(-1, 1, (k, e + 1, h))), tape.leaf(np.zeros(h))
-    loss = probe(nd.masked_max_pool(nd.conv1d(rows, ids, r, w, b, mask), mask))
+    loss = probe(nd.conv1d(rows, ids, r, w, b, mask))
     tracemalloc.start()
     try:
         tape.backward(loss)
@@ -530,21 +548,64 @@ def test_conv1d_backward_builds_no_im2col_matrix():
     assert peak < mask.sum() * k * e * 8
 
 
+def test_conv1d_backward_builds_no_window_gradient():
+    # the backward of a pooled conv reads the N * C_out winners only, and
+    # allocates less than one (W, C_out) array over the windows would take
+    # (a sequence's argmax copies its own windows only)
+    n, t, k, e, h = 40, 200, 2, 2, 64
+    rng = np.random.default_rng(7)
+    rows, ids, r = conv_input(rng, n, t, e, 3000)
+    mask = np.ones((n, t - k + 1), dtype=bool)
+    tape = nd.Tape(dtype=np.float64)
+    w, b = tape.leaf(rng.uniform(-1, 1, (k, e + 1, h))), tape.leaf(np.zeros(h))
+    loss = probe(nd.conv1d(rows, ids, r, w, b, mask))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mask.sum() * h * 8
+
+
+def identity_pool(tape, x, mask):
+    """(pooled output, w, b) of a width-1 identity-kernel conv over the
+    (N, T, 2) inputs ``x``: the output is the per-sequence max of ``x``."""
+    n, t, _ = x.shape
+    w, b = tape.leaf(np.eye(2)[None]), tape.leaf(np.zeros(2))
+    out = nd.conv1d(x[:, :, :1].reshape(-1, 1), np.arange(n * t).reshape(n, t), x[:, :, 1],
+                    w, b, mask)
+    return out, w, b
+
+
 class TestPrimitiveSemantics:
+    def test_masked_max_pool_is_a_plain_array_step(self):
+        # the pool takes and returns plain arrays and records nothing: a
+        # pooled conv is one tape record
+        x = np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]])
+        pooled, segments = nd.masked_max_pool(x, [[True, True, False], [False, False, True]])
+        np.testing.assert_array_equal(pooled, [[3.0, 4.0], [5.0, 0.0]])
+        assert segments == [slice(0, 2), slice(2, 3)]
+        tape = nd.Tape(dtype=np.float64)
+        w, b = tape.leaf(np.ones((2, 3, 4))), tape.leaf(np.zeros(4))
+        out = nd.conv1d(np.ones((1, 2)), np.zeros((2, 5), dtype=int), np.ones((2, 5)), w, b,
+                        np.ones((2, 4), dtype=bool))
+        assert [rec[1] for rec in tape._records] == [out]
+
     def test_conv1d_identity_kernel(self):
-        # width-1 kernel with identity weights reproduces the input
+        # width-1 kernel with identity weights pools the input itself
         tape = nd.Tape(dtype=np.float64)
         rows, ids, r = conv_input(np.random.default_rng(0), 2, 6, 2, 5)
         w = tape.leaf(np.eye(3)[None, :, :])
         b = tape.leaf(np.zeros(3))
         out = nd.conv1d(rows, ids, r, w, b, np.ones((2, 6), dtype=bool))
         x = np.concatenate([rows[ids], r[:, :, None]], axis=2)
-        np.testing.assert_allclose(out.data, x.reshape(12, 3), atol=1e-12)
+        np.testing.assert_allclose(out.data, x.max(axis=1), atol=1e-12)
 
     def test_conv1d_matches_direct_sum(self):
-        # one packed row per true window, in row-major mask order; ids
-        # repeat within and across sequences, and two of them point at a
-        # zero row, as unknown tokens and padding do in the model
+        # each sequence's max over its true windows; ids repeat within and
+        # across sequences, and two of them point at a zero row, as unknown
+        # tokens and padding do in the model
         rng = np.random.default_rng(1)
         rows, _, r = conv_input(rng, 3, 7, 2, 4)
         rows[0] = 0.0
@@ -554,14 +615,22 @@ class TestPrimitiveSemantics:
         mask = np.array([[1, 0, 1, 1, 1], [1, 0, 0, 0, 1], [0, 1, 0, 1, 0]], dtype=bool)
         tape = nd.Tape(dtype=np.float64)
         out = nd.conv1d(rows, ids, r, tape.leaf(wd), tape.leaf(bd), mask).data
-        windows = list(zip(*np.nonzero(mask)))
-        assert out.shape == (len(windows), 4)
-        for row, (n, t) in zip(out, windows):
-            np.testing.assert_allclose(row, direct_conv(rows, ids, r, wd, bd, n, t), atol=1e-12)
+        assert out.shape == (3, 4)
+        for n, row in enumerate(out):
+            windows = [direct_conv(rows, ids, r, wd, bd, n, t) for t in np.flatnonzero(mask[n])]
+            np.testing.assert_allclose(row, np.max(windows, axis=0), atol=1e-12)
 
-    def test_conv1d_work_tracks_real_windows(self):
-        # one 60-token candidate padded with nine 5-token ones: 56 + 9 rows,
-        # not the 10 x 56 windows of the padded batch
+    def test_conv1d_work_tracks_real_windows(self, monkeypatch):
+        # one 60-token candidate padded with nine 5-token ones: the pool gets
+        # 56 + 9 window rows, not the 10 x 56 windows of the padded batch
+        pooled_rows = []
+        pool = nd.masked_max_pool
+
+        def spy(x, mask):
+            pooled_rows.append(x.copy())
+            return pool(x, mask)
+
+        monkeypatch.setattr(nd, "masked_max_pool", spy)
         k, dim = 5, 3
         lengths = [60] + [5] * 9
         rows = np.array([[0.0, 0.0], [1.0, 1.0]])  # padding, then the one real token
@@ -576,9 +645,11 @@ class TestPrimitiveSemantics:
         w = tape.leaf(np.ones((k, dim, 2)))
         b = tape.leaf(np.zeros(2))
         out = nd.conv1d(rows, ids, r, w, b, mask)
-        assert out.data.shape == (mask.sum(), 2) == (65, 2)
-        np.testing.assert_array_equal(out.data, np.full((65, 2), k * dim))
-        tape.backward(probe(nd.masked_max_pool(out, mask)))
+        [windows] = pooled_rows
+        assert windows.shape == (mask.sum(), 2) == (65, 2)
+        np.testing.assert_array_equal(windows, np.full((65, 2), k * dim))
+        np.testing.assert_array_equal(out.data, np.full((10, 2), k * dim))
+        tape.backward(probe(out))
         np.testing.assert_array_equal(b.grad, [10.0, 10.0])
 
     def test_masked_values_never_leak(self):
@@ -600,8 +671,7 @@ class TestPrimitiveSemantics:
         pooled = []
         for x_rows, x_r in ((rows, r), (poisoned_rows, poisoned_r)):
             tape = nd.Tape(dtype=np.float64)
-            out = nd.conv1d(x_rows, ids, x_r, tape.leaf(wd), tape.leaf(bd), mask)
-            pooled.append(nd.masked_max_pool(out, mask).data)
+            pooled.append(nd.conv1d(x_rows, ids, x_r, tape.leaf(wd), tape.leaf(bd), mask).data)
         np.testing.assert_array_equal(pooled[0], pooled[1])
         for n in range(2):
             full = np.stack([direct_conv(rows, ids, r, wd, bd, n, t) for t in range(5)])
@@ -644,23 +714,32 @@ class TestPrimitiveSemantics:
             np.testing.assert_allclose(both, np.hstack([ahead, back]), rtol=1e-12, atol=1e-15)
 
     def test_max_pool_tie_routes_gradient_to_first(self):
-        # packed rows: [1, 3, 3] for the first sequence, [2, 2] for the second
-        tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.0, 0.0], [3.0, 0.0], [3.0, 0.0], [2.0, 7.0], [2.0, 7.0]])
+        # a width-1 identity kernel pools the input rows x itself, so
+        # w.grad[0][:, c] sums the x row of each sequence's winner in channel
+        # c; channel 0 ties in both sequences, and the first of a tie wins
+        x = np.array([[[1.0, 0.0], [3.0, 5.0], [3.0, 6.0]],
+                      [[9.0, 9.0], [2.0, 7.0], [2.0, 4.0]]])
         mask = [[True, True, True], [False, True, True]]
-        tape.backward(probe(nd.masked_max_pool(x, mask)))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0],
-                                               [1.0, 1.0], [0.0, 0.0]])
+        tape = nd.Tape(dtype=np.float64)
+        out, w, b = identity_pool(tape, x, mask)
+        np.testing.assert_array_equal(out.data, [[3.0, 6.0], [2.0, 7.0]])
+        tape.backward(probe(out))
+        # channel 0 takes x[0, 1] + x[1, 1], channel 1 x[0, 2] + x[1, 1]
+        np.testing.assert_array_equal(w.grad[0], [[5.0, 5.0], [12.0, 13.0]])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
     def test_nan_window_gives_nan_not_index_error(self):
-        # a NaN window pools to NaN and takes the gradient, as np.argmax would
+        # a NaN window pools to NaN and takes the gradient, as np.argmax
+        # would: had the finite window x[0, 2] won, w.grad would be finite
+        x = np.array([[[np.nan, np.nan], [5.0, 5.0], [2.0, 0.5]],
+                      [[4.0, 4.0], [0.0, 0.0], [0.0, 0.0]]])
+        mask = [[True, False, True], [True, False, False]]
         tape = nd.Tape(dtype=np.float64)
-        x = tape.leaf([[1.0, np.nan], [2.0, 0.5], [np.nan, 3.0]])
-        mask = [[True, False, True], [False, True, False]]
-        out = nd.masked_max_pool(x, mask)
-        np.testing.assert_array_equal(out.data, [[2.0, np.nan], [np.nan, 3.0]])
+        out, w, b = identity_pool(tape, x, mask)
+        np.testing.assert_array_equal(out.data, [[np.nan, np.nan], [4.0, 4.0]])
         tape.backward(probe(out))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert np.isnan(w.grad).all()
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
     def test_softmax_rows_normalized_and_positive(self):
         # the kl_logits gradient is softmax(s) - g, one softmax over every
