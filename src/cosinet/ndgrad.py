@@ -311,58 +311,57 @@ def masked_max_pool(x: np.ndarray, mask) -> tuple[np.ndarray, list[slice]]:
 
 
 def _recurrence(name, x: Tensor, directions, gates: int, cell, cell_back) -> Tensor:
-    """Run a recurrence over the rows of ``x`` from a zero state, per direction, as one tape op.
+    """Run a recurrence over the rows of ``x`` from a zero state, every direction at once.
 
-    Each of the one or two ``directions`` is a ``[w_ih, w_hh, *biases]`` list;
-    the second reads the rows last to first. A direction's input projection
-    ``x @ w_ih + b`` is one matmul for all steps, where ``b`` sums its
-    (1, gates * H) biases in the order given. Per step, ``cell(pre, c) -> (h,
-    c, saved)`` maps the pre-activation and the carried cell state to the new
-    hidden and cell state, and ``cell_back(dh, dc, saved) -> (dpre, dc_prev)``
-    is its derivative. Output row t joins, column-wise, each direction's hidden
-    state after row t, whichever way it reads the rows.
+    Each of the one or two ``directions`` is a ``[w_ih, w_hh, *biases]`` list, of the same
+    shapes in each; the second reads the rows last to first. ``x @ w_ih + b`` (``b`` sums
+    the biases in the order given) is one matmul per direction. Per step, ``cell(z, a,
+    c_prev, c) -> h`` maps the (D, gates, H) pre-activation ``z`` of the D stacked states to
+    the hidden states, writing tanh values into ``a`` and cell states into ``c``. Given all
+    steps' ``a`` and ``cs`` (cs[t]: before step t), ``cell_back(a, cs)`` returns ``step(t,
+    dh, dc, dz) -> dc_prev``, which writes step t's gradient into ``dz``. One tape op;
+    output row t joins, column-wise, each direction's hidden state after row t.
     """
     if x.data.ndim != 2 or len(directions) not in (1, 2):
         raise ValueError(f"{name}: needs an (N, In) input and one or two directions, "
                          f"got {x.data.shape} and {len(directions)}")
-    runs = []  # per direction: row order, weights, inputs, pre-activations, states, saved
-    for reverse, (w_ih, w_hh, *biases) in enumerate(directions):
-        hdim = w_hh.data.shape[0] if w_hh.data.ndim == 2 else -1
+    hdim = directions[0][1].data.shape[0] if directions[0][1].data.ndim == 2 else -1
+    for w_ih, w_hh, *biases in directions:
         if (w_ih.data.shape != (x.data.shape[1], gates * hdim)
                 or w_hh.data.shape != (hdim, gates * hdim) or not biases
                 or any(b.data.shape != (1, gates * hdim) for b in biases)):
             raise _shape_error(name, x.data.shape, w_ih.data.shape, w_hh.data.shape,
                                *(b.data.shape for b in biases))
-        order = slice(None, None, -1 if reverse else None)
-        xs = x.data[order]
-        pre_x = xs @ w_ih.data + sum((b.data for b in biases[1:]), biases[0].data)
-        hs = np.zeros((xs.shape[0] + 1, hdim), dtype=pre_x.dtype)  # hs[t]: state before step t
-        c = np.zeros(hdim, dtype=pre_x.dtype)
-        saved = []
-        for t in range(xs.shape[0]):
-            hs[t + 1], c, s = cell(pre_x[t] + hs[t] @ w_hh.data, c)
-            saved.append(s)
-        runs.append((order, w_ih, w_hh, biases, xs, pre_x, hs, saved))
+    (n, _), d, dtype = x.data.shape, len(directions), x.data.dtype
+    orders = [slice(None, None, -1 if k else None) for k in range(d)]
+    pre = np.hstack([x.data[o] @ w.data + sum((b.data for b in bs[1:]), bs[0].data)
+                     for o, (w, _, *bs) in zip(orders, directions)]).reshape(n, d, gates, -1)
+    w_hh = np.concatenate([w.data for _, w, *_ in directions]).reshape(d, hdim, -1)
+    a, z = np.empty_like(pre), np.empty_like(pre[0])
+    hs, cs = np.zeros((2, n + 1, d, hdim), dtype=dtype)  # hs[t], cs[t]: states before step t
+    for t in range(n):
+        np.matmul(hs[t, :, None], w_hh, out=z.reshape(d, 1, -1))
+        z += pre[t]
+        hs[t + 1] = cell(z, a[t], cs[t], cs[t + 1])
 
     def backward(g):
-        lo = 0  # each direction's columns of g
-        for order, w_ih, w_hh, biases, xs, pre_x, hs, saved in runs:
-            hdim = hs.shape[1]
-            g_dir, lo = g[order, lo:lo + hdim], lo + hdim
-            dpre = np.empty_like(pre_x)
-            dh = np.zeros(hdim, dtype=pre_x.dtype)
-            dc = np.zeros(hdim, dtype=pre_x.dtype)
-            for t in reversed(range(xs.shape[0])):
-                dpre[t], dc = cell_back(g_dir[t] + dh, dc, saved[t])
-                dh = dpre[t] @ w_hh.data.T
-            _acc(x, (dpre @ w_ih.data.T)[order])
-            _acc(w_ih, xs.T @ dpre)
-            _acc(w_hh, hs[:-1].T @ dpre)
-            db = dpre.sum(axis=0, keepdims=True)
+        step = cell_back(a, cs)
+        gs = np.stack([g[order, k * hdim:(k + 1) * hdim] for k, order in enumerate(orders)], axis=1)
+        dz = np.empty_like(a)
+        dh, dc = np.zeros((2, d, hdim), dtype=dtype)
+        for t in reversed(range(n)):
+            dc = step(t, gs[t] + dh, dc, dz[t])
+            np.matmul(w_hh, dz[t].reshape(d, -1, 1), out=dh[:, :, None])
+        for k, (w_ih, w, *biases) in enumerate(directions):
+            dzk = dz[:, k].reshape(n, -1)
+            _acc(x, (w_ih.data @ dzk.T).T[orders[k]])  # faster than dzk @ w_ih.T
+            _acc(w_ih, x.data[orders[k]].T @ dzk)
+            _acc(w, hs[:-1, k].T @ dzk)
+            db = dzk.sum(axis=0, keepdims=True)
             for b in biases:
                 _acc(b, db)
 
-    out = np.concatenate([hs[1:][order] for order, *_, hs, _ in runs], axis=1)
+    out = np.concatenate([hs[1:, k][order] for k, order in enumerate(orders)], axis=1)
     return _op(name, out, backward, x, *(t for d in directions for t in d))
 
 
@@ -374,12 +373,16 @@ def rnn_cell(x: Tensor, *directions) -> Tensor:
     b_ih, b_hh) summed into ``b``. The output is the (N, H) hidden states per
     direction, side by side; the second direction reads the rows last to first.
     """
-    def cell(pre, c):
-        h = np.tanh(pre)
-        return h, c, h
+    def cell(z, a, c_prev, c):
+        return np.tanh(z, out=a)[:, 0]
 
-    def cell_back(dh, dc, h):
-        return dh * (1.0 - h * h), dc
+    def cell_back(a, cs):
+        da = 1.0 - a * a
+
+        def step(t, dh, dc, dz):
+            np.multiply(dh, da[t, :, 0], out=dz[:, 0])
+            return dc
+        return step
 
     return _recurrence("rnn_cell", x, directions, 1, cell, cell_back)
 
@@ -392,21 +395,28 @@ def lstm_cell(x: Tensor, *directions) -> Tensor:
     (N, In); each of the one or two ``directions`` is a list of ``w_ih``
     (In, 4H), ``w_hh`` (H, 4H) and one or more (1, 4H) biases, summed. The
     directions' states sit side by side; the second reads the rows last to
-    first.
+    first. One tanh serves all four gates, as sigmoid(v) = (1 + tanh(v / 2)) / 2.
     """
-    def cell(pre, c):
-        i, f, g, o = np.split(pre, 4)
-        i, f, g, o = _sigmoid(i), _sigmoid(f), np.tanh(g), _sigmoid(o)
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        return o * tc, c_new, (i, f, g, o, c, tc)
+    scale = np.array([[0.5], [0.5], [1.0], [0.5]], dtype=x.data.dtype)
 
-    def cell_back(dh, dc, saved):
-        i, f, g, o, c, tc = saved
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dpre = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
-                               dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
-        return dpre, dc * f
+    def cell(z, a, c_prev, c):
+        np.tanh(np.multiply(z, scale, out=z), out=a)
+        sig = a * 0.5 + 0.5  # the i, f and o gates; a[:, 2] is the candidate itself
+        np.add(sig[:, 1] * c_prev, sig[:, 0] * a[:, 2], out=c)
+        return sig[:, 3] * np.tanh(c)
+
+    def cell_back(a, cs):
+        sig, tc = a * 0.5 + 0.5, np.tanh(cs[1:])
+        # dz = scale² (1 - a²) * [dc * g, dc * c_prev, dc * i, dh * tanh(c)], gate by gate
+        k = (1.0 - a * a) * (scale * scale) * np.stack([a[:, :, 2], cs[:-1], sig[:, :, 0], tc], 2)
+        dc_dh = sig[:, :, 3] * (1.0 - tc * tc)
+
+        def step(t, dh, dc, dz):
+            dc = dc + dh * dc_dh[t]
+            np.multiply(dc[:, None], k[t, :, :3], out=dz[:, :3])
+            np.multiply(dh, k[t, :, 3], out=dz[:, 3])
+            return dc * sig[t, :, 1]
+        return step
 
     return _recurrence("lstm_cell", x, directions, 4, cell, cell_back)
 

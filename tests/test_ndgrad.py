@@ -413,6 +413,24 @@ class TestShapeErrors:
             with pytest.raises(ValueError, match="rnn_cell"):
                 nd.rnn_cell(x, *directions)
 
+    @pytest.mark.parametrize("cell, gates", [(nd.rnn_cell, 1), (nd.lstm_cell, 4)],
+                             ids=["rnn", "lstm"])
+    def test_recurrence_directions_need_the_same_shapes(self, cell, gates):
+        # the directions step together on one stacked state, so a second
+        # direction of another hidden width is an error, though each
+        # direction on its own fits x
+        tape = nd.Tape()
+        x = tape.leaf(np.zeros((2, 3)))
+        fw, bw = ([tape.leaf(np.zeros(s)) for s in ((3, gates * h), (h, gates * h),
+                                                     (1, gates * h))] for h in (4, 3))
+        for direction in (fw, bw):
+            cell(x, direction)
+        records = len(tape._records)
+        for directions in ((fw, bw), (bw, fw)):
+            with pytest.raises(ValueError, match=cell.__name__):
+                cell(x, *directions)
+        assert len(tape._records) == records
+
     def test_bce_needs_one_label_per_score(self):
         tape = nd.Tape()
         s = tape.leaf(np.zeros((3, 1)))
@@ -699,19 +717,54 @@ class TestPrimitiveSemantics:
         np.testing.assert_array_equal(leaves[3].grad, g.sum(axis=0, keepdims=True))
 
     def test_second_direction_reads_the_rows_last_to_first(self):
-        # its half of the output is a one-direction run over the reversed
-        # rows, reversed back; the first half is the one-direction run
+        # the directions only share a loop: the op is a one-direction run
+        # next to a run over the reversed rows, reversed back, in its output
+        # and in every gradient
         rng = np.random.default_rng(8)
-        x = rng.uniform(-1, 1, (5, 3))
-        for cell, gates in ((nd.rnn_cell, 1), (nd.lstm_cell, 4)):
-            fw, bw = ([rng.uniform(-1, 1, s) for s in ((3, 4 * gates), (4, 4 * gates),
-                                                        (1, 4 * gates))] for _ in range(2))
-            tape = nd.Tape(dtype=np.float64)
-            fw, bw = [tape.leaf(a) for a in fw], [tape.leaf(a) for a in bw]
-            both = cell(tape.leaf(x), fw, bw).data
-            ahead = cell(tape.leaf(x), fw).data
-            back = cell(tape.leaf(x[::-1]), bw).data[::-1]
-            np.testing.assert_allclose(both, np.hstack([ahead, back]), rtol=1e-12, atol=1e-15)
+        for n in (1, 2, 5, 7):
+            for cell, gates in ((nd.rnn_cell, 1), (nd.lstm_cell, 4)):
+                x, w = rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 8))
+                fw, bw = ([rng.uniform(-1, 1, s) for s in ((3, 4 * gates), (4, 4 * gates),
+                                                            (1, 4 * gates))] for _ in range(2))
+                tape = nd.Tape(dtype=np.float64)
+                leaves = [tape.leaf(a) for a in (x, *fw, *bw)]
+                both = cell(leaves[0], leaves[1:4], leaves[4:])
+                tape.backward(probe(both, w))
+                runs = []
+                for rows, weights, probe_w in ((x, fw, w[:, :4]), (x[::-1], bw, w[::-1, 4:])):
+                    tape = nd.Tape(dtype=np.float64)
+                    alone = [tape.leaf(a) for a in (rows, *weights)]
+                    out = cell(alone[0], alone[1:])
+                    tape.backward(probe(out, probe_w))
+                    runs.append((out.data, [leaf.grad for leaf in alone]))
+                (ahead, g_ahead), (back, g_back) = runs
+                np.testing.assert_allclose(both.data, np.hstack([ahead, back[::-1]]),
+                                           rtol=1e-12, atol=1e-15)
+                want = [g_ahead[0] + g_back[0][::-1], *g_ahead[1:], *g_back[1:]]
+                for leaf, g in zip(leaves, want, strict=True):
+                    np.testing.assert_allclose(leaf.grad, g, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("reach", [80.0, 1e4])
+    @pytest.mark.parametrize("cell, gates", [(nd.rnn_cell, 1), (nd.lstm_cell, 4)],
+                             ids=["rnn", "lstm"])
+    def test_saturated_recurrences_stay_finite(self, cell, gates, reach):
+        # float32 pre-activations reach +-reach and beyond: the outputs stay
+        # in [-1, 1] and every gradient stays finite, with one and two directions
+        rng = np.random.default_rng(5)
+        x = np.float32(reach) * np.float32([[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]])
+        for d in (1, 2):
+            tape = nd.Tape(dtype=np.float32)
+            leaf_x = tape.leaf(x)
+            directions = [[tape.leaf(rng.choice([-1.0, 1.0], (2, 3 * gates))),
+                           tape.leaf(rng.uniform(-1, 1, (3, 3 * gates))),
+                           tape.leaf(rng.uniform(-1, 1, (1, 3 * gates)))] for _ in range(d)]
+            pre = x @ directions[0][0].data
+            assert pre.max() >= reach and pre.min() <= -reach
+            out = cell(leaf_x, *directions)
+            tape.backward(probe(out, rng.uniform(-1, 1, out.data.shape)))
+            assert np.isfinite(out.data).all() and np.abs(out.data).max() <= 1.0
+            for t in [leaf_x, *(t for direction in directions for t in direction)]:
+                assert np.isfinite(t.grad).all()
 
     def test_max_pool_tie_routes_gradient_to_first(self):
         # a width-1 identity kernel pools the input rows x itself, so
@@ -806,7 +859,7 @@ class TestPrimitiveSemantics:
             nd.kl_logits(tape.leaf(np.zeros((1, 3))), np.ones((1, 2)) / 2)
 
     def test_sigmoid_extremes_stay_in_unit_interval(self):
-        # the stable logistic shared by lstm_cell and bce_logits_mean
+        # the stable logistic of bce_logits_mean
         out = nd._sigmoid(np.array([[-80.0, -1.0, 0.0, 1.0, 80.0]], dtype=np.float32))
         assert out.dtype == np.float32
         assert np.isfinite(out).all()
