@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import read_lines
 
 CONCEPT_PREFIX = "/c/en/"
-UNKNOWN = -1  # the id of a token without a vector (and of padding)
+UNKNOWN = -1  # the id of a token without a vector
 NO_TOKENS = "embed_sequence: empty token list: a question or candidate has no tokens"
 
 

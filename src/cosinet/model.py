@@ -4,12 +4,13 @@ Each word gets a relatedness feature (its best cosine match against the
 other text of its pair). ``prepare_group`` embeds a group's question once,
 all of its candidates' tokens in one lookup, and takes every candidate's
 relatedness from one cosine matmul; ``prepare_pair`` is its one-candidate
-case. The layers then work on a whole batch of pairs at once:
-``encode_pair`` zero-pads every side to the batch's longest (and to at
-least the kernel width), one CNN per side, which projects each distinct
-token of the batch once and runs at the windows that start at a real token
-only, with global max pooling over those windows turns the batch into
-sentence vectors, and each pair combines into [q * c; q - c].
+case. Both return ``Pairs``: each side's token ids and relatedness packed
+back to back, with one length per pair. The layers then work on a whole
+batch of pairs at once: ``encode_pair`` joins a list of ``Pairs`` and runs
+one CNN per side, which projects each distinct token of the batch once and
+max-pools each sentence over the windows that start at one of its tokens
+(``ndgrad.conv1d`` owns that rule), turning the batch into sentence
+vectors; each pair combines into [q * c; q - c].
 The (n, 2H) pair embeddings can then be contextualized along the original
 rank by a recurrent layer, one tape op for both directions, before a single
 linear head produces an (n, 1) column of scores, one per candidate.
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import ndgrad
 from .corpus import atomic_open
-from .embeddings import NO_TOKENS, UNKNOWN, EmbeddingTable, embed_sequence
+from .embeddings import NO_TOKENS, EmbeddingTable, embed_sequence
 from .ndgrad import Tape
 
 CONTEXT_KINDS = ("none", "rnn", "birnn", "lstm", "bilstm")
@@ -190,27 +191,28 @@ def relatedness(q_emb: np.ndarray, c_emb: np.ndarray, c_lengths):
     return np.maximum.reduceat(r, starts, axis=1).T, r.max(axis=0)
 
 
-@dataclass
-class PairInput:
-    """Frozen inputs of one pair: each side's token ids and relatedness column."""
-    q_ids: np.ndarray     # (Tq,) rows of the table, UNKNOWN where a token has no vector
-    q_r: np.ndarray       # (Tq,)
-    c_ids: np.ndarray     # (Tc,)
-    c_r: np.ndarray       # (Tc,)
+class Pairs(typing.NamedTuple):
+    """Frozen inputs of n pairs, packed: each side's tokens back to back, one length per pair."""
+    q_ids: np.ndarray     # (sum Tq,) rows of the table, UNKNOWN where a token has no vector
+    q_r: np.ndarray       # (sum Tq,) each token's relatedness to its pair's other side
+    q_lens: np.ndarray    # (n,)
+    c_ids: np.ndarray     # (sum Tc,)
+    c_r: np.ndarray       # (sum Tc,)
+    c_lens: np.ndarray    # (n,)
 
 
-def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> PairInput:
+def prepare_pair(q_tokens, c_tokens, table: EmbeddingTable) -> Pairs:
     """Each side's token ids plus each word's relatedness to the other side."""
-    return _prepare(q_tokens, [c_tokens], table)[0]
+    return _prepare(q_tokens, [c_tokens], table)
 
 
-def prepare_group(group, table: EmbeddingTable) -> list[PairInput]:
-    """One PairInput per candidate of ``group``, in candidate order."""
+def prepare_group(group, table: EmbeddingTable) -> Pairs:
+    """The pairs of ``group``'s question with each of its candidates, in candidate order."""
     return _prepare(group.question_tokens, [c.tokens for c in group.candidates], table)
 
 
-def _prepare(q_tokens, candidates, table: EmbeddingTable) -> list[PairInput]:
-    """The PairInputs of one question against each token list of ``candidates``.
+def _prepare(q_tokens, candidates, table: EmbeddingTable) -> Pairs:
+    """The pairs of one question with each token list of ``candidates``.
 
     The question is embedded once, every candidate token in one lookup, and
     ``relatedness`` takes one cosine matmul for the lot.
@@ -221,36 +223,24 @@ def _prepare(q_tokens, candidates, table: EmbeddingTable) -> list[PairInput]:
         raise ValueError(NO_TOKENS)
     c_ids, c_emb = embed_sequence([t for tokens in candidates for t in tokens], table)
     r_q, r_c = relatedness(q_emb, c_emb, lengths)
-    ends = list(itertools.accumulate(lengths))
-    return [PairInput(q_ids, q_r, c_ids[lo:hi], r_c[lo:hi])
-            for q_r, lo, hi in zip(r_q, [0] + ends, ends)]
+    n = len(lengths)
+    return Pairs(np.tile(q_ids, n), r_q.ravel(), np.full(n, len(q_ids)),
+                 c_ids, r_c, np.array(lengths))
 
 
-def encode_pair(pairs, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
-    """CNN + masked max pool per side over a list of PairInput, as [q * c; q - c] (n, 2H)."""
-    def tower(side, sides):
-        # pad every side to the batch's longest, and to at least the kernel
-        # width K, with UNKNOWN ids (zero rows) and zero relatedness; an
-        # n-token side pools its max(1, n - K + 1) windows that start at a
-        # real token, so padding never changes a score
-        w = leaves[f"{side}_conv_w"]
-        k = w.data.shape[0]
-        lens = np.array([len(ids) for ids, _ in sides])
-        t_max = max(k, lens.max())
-        real = np.arange(t_max) < lens[:, None]  # fills row by row, in side order
-        ids = np.full(real.shape, UNKNOWN)
-        ids[real] = np.concatenate([side_ids for side_ids, _ in sides])
-        r = np.zeros(real.shape, dtype=w.data.dtype)
-        r[real] = np.concatenate([side_r for _, side_r in sides])
-        mask = np.arange(t_max - k + 1) < np.maximum(1, lens - k + 1)[:, None]
-        # the conv projects each distinct token of the batch once
+def encode_pair(batch, table: EmbeddingTable, leaves: dict) -> ndgrad.Tensor:
+    """CNN + max pool per side over a list of ``Pairs`` joined in order, as [q * c; q - c] (n, 2H).
+
+    Each side's conv projects each distinct token of the batch once.
+    """
+    pairs = Pairs(*map(np.concatenate, zip(*batch)))
+
+    def tower(side, ids, r, lens):
         distinct, inverse = np.unique(ids, return_inverse=True)
-        return ndgrad.conv1d(table.rows(distinct), inverse.reshape(ids.shape), r,
-                             w, leaves[f"{side}_conv_b"], mask)
+        return ndgrad.conv1d(table.rows(distinct), inverse, r, lens,
+                             leaves[f"{side}_conv_w"], leaves[f"{side}_conv_b"])
 
-    q_e = tower("q", [(p.q_ids, p.q_r) for p in pairs])
-    c_e = tower("c", [(p.c_ids, p.c_r) for p in pairs])
-    return ndgrad.pair_combine(q_e, c_e)
+    return ndgrad.pair_combine(tower("q", *pairs[:3]), tower("c", *pairs[3:]))
 
 
 def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
@@ -268,9 +258,9 @@ def contextualize(pair_vecs: ndgrad.Tensor, config: CosinetConfig, leaves: dict)
                              for d in dirs))
 
 
-def score_pairs(pairs, table: EmbeddingTable, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
-    """Forward a rank-ordered list of PairInput (ids into ``table``) to an (n, 1) score column."""
-    ctx = contextualize(encode_pair(pairs, table, leaves), config, leaves)
+def score_pairs(batch, table: EmbeddingTable, config: CosinetConfig, leaves: dict) -> ndgrad.Tensor:
+    """Forward a list of ``Pairs`` (ids into ``table``), joined in rank order, to (n, 1) scores."""
+    ctx = contextualize(encode_pair(batch, table, leaves), config, leaves)
     return ndgrad.linear(ctx, leaves["head_w"], leaves["head_b"])
 
 
@@ -287,7 +277,7 @@ def score_group(group, table: EmbeddingTable, params: CosinetParams,
     check_table_width(table, config, "score_group")
     tape = Tape(dtype=params.dtype)  # the leaves hold it weakly
     leaves = params.as_leaves(tape)
-    return score_pairs(prepare_group(group, table), table, config, leaves).data[:, 0]
+    return score_pairs([prepare_group(group, table)], table, config, leaves).data[:, 0]
 
 
 def make_scorer(params: CosinetParams, config: CosinetConfig, table: EmbeddingTable):

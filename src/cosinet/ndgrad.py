@@ -215,17 +215,18 @@ def kl_logits(scores: Tensor, target) -> Tensor:
 # sequence primitives
 
 
-def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
-    """Valid 1-d convolution over time, max-pooled per sequence over the unmasked windows.
+def conv1d(rows, ids, r, lens, w: Tensor, b: Tensor) -> Tensor:
+    """Valid 1-d convolution over time of packed sequences, max-pooled per sequence.
 
-    The input is x[n, t] = [rows[ids[n, t]], r[n, t]], as plain arrays (the
-    input takes no gradient): ``rows`` is (U, C_in - 1), one row per distinct
-    token, ``ids`` an (N, T) integer array of row indices and ``r`` the
-    (N, T) last input channel. ``w`` is (K, C_in, C_out), ``b`` is (C_out,)
-    and ``mask`` an (N, T - K + 1) boolean array marking the windows to
-    compute, at least one per sequence; requires T >= K (pad the input
-    first). Output is the (N, C_out) maximum of each sequence's true windows
-    (``masked_max_pool``): one tape record for a whole tower.
+    The input is x[p] = [rows[ids[p]], r[p]], as plain arrays (the input
+    takes no gradient): ``rows`` is (U, C_in - 1), one row per distinct
+    token, and the (P,) row indices ``ids`` and last channel ``r`` hold N
+    sequences back to back, ``lens[i]`` entries for sequence i. ``w`` is
+    (K, C_in, C_out), ``b`` is (C_out,). Sequence i pools its max(1, lens[i]
+    - K + 1) windows that start at one of its entries, and a tap past its
+    end reads a zero input. Output is the (N, C_out) maximum of each
+    sequence's windows (``masked_max_pool``): one tape record for a whole
+    tower.
 
     By linearity each distinct row is projected once per kernel offset,
     proj[k] = rows @ w[k, :-1], and a window sums K gathered projection rows
@@ -234,43 +235,44 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     ``np.argmax``. The backward finds those N * C_out winners and works in
     token space: for each offset k, ``np.bincount`` sums the gradient onto
     the distinct rows the winners read at k, and gw[k, :-1] = rows[kept].T @
-    those sums, with kept at most min(U, N * C_out) rows. It builds no
+    those sums, with kept at most min(U + 1, N * C_out) rows. It builds no
     (W, C_out) gradient and no (W, K * (C_in - 1)) im2col matrix.
     """
     rows = np.asarray(rows, dtype=w.data.dtype)
     ids = np.asarray(ids)
     r = np.asarray(r, dtype=w.data.dtype)
-    mask = np.asarray(mask, dtype=bool)
+    lens = np.asarray(lens)
     if rows.ndim != 2 or w.data.ndim != 3 or rows.shape[1] + 1 != w.data.shape[1]:
         raise _shape_error("conv1d", rows.shape, w.data.shape)
-    if ids.ndim != 2 or r.shape != ids.shape:
+    if ids.ndim != 1 or r.shape != ids.shape:
         raise _shape_error("conv1d ids", ids.shape, r.shape)
     k, c_in, c_out = w.data.shape
     e = c_in - 1
-    n, t_len = ids.shape
-    if t_len < k:
-        raise ValueError(f"conv1d: input length {t_len} shorter than kernel width {k}")
     if b.data.shape != (c_out,):
         raise _shape_error("conv1d bias", b.data.shape, (c_out,))
-    if mask.shape != (n, t_len - k + 1):
-        raise _shape_error("conv1d mask", mask.shape, (n, t_len - k + 1))
-    if ids.size and (ids.min() < 0 or ids.max() >= rows.shape[0]):
+    if lens.ndim != 1 or not lens.size or lens.min() < 1 or lens.sum() != ids.size:
+        raise ValueError(f"conv1d: lengths {lens} are not N >= 1 positive counts of the "
+                         f"{ids.size} ids")
+    if ids.min() < 0 or ids.max() >= rows.shape[0]:
         raise ValueError(f"conv1d: ids outside the {rows.shape[0]} rows")
 
-    # the (W, K) row ids and r values of the true windows: the flat mask
-    # index of window (i, s) is i * (T - K + 1) + s, its first input's flat
-    # index i * T + s
-    first = np.flatnonzero(mask)
-    first += first // mask.shape[1] * (k - 1)
+    # the (W, K) entries each window reads: window s of sequence i starts at
+    # its entry s; a tap past the sequence's end reads entry P, a zero row
+    # appended to ``rows`` with r = 0
+    counts = np.maximum(1, lens - k + 1)
+    ends, win_ends = np.cumsum(lens), np.cumsum(counts)
+    first = np.arange(win_ends[-1]) + np.repeat(ends - lens - (win_ends - counts), counts)
     window = first[:, None] + np.arange(k)
-    win_ids = ids.take(window)
-    win_r = r.take(window)
-    proj = np.matmul(rows, w.data[:, :e])  # (K, U, C_out), no copy of w
+    window[window >= np.repeat(ends, counts)[:, None]] = ids.size
+    rows = np.vstack([rows, np.zeros((1, e), dtype=rows.dtype)])
+    win_ids = np.append(ids, len(rows) - 1).take(window)
+    win_r = np.append(r, r.dtype.type(0)).take(window)
+    proj = np.matmul(rows, w.data[:, :e])  # (K, U + 1, C_out), no copy of w
     acc = win_r @ w.data[:, e] + b.data
     for j in range(k):
         acc += proj[j].take(win_ids[:, j], axis=0)
 
-    pooled, segments = masked_max_pool(acc, mask)
+    pooled, segments = masked_max_pool(acc, counts)
 
     def backward(g):
         win = np.stack([acc[s].argmax(axis=0) + s.start for s in segments])  # (N, C_out)
@@ -289,20 +291,17 @@ def conv1d(rows, ids, r, w: Tensor, b: Tensor, mask) -> Tensor:
     return _op("conv1d", pooled, backward, w, b)
 
 
-def masked_max_pool(x: np.ndarray, mask) -> tuple[np.ndarray, list[slice]]:
-    """Per-sequence max over the packed rows of the true entries of ``mask``; no tape op.
+def masked_max_pool(x: np.ndarray, counts) -> tuple[np.ndarray, list[slice]]:
+    """Per-sequence max over the packed rows of ``x``; no tape op.
 
-    ``mask`` is an (N, T) boolean array with at least one true entry per
-    row; ``x`` is a (W, C) array with W = mask.sum(), one row per true entry
-    in row-major order (as ``conv1d`` packs its windows). Returns the (N, C)
-    maxima, where a NaN wins, and each sequence's slice of the rows of ``x``.
+    ``x`` is a (W, C) array holding N sequences' rows back to back,
+    ``counts[i]`` of them (at least one) for sequence i, as ``conv1d`` packs
+    its windows. Returns the (N, C) maxima, where a NaN wins, and each
+    sequence's slice of the rows of ``x``.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or x.ndim != 2 or x.shape[0] != mask.sum():
-        raise _shape_error("masked_max_pool", x.shape, mask.shape)
-    counts = mask.sum(axis=1)
-    if not counts.all():
-        raise ValueError("masked_max_pool: mask has no valid timestep")
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or x.ndim != 2 or x.shape[0] != counts.sum() or not counts.all():
+        raise ValueError(f"masked_max_pool: {x.shape} rows do not split into counts {counts}")
     # one slice per sequence: on these shapes a loop of per-segment maxima
     # runs about 3x faster than np.maximum.reduceat along axis 0
     ends = np.cumsum(counts)

@@ -15,6 +15,7 @@ from cosinet.model import (
     CONTEXT_KINDS,
     CosinetConfig,
     CosinetParams,
+    Pairs,
     encode_pair,
     load_model,
     make_scorer,
@@ -176,8 +177,8 @@ class TestPreparePair:
         assert pair.c_r[-1] == 0.0
 
     def test_short_input_padded_to_kernel_width(self):
-        # the pair keeps its 2-token question unpadded; encode_pair pads it
-        # with zeros to one window of the width-5 kernel
+        # the pair keeps its 2-token question unpadded; the conv reads zeros
+        # past its end, in one window of the width-5 kernel
         config = tiny_config("none", kernel_width=5)
         params = CosinetParams(config)
         table = words_table(config)
@@ -195,17 +196,22 @@ class TestPreparePair:
         np.testing.assert_allclose(vec, np.concatenate([q * c, q - c]), atol=1e-12)
 
     def test_window_validity_covers_real_tokens_only(self, monkeypatch):
-        # encode_pair pads every side to max(longest, K) and pools an n-token
-        # side over its first max(1, n - K + 1) windows, the ones that start
-        # at a real token
-        masks = []
-        conv1d = nd.conv1d
+        # encode_pair hands each tower its real tokens only, one length per
+        # side, and the conv pools an n-token side over its max(1, n - K + 1)
+        # windows, the ones that start at a real token
+        seen = []
+        conv1d, pool = nd.conv1d, nd.masked_max_pool
 
-        def spy(rows, ids, r, w, b, mask):
-            masks.append(mask.copy())
-            return conv1d(rows, ids, r, w, b, mask)
+        def conv_spy(rows, ids, r, lens, w, b):
+            seen.append((len(ids), list(lens)))
+            return conv1d(rows, ids, r, lens, w, b)
 
-        monkeypatch.setattr(nd, "conv1d", spy)
+        def pool_spy(x, counts):
+            seen.append(list(counts))
+            return pool(x, counts)
+
+        monkeypatch.setattr(nd, "conv1d", conv_spy)
+        monkeypatch.setattr(nd, "masked_max_pool", pool_spy)
         rng = np.random.default_rng(2)
         lengths = [3, 7, 2, 5, 1]
         for k in (2, 3, 5, 9):
@@ -214,14 +220,11 @@ class TestPreparePair:
             table = words_table(config)
             pairs = [prepare_pair(random_tokens(rng, n), random_tokens(rng, 1), table)
                      for n in lengths]
-            masks.clear()
+            seen.clear()
             tape = Tape()
             encode_pair(pairs, table, params.as_leaves(tape))
-            want = np.zeros((len(lengths), max(7, k) - k + 1), dtype=bool)
-            for i, n in enumerate(lengths):
-                want[i, :max(1, n - k + 1)] = True
-            np.testing.assert_array_equal(masks[0], want)
-            np.testing.assert_array_equal(masks[1], np.ones((len(lengths), 1), dtype=bool))
+            assert seen == [(sum(lengths), lengths), [max(1, n - k + 1) for n in lengths],
+                            (len(lengths), [1] * len(lengths)), [1] * len(lengths)]
 
     def test_prepare_pair_uses_table_lookup(self, toy_table):
         pair = prepare_pair(["plants", "unknowntoken"], ["plants", "."], toy_table)
@@ -229,6 +232,11 @@ class TestPreparePair:
         # identical token on both sides: best cosine match is 1
         np.testing.assert_allclose(pair.q_r[0], 1.0, atol=1e-6)
         assert pair.q_r[1] == 0.0
+
+
+def join(records):
+    """The one ``Pairs`` record of ``records`` joined field by field, in order."""
+    return Pairs(*map(np.concatenate, zip(*records)))
 
 
 def token_group(q_tokens, candidates):
@@ -263,19 +271,34 @@ class TestPrepareGroup:
                 token_group(["oov1", "oov3"], many[:6])]
 
     def test_group_matches_its_pairs(self):
+        # the group's record is the field-wise join of its pairs' records
         table = words_table(self.CONFIG)
         for group in self.groups():
             got = prepare_group(group, table)
-            want = [prepare_pair(group.question_tokens, c.tokens, table) for c in group.candidates]
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g.q_ids, w.q_ids)
-                np.testing.assert_array_equal(g.c_ids, w.c_ids)
-                # the wider matmul may round the last bits differently
-                np.testing.assert_allclose(g.q_r, w.q_r, rtol=0, atol=1e-6)
-                np.testing.assert_allclose(g.c_r, w.c_r, rtol=0, atol=1e-6)
-                if (g.q_ids == UNKNOWN).all() or (g.c_ids == UNKNOWN).all():
-                    assert not g.q_r.any() and not g.c_r.any()  # zero-norm rows score 0
+            want = join([prepare_pair(group.question_tokens, c.tokens, table)
+                         for c in group.candidates])
+            for field in ("q_ids", "q_lens", "c_ids", "c_lens"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            # the wider matmul may round the last bits differently
+            np.testing.assert_allclose(got.q_r, want.q_r, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(got.c_r, want.c_r, rtol=0, atol=1e-6)
+            n, ends = len(got.q_lens), np.cumsum(got.c_lens)[:-1]
+            for q_ids, q_r, c_ids, c_r in zip(np.split(got.q_ids, n), np.split(got.q_r, n),
+                                              np.split(got.c_ids, ends), np.split(got.c_r, ends)):
+                if (q_ids == UNKNOWN).all() or (c_ids == UNKNOWN).all():
+                    assert not q_r.any() and not c_r.any()  # zero-norm rows score 0
+
+    def test_encode_pair_joins_its_records_bitwise(self):
+        # a list of records encodes as their one joined record does
+        table = words_table(self.CONFIG)
+        params = CosinetParams(self.CONFIG)
+        for group in self.groups():
+            records = [prepare_pair(group.question_tokens, c.tokens, table)
+                       for c in group.candidates]
+            tape = Tape()  # the leaves hold it weakly
+            got, want = (encode_pair(batch, table, params.as_leaves(tape)).data
+                         for batch in (records, [join(records)]))
+            assert got.tobytes() == want.tobytes()
 
     def test_prepare_pair_keeps_the_one_pair_formula_bitwise(self):
         table = words_table(self.CONFIG)
@@ -443,9 +466,9 @@ class TestForward:
         seen = []
         conv1d = nd.conv1d
 
-        def spy(rows, ids, r, w, b, mask):
+        def spy(rows, ids, r, lens, w, b):
             seen.append(rows.shape[0])
-            return conv1d(rows, ids, r, w, b, mask)
+            return conv1d(rows, ids, r, lens, w, b)
 
         monkeypatch.setattr(nd, "conv1d", spy)
         config = tiny_config("none", kernel_width=3)
@@ -461,7 +484,7 @@ class TestForward:
 
         alone = encode([pair])
         batch = encode([pair] * 6)
-        assert seen == [len(set(q)), len(set(c))]  # no side is shorter than K: no padding
+        assert seen == [len(set(q)), len(set(c))]
         np.testing.assert_allclose(batch, np.repeat(alone, 6, axis=0), rtol=1e-6, atol=1e-6)
 
     def test_pair_embedding_width(self):

@@ -94,30 +94,32 @@ def case_kl_logits(rng):
     return [x], lambda t, lv: nd.kl_logits(lv[0], target)
 
 
-def random_mask(rng, n, t):
-    """(n, t) mask with a random, usually not prefix-shaped, non-empty set per row."""
-    mask = np.zeros((n, t), dtype=bool)
-    for row in mask:
-        row[rng.choice(t, size=rng.integers(1, t + 1), replace=False)] = True
-    return mask
+def conv_input(rng, lens, e, u):
+    """Plain conv inputs: u distinct rows, packed ids into them with repeats, an r channel."""
+    p = int(np.sum(lens))
+    return rng.uniform(-1, 1, (u, e)), rng.integers(0, u, p), rng.uniform(-1, 1, p)
 
 
-def conv_input(rng, n, t, e, u):
-    """Plain conv inputs: u distinct rows, (n, t) ids into them with repeats, an r channel."""
-    return rng.uniform(-1, 1, (u, e)), rng.integers(0, u, (n, t)), rng.uniform(-1, 1, (n, t))
+def window_inputs(rows, ids, r, lens, k, i):
+    """Sequence i's (windows, K, C_in) float64 inputs x[p] = [rows[ids[p]], r[p]]:
+    one window per start s < max(1, n - K + 1) of its n entries, reading zeros past its end."""
+    lo, n = int(np.sum(lens[:i])), lens[i]
+    x = np.column_stack([rows[ids[lo:lo + n]], r[lo:lo + n]]).astype(np.float64)
+    x = np.vstack([x, np.zeros((k, x.shape[1]))])
+    return np.stack([x[s:s + k] for s in range(max(1, n - k + 1))])
 
 
-def direct_conv(rows, ids, r, w, b, n, t):
-    """One window of the conv over x[n, t] = [rows[ids[n, t]], r[n, t]], by a direct sum."""
-    return b + sum(np.append(rows[ids[n, t + j]], r[n, t + j]) @ w[j] for j in range(len(w)))
+def direct_windows(rows, ids, r, lens, w, b, i):
+    """Sequence i's window outputs of the conv, by a direct sum."""
+    return np.array([b + sum(x[j] @ w[j] for j in range(len(w)))
+                     for x in window_inputs(rows, ids, r, lens, len(w), i)])
 
 
-def pool_lead(rows, ids, r, w, mask):
+def pool_lead(rows, ids, r, lens, w):
     """The least lead of a sequence's maximum window over its runner-up, over all channels."""
     lead = np.inf
-    for n in range(len(mask)):
-        outs = np.sort([direct_conv(rows, ids, r, w, 0.0, n, t) for t in np.flatnonzero(mask[n])],
-                       axis=0)
+    for i in range(len(lens)):
+        outs = np.sort(direct_windows(rows, ids, r, lens, w, 0.0, i), axis=0)
         if len(outs) > 1:
             lead = min(lead, (outs[-1] - outs[-2]).min())
     return lead
@@ -125,18 +127,19 @@ def pool_lead(rows, ids, r, w, mask):
 
 def case_conv1d(rng):
     # the inputs are plain arrays: the model's conv input takes no gradient;
-    # the probe reads the pooled output, and draws repeat until every
-    # winning window leads by 0.1, so no fd step (a window moves by at most
-    # 1e-2) changes a winner
+    # two sequences of 1 to 7 entries under a width-3 kernel, so some are
+    # shorter than it; the probe reads the pooled output, and draws repeat
+    # until every winning window leads by 0.1, so no fd step (a window moves
+    # by at most 1e-2) changes a winner
     while True:
-        rows, ids, r = conv_input(rng, 2, 7, 2, 4)
-        mask = random_mask(rng, 2, 5)
+        lens = rng.integers(1, 8, 2)
+        rows, ids, r = conv_input(rng, lens, 2, 4)
         w = rng.uniform(-1, 1, (3, 3, 4))
-        if pool_lead(rows, ids, r, w, mask) > 0.1:
+        if pool_lead(rows, ids, r, lens, w) > 0.1:
             break
     b = rng.uniform(-1, 1, (4,))
     probe_w = rng.uniform(-1, 1, (2, 4))
-    return [w, b], lambda t, lv: probe(nd.conv1d(rows, ids, r, lv[0], lv[1], mask), probe_w)
+    return [w, b], lambda t, lv: probe(nd.conv1d(rows, ids, r, lens, lv[0], lv[1]), probe_w)
 
 
 def directions_case(name, cell, gates, n_biases, width):
@@ -438,93 +441,94 @@ class TestShapeErrors:
             with pytest.raises(ValueError, match="bce_logits_mean"):
                 nd.bce_logits_mean(s, labels)
 
-    def test_conv1d_input_shorter_than_kernel(self):
-        tape = nd.Tape()
-        w = tape.leaf(np.zeros((5, 3, 4)))
-        b = tape.leaf(np.zeros(4))
-        with pytest.raises(ValueError, match="shorter than kernel"):
-            nd.conv1d(np.zeros((1, 2)), np.zeros((2, 2), dtype=int), np.zeros((2, 2)), w, b,
-                      np.ones((2, 1), dtype=bool))
-
-    def test_conv1d_mask_must_cover_every_window(self):
-        tape = nd.Tape()
-        w = tape.leaf(np.zeros((3, 2, 4)))
-        b = tape.leaf(np.zeros(4))
-        with pytest.raises(ValueError, match="conv1d mask"):
-            nd.conv1d(np.zeros((1, 1)), np.zeros((2, 6), dtype=int), np.zeros((2, 6)), w, b,
-                      np.ones((2, 6), dtype=bool))
-
-    def test_conv1d_ids_must_index_rows(self):
-        tape = nd.Tape()
-        w = tape.leaf(np.zeros((2, 3, 4)))
-        b = tape.leaf(np.zeros(4))
-        for bad in (-1, 3):
-            ids = np.zeros((2, 4), dtype=int)
-            ids[1, 2] = bad
-            with pytest.raises(ValueError, match="ids outside the 3 rows"):
-                nd.conv1d(np.zeros((3, 2)), ids, np.zeros((2, 4)), w, b,
-                          np.ones((2, 3), dtype=bool))
-
-    def test_masked_max_pool_empty_mask(self):
-        # one row of the batch without a valid timestep is enough, in the
-        # pool itself and in the conv that calls it
-        with pytest.raises(ValueError, match="no valid timestep"):
-            nd.masked_max_pool(np.zeros((1, 2)), [[True, False, False], [False, False, False]])
+    @staticmethod
+    def conv(ids, r, lens, n_rows=3):
+        """conv1d over ``n_rows`` zero rows of width 2 under a width-2 kernel."""
         tape = nd.Tape()
         w, b = tape.leaf(np.zeros((2, 3, 4))), tape.leaf(np.zeros(4))
-        with pytest.raises(ValueError, match="no valid timestep"):
-            nd.conv1d(np.zeros((1, 2)), np.zeros((2, 4), dtype=int), np.zeros((2, 4)), w, b,
-                      [[True, False, True], [False, False, False]])
+        return nd.conv1d(np.zeros((n_rows, 2)), ids, r, lens, w, b)
+
+    def test_conv1d_lengths_must_sum_to_the_ids(self):
+        ids, r = np.zeros(6, dtype=int), np.zeros(6)
+        self.conv(ids, r, [2, 4])
+        for lens in ([2, 3], [2, 5], [6, 0, 1], [[2, 4]]):
+            with pytest.raises(ValueError, match="conv1d: lengths"):
+                self.conv(ids, r, lens)
+
+    def test_conv1d_ids_and_r_must_match(self):
+        # packed ids and r of one shape: a padded (N, T) matrix is no input
+        for ids, r in ((np.zeros(6, dtype=int), np.zeros(5)),
+                       (np.zeros((2, 3), dtype=int), np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match="conv1d ids"):
+                self.conv(ids, r, [3, 3])
+
+    def test_conv1d_ids_must_index_rows(self):
+        for bad in (-1, 3):
+            ids = np.zeros(6, dtype=int)
+            ids[4] = bad
+            with pytest.raises(ValueError, match="ids outside the 3 rows"):
+                self.conv(ids, np.zeros(6), [2, 4])
+
+    def test_masked_max_pool_empty_mask(self):
+        # one sequence of the batch without a window is enough, in the pool
+        # itself, and one without an entry (or no sequence at all) in the
+        # conv that calls it
+        with pytest.raises(ValueError, match="masked_max_pool"):
+            nd.masked_max_pool(np.zeros((1, 2)), [1, 0])
+        for ids, lens in ((np.zeros(4, dtype=int), [4, 0]), (np.zeros(0, dtype=int), [])):
+            with pytest.raises(ValueError, match="conv1d: lengths"):
+                self.conv(ids, np.zeros(ids.shape), lens)
 
     def test_masked_max_pool_needs_one_row_per_true_entry(self):
-        with pytest.raises(ValueError, match="masked_max_pool"):
-            nd.masked_max_pool(np.zeros((3, 2)),
-                               [[True, False, True], [False, False, True], [True, False, False]])
+        # one row per counted window, with counts one per sequence
+        for counts in ([1, 1], [2, 2], [[1, 2]]):
+            with pytest.raises(ValueError, match="masked_max_pool"):
+                nd.masked_max_pool(np.zeros((3, 2)), counts)
 
 
-def conv_backward(rows, ids, r, wd, bd, mask, dtype):
+def conv_backward(rows, ids, r, lens, wd, bd, dtype):
     """(w grad, b grad) of the pooled conv under a probe, and the probe's weights."""
     tape = nd.Tape(dtype=dtype)
     w, b = tape.leaf(wd), tape.leaf(bd)
-    out = nd.conv1d(rows, ids, r, w, b, mask)
+    out = nd.conv1d(rows, ids, r, lens, w, b)
     g = np.random.default_rng(5).uniform(0.5, 1.5, out.data.shape)
     tape.backward(probe(out, g))
     return w.grad, b.grad, g
 
 
-def dense_conv_grads(rows, ids, r, wd, bd, mask, g):
-    """The float64 w and b gradients by the dense im2col formula over the true
-    windows, and the dense (W, H) window gradient: each sequence's pooled
-    gradient on its first maximum window, per channel."""
-    x = np.concatenate([rows[ids], r[:, :, None]], axis=2).astype(np.float64)
-    at = np.nonzero(mask)
-    windows = np.stack([x[n, t:t + len(wd)] for n, t in zip(*at)])
+def dense_conv_grads(rows, ids, r, lens, wd, bd, g):
+    """The float64 w and b gradients by the dense im2col formula over every
+    sequence's windows (zeros past its end), and the dense (W, H) window
+    gradient: each sequence's pooled gradient on its first maximum window,
+    per channel."""
+    per_seq = [window_inputs(rows, ids, r, lens, len(wd), i) for i in range(len(lens))]
+    windows = np.concatenate(per_seq)
+    seq = np.repeat(np.arange(len(lens)), [len(x) for x in per_seq])
     out = np.einsum("wkc,kch->wh", windows, wd) + bd
     dense = np.zeros_like(out)
-    for n in range(len(mask)):
-        rows_n = np.flatnonzero(at[0] == n)
-        np.put_along_axis(dense, rows_n[out[rows_n].argmax(axis=0)][None], g[n][None], axis=0)
+    for i in range(len(lens)):
+        rows_i = np.flatnonzero(seq == i)
+        np.put_along_axis(dense, rows_i[out[rows_i].argmax(axis=0)][None], g[i][None], axis=0)
     return np.einsum("wkc,wh->kch", windows, dense), dense.sum(axis=0), dense
 
 
 def conv_case(shape):
-    """(rows, ids, r, mask) of a conv batch whose distinct rows U are fewer or
-    more than its windows W, or that has one window per sequence."""
+    """(rows, ids, r, lens) of a conv batch under a width-3 kernel whose
+    distinct rows U are fewer or more than its windows W, or that has one
+    window per sequence."""
     rng = np.random.default_rng(11)
     if shape == "U>W":
         # short sequences of distinct tokens, one or two windows each
         rows = rng.uniform(-1, 1, (40, 6))
-        ids = rng.permutation(40).reshape(10, 4)
+        lens = np.array([4, 3] * 5)
+        ids = rng.permutation(40)[:lens.sum()]
     else:
-        # one question repeated over a group of 12 candidates
-        rows, q_ids, _ = conv_input(rng, 1, 9, 6, 7)
-        ids = np.repeat(q_ids, 12, axis=0)
-    r = rng.uniform(-1, 1, ids.shape)
-    mask = np.ones((ids.shape[0], ids.shape[1] - 3 + 1), dtype=bool)
-    mask[1::2, -1] = False
-    if shape == "one window":
-        mask = np.eye(mask.shape[1], dtype=bool)[rng.integers(0, mask.shape[1], len(mask))]
-    return rows, ids, r, mask
+        # one question, or its first 8 tokens, repeated over a group of 12
+        # candidates; or 12 sequences of 1 to 3 tokens, one window each
+        rows, q_ids, _ = conv_input(rng, [9], 6, 7)
+        lens = np.array([9, 8] * 6) if shape == "U<W" else rng.integers(1, 4, 12)
+        ids = np.concatenate([q_ids[:n] for n in lens])
+    return rows, ids, rng.uniform(-1, 1, ids.shape), lens
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
@@ -534,14 +538,14 @@ def conv_case(shape):
                               "dense-gradient"])
 def test_conv1d_weight_gradient_matches_dense_reference(shape, dtype, tol):
     # the winners-only token-space weight gradient against the dense im2col
-    # sum over the true windows; with one window per sequence every window
+    # sum over every window; with one window per sequence every window
     # wins, so the window gradient is dense: it has no zero
-    rows, ids, r, mask = conv_case(shape)
-    assert (len(rows) < mask.sum()) == (shape != "U>W")
+    rows, ids, r, lens = conv_case(shape)
     rng = np.random.default_rng(3)
     wd, bd = rng.uniform(-1, 1, (3, 7, 5)), rng.uniform(-1, 1, 5)
-    gw, gb, g = conv_backward(rows, ids, r, wd, bd, mask, dtype)
-    want_w, want_b, dense = dense_conv_grads(rows, ids, r, wd, bd, mask, g)
+    gw, gb, g = conv_backward(rows, ids, r, lens, wd, bd, dtype)
+    want_w, want_b, dense = dense_conv_grads(rows, ids, r, lens, wd, bd, g)
+    assert (len(rows) < len(dense)) == (shape != "U>W")
     assert (dense != 0).all() == (shape == "one window")
     assert max_rel_error(gw, want_w) <= tol
     assert max_rel_error(gb, want_b) <= tol
@@ -552,18 +556,18 @@ def test_conv1d_backward_builds_no_im2col_matrix():
     # (W, K * E) gather of the window inputs would take
     n, t, k, e, h = 64, 60, 5, 256, 8
     rng = np.random.default_rng(6)
-    rows, ids, r = conv_input(rng, n, t, e, 500)
-    mask = np.ones((n, t - k + 1), dtype=bool)
+    lens = [t] * n
+    rows, ids, r = conv_input(rng, lens, e, 500)
     tape = nd.Tape(dtype=np.float64)
     w, b = tape.leaf(rng.uniform(-1, 1, (k, e + 1, h))), tape.leaf(np.zeros(h))
-    loss = probe(nd.conv1d(rows, ids, r, w, b, mask))
+    loss = probe(nd.conv1d(rows, ids, r, lens, w, b))
     tracemalloc.start()
     try:
         tape.backward(loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < mask.sum() * k * e * 8
+    assert peak < n * (t - k + 1) * k * e * 8
 
 
 def test_conv1d_backward_builds_no_window_gradient():
@@ -572,27 +576,25 @@ def test_conv1d_backward_builds_no_window_gradient():
     # (a sequence's argmax copies its own windows only)
     n, t, k, e, h = 40, 200, 2, 2, 64
     rng = np.random.default_rng(7)
-    rows, ids, r = conv_input(rng, n, t, e, 3000)
-    mask = np.ones((n, t - k + 1), dtype=bool)
+    lens = [t] * n
+    rows, ids, r = conv_input(rng, lens, e, 3000)
     tape = nd.Tape(dtype=np.float64)
     w, b = tape.leaf(rng.uniform(-1, 1, (k, e + 1, h))), tape.leaf(np.zeros(h))
-    loss = probe(nd.conv1d(rows, ids, r, w, b, mask))
+    loss = probe(nd.conv1d(rows, ids, r, lens, w, b))
     tracemalloc.start()
     try:
         tape.backward(loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < mask.sum() * h * 8
+    assert peak < n * (t - k + 1) * h * 8
 
 
-def identity_pool(tape, x, mask):
+def identity_pool(tape, x, lens):
     """(pooled output, w, b) of a width-1 identity-kernel conv over the
-    (N, T, 2) inputs ``x``: the output is the per-sequence max of ``x``."""
-    n, t, _ = x.shape
+    packed (P, 2) inputs ``x``: the output is the per-sequence max of ``x``."""
     w, b = tape.leaf(np.eye(2)[None]), tape.leaf(np.zeros(2))
-    out = nd.conv1d(x[:, :, :1].reshape(-1, 1), np.arange(n * t).reshape(n, t), x[:, :, 1],
-                    w, b, mask)
+    out = nd.conv1d(x[:, :1], np.arange(len(x)), x[:, 1], lens, w, b)
     return out, w, b
 
 
@@ -601,99 +603,86 @@ class TestPrimitiveSemantics:
         # the pool takes and returns plain arrays and records nothing: a
         # pooled conv is one tape record
         x = np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]])
-        pooled, segments = nd.masked_max_pool(x, [[True, True, False], [False, False, True]])
+        pooled, segments = nd.masked_max_pool(x, [2, 1])
         np.testing.assert_array_equal(pooled, [[3.0, 4.0], [5.0, 0.0]])
         assert segments == [slice(0, 2), slice(2, 3)]
         tape = nd.Tape(dtype=np.float64)
         w, b = tape.leaf(np.ones((2, 3, 4))), tape.leaf(np.zeros(4))
-        out = nd.conv1d(np.ones((1, 2)), np.zeros((2, 5), dtype=int), np.ones((2, 5)), w, b,
-                        np.ones((2, 4), dtype=bool))
+        out = nd.conv1d(np.ones((1, 2)), np.zeros(10, dtype=int), np.ones(10), [5, 5], w, b)
         assert [rec[1] for rec in tape._records] == [out]
 
     def test_conv1d_identity_kernel(self):
         # width-1 kernel with identity weights pools the input itself
         tape = nd.Tape(dtype=np.float64)
-        rows, ids, r = conv_input(np.random.default_rng(0), 2, 6, 2, 5)
+        rows, ids, r = conv_input(np.random.default_rng(0), [6, 4], 2, 5)
         w = tape.leaf(np.eye(3)[None, :, :])
         b = tape.leaf(np.zeros(3))
-        out = nd.conv1d(rows, ids, r, w, b, np.ones((2, 6), dtype=bool))
-        x = np.concatenate([rows[ids], r[:, :, None]], axis=2)
-        np.testing.assert_allclose(out.data, x.max(axis=1), atol=1e-12)
+        out = nd.conv1d(rows, ids, r, [6, 4], w, b)
+        x = np.column_stack([rows[ids], r])
+        np.testing.assert_allclose(out.data, [x[:6].max(axis=0), x[6:].max(axis=0)], atol=1e-12)
 
     def test_conv1d_matches_direct_sum(self):
-        # each sequence's max over its true windows; ids repeat within and
-        # across sequences, and two of them point at a zero row, as unknown
-        # tokens and padding do in the model
+        # each sequence's max over its windows; ids repeat within and across
+        # sequences, some point at a zero row, as unknown tokens do in the
+        # model, and two sequences are shorter than the kernel
         rng = np.random.default_rng(1)
-        rows, _, r = conv_input(rng, 3, 7, 2, 4)
+        lens = [7, 4, 2, 1, 5]
+        rows, _, r = conv_input(rng, lens, 2, 4)
         rows[0] = 0.0
-        ids = np.array([[1, 1, 2, 1, 3, 3, 0], [2, 1, 1, 2, 0, 0, 0], [3, 2, 3, 1, 2, 1, 1]])
+        ids = np.array([1, 1, 2, 1, 3, 3, 0, 2, 1, 0, 0, 3, 2, 1, 3, 2, 1, 1, 0])
         wd = rng.uniform(-1, 1, (3, 3, 4))
         bd = rng.uniform(-1, 1, 4)
-        mask = np.array([[1, 0, 1, 1, 1], [1, 0, 0, 0, 1], [0, 1, 0, 1, 0]], dtype=bool)
         tape = nd.Tape(dtype=np.float64)
-        out = nd.conv1d(rows, ids, r, tape.leaf(wd), tape.leaf(bd), mask).data
-        assert out.shape == (3, 4)
-        for n, row in enumerate(out):
-            windows = [direct_conv(rows, ids, r, wd, bd, n, t) for t in np.flatnonzero(mask[n])]
-            np.testing.assert_allclose(row, np.max(windows, axis=0), atol=1e-12)
+        out = nd.conv1d(rows, ids, r, lens, tape.leaf(wd), tape.leaf(bd)).data
+        assert out.shape == (5, 4)
+        for i, row in enumerate(out):
+            windows = direct_windows(rows, ids, r, lens, wd, bd, i)
+            np.testing.assert_allclose(row, windows.max(axis=0), atol=1e-12)
 
     def test_conv1d_work_tracks_real_windows(self, monkeypatch):
-        # one 60-token candidate padded with nine 5-token ones: the pool gets
-        # 56 + 9 window rows, not the 10 x 56 windows of the padded batch
-        pooled_rows = []
+        # one 60-token candidate with nine 5-token ones: the pool gets 56 + 9
+        # window rows, not the 10 x 56 windows a batch padded to the longest
+        # would take
+        pooled = []
         pool = nd.masked_max_pool
 
-        def spy(x, mask):
-            pooled_rows.append(x.copy())
-            return pool(x, mask)
+        def spy(x, counts):
+            pooled.append((x.copy(), list(counts)))
+            return pool(x, counts)
 
         monkeypatch.setattr(nd, "masked_max_pool", spy)
         k, dim = 5, 3
         lengths = [60] + [5] * 9
-        rows = np.array([[0.0, 0.0], [1.0, 1.0]])  # padding, then the one real token
-        ids = np.zeros((10, 60), dtype=int)
-        r = np.zeros((10, 60))
-        mask = np.zeros((10, 60 - k + 1), dtype=bool)
-        for i, n in enumerate(lengths):
-            ids[i, :n] = 1
-            r[i, :n] = 1.0
-            mask[i, :n - k + 1] = True
+        rows = np.array([[1.0, 1.0]])  # the one token
+        ids = np.zeros(sum(lengths), dtype=int)
+        r = np.ones(sum(lengths))
         tape = nd.Tape(dtype=np.float64)
         w = tape.leaf(np.ones((k, dim, 2)))
         b = tape.leaf(np.zeros(2))
-        out = nd.conv1d(rows, ids, r, w, b, mask)
-        [windows] = pooled_rows
-        assert windows.shape == (mask.sum(), 2) == (65, 2)
+        out = nd.conv1d(rows, ids, r, lengths, w, b)
+        [(windows, counts)] = pooled
+        assert counts == [56] + [1] * 9
+        assert windows.shape == (65, 2)
         np.testing.assert_array_equal(windows, np.full((65, 2), k * dim))
         np.testing.assert_array_equal(out.data, np.full((10, 2), k * dim))
         tape.backward(probe(out))
         np.testing.assert_array_equal(b.grad, [10.0, 10.0])
 
-    def test_masked_values_never_leak(self):
-        # rows and r values that only masked-out windows use change nothing
+    def test_neighbour_values_never_leak(self):
+        # a sequence shorter than the kernel, followed by a sequence of 1e9
+        # rows and r values: its one window reads its own taps, then zeros
         rng = np.random.default_rng(2)
-        rows, _, r = conv_input(rng, 2, 6, 3, 5)
-        # rows 3 and 4 appear only where no true window reaches
-        ids = np.array([[0, 1, 2, 1, 0, 1], [3, 4, 3, 0, 2, 4]])
-        wd = rng.uniform(-1, 1, (2, 4, 4))
-        bd = rng.uniform(-1, 1, 4)
-        mask = np.array([[1, 1, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=bool)
-        covered = np.zeros((2, 6), dtype=bool)
-        for j in range(2):
-            covered[:, j:j + 5] |= mask
-        assert not np.isin(ids[covered], [3, 4]).any()
-        poisoned_rows = rows.copy()
-        poisoned_rows[3:] = 1e9
-        poisoned_r = np.where(covered, r, 1e9)
-        pooled = []
-        for x_rows, x_r in ((rows, r), (poisoned_rows, poisoned_r)):
-            tape = nd.Tape(dtype=np.float64)
-            pooled.append(nd.conv1d(x_rows, ids, x_r, tape.leaf(wd), tape.leaf(bd), mask).data)
-        np.testing.assert_array_equal(pooled[0], pooled[1])
-        for n in range(2):
-            full = np.stack([direct_conv(rows, ids, r, wd, bd, n, t) for t in range(5)])
-            np.testing.assert_allclose(pooled[0][n], full[mask[n]].max(axis=0), atol=1e-12)
+        for k in (2, 5, 9):
+            for n in range(1, k):
+                rows = np.vstack([rng.uniform(-1, 1, (n, 3)), np.full((1, 3), 1e9)])
+                ids = np.r_[np.arange(n), np.full(k, n)]
+                r = np.r_[rng.uniform(-1, 1, n), np.full(k, 1e9)]
+                wd = rng.uniform(-1, 1, (k, 4, 4))
+                bd = rng.uniform(-1, 1, 4)
+                tape = nd.Tape(dtype=np.float64)
+                out = nd.conv1d(rows, ids, r, [n, k], tape.leaf(wd), tape.leaf(bd)).data
+                own = bd + sum(np.append(rows[j], r[j]) @ wd[j] for j in range(n))
+                np.testing.assert_allclose(out[0], own, rtol=0, atol=1e-12)
 
     def test_pair_combine_and_linear_keep_the_float_order_of_their_formulas(self):
         # bitwise at float32, so trained weights do not depend on how the
@@ -770,25 +759,23 @@ class TestPrimitiveSemantics:
         # a width-1 identity kernel pools the input rows x itself, so
         # w.grad[0][:, c] sums the x row of each sequence's winner in channel
         # c; channel 0 ties in both sequences, and the first of a tie wins
-        x = np.array([[[1.0, 0.0], [3.0, 5.0], [3.0, 6.0]],
-                      [[9.0, 9.0], [2.0, 7.0], [2.0, 4.0]]])
-        mask = [[True, True, True], [False, True, True]]
+        x = np.array([[1.0, 0.0], [3.0, 5.0], [3.0, 6.0],
+                      [2.0, 7.0], [2.0, 4.0]])
         tape = nd.Tape(dtype=np.float64)
-        out, w, b = identity_pool(tape, x, mask)
+        out, w, b = identity_pool(tape, x, [3, 2])
         np.testing.assert_array_equal(out.data, [[3.0, 6.0], [2.0, 7.0]])
         tape.backward(probe(out))
-        # channel 0 takes x[0, 1] + x[1, 1], channel 1 x[0, 2] + x[1, 1]
+        # channel 0 takes x[1] + x[3], channel 1 x[2] + x[3]
         np.testing.assert_array_equal(w.grad[0], [[5.0, 5.0], [12.0, 13.0]])
         np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
     def test_nan_window_gives_nan_not_index_error(self):
         # a NaN window pools to NaN and takes the gradient, as np.argmax
-        # would: had the finite window x[0, 2] won, w.grad would be finite
-        x = np.array([[[np.nan, np.nan], [5.0, 5.0], [2.0, 0.5]],
-                      [[4.0, 4.0], [0.0, 0.0], [0.0, 0.0]]])
-        mask = [[True, False, True], [True, False, False]]
+        # would: had the finite window x[1] won, w.grad would be finite
+        x = np.array([[np.nan, np.nan], [2.0, 0.5],
+                      [4.0, 4.0]])
         tape = nd.Tape(dtype=np.float64)
-        out, w, b = identity_pool(tape, x, mask)
+        out, w, b = identity_pool(tape, x, [2, 1])
         np.testing.assert_array_equal(out.data, [[np.nan, np.nan], [4.0, 4.0]])
         tape.backward(probe(out))
         assert np.isnan(w.grad).all()
