@@ -148,9 +148,8 @@ class CosinetParams:
     def count(self) -> int:
         return self.flat.size
 
-    def as_leaves(self, tape: Tape, grad: np.ndarray | None = None) -> dict[str, ndgrad.Tensor]:
-        grads = self._views(grad) if grad is not None else dict.fromkeys(self._slots)
-        return {name: tape.leaf(arr, grads[name]) for name, arr in self.arrays.items()}
+    def as_leaves(self, tape: Tape) -> dict[str, ndgrad.Tensor]:
+        return {name: tape.leaf(arr) for name, arr in self.arrays.items()}
 
 
 # ---------------------------------------------------------------------------

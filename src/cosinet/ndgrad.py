@@ -12,7 +12,9 @@ Conventions:
     tensor its backward reads or writes; ``Tape.backward`` runs that backward
     only if the output got a gradient;
   - ``Tape.backward`` resets all gradients first, then fills them, so
-    repeated calls never silently accumulate (a leaf's gradient buffer too);
+    repeated calls never silently accumulate;
+  - a tensor's first gradient is the array its op produced; a later one is
+    added out of place, never into an array another tensor may hold;
   - every tensor on a tape takes a gradient: leaves are trainable
     parameters, and frozen inputs are passed as plain arrays instead;
   - a tensor refers to its tape weakly, so the tape (records, tensors and
@@ -52,7 +54,7 @@ class Tape:
 
     A tape and its tensors belong to the thread that records them, with one
     exception: once ``backward`` has passed a leaf to ``on_final``, another
-    thread may update that leaf's data and gradient buffer (``training.fit``'s
+    thread may update that leaf's data and read its gradient (``training.fit``'s
     Adam worker does). Independent tapes may run in parallel.
     """
 
@@ -60,16 +62,12 @@ class Tape:
         self.dtype = np.dtype(dtype)
         self._records = []      # (backward closure, output, input tensors), in forward order
         self._tensors = []      # every tensor created on this tape
-        self._buffers = []      # (leaf, gradient buffer) pairs
+        self._leaves = []       # the tensors made by ``leaf``
 
-    def leaf(self, data, grad: np.ndarray | None = None) -> Tensor:
-        """A trainable input; ``backward`` writes its gradient into ``grad`` if given."""
+    def leaf(self, data) -> Tensor:
+        """A trainable input, in the tape's dtype."""
         t = self._output(np.ascontiguousarray(data, dtype=self.dtype))
-        if grad is not None:
-            if grad.dtype != self.dtype or grad.shape != t.data.shape:
-                raise ValueError(f"leaf: grad buffer {grad.dtype}{grad.shape} does not match "
-                                 f"{self.dtype}{t.data.shape}")
-            self._buffers.append((t, grad))
+        self._leaves.append(t)
         return t
 
     def _output(self, data: np.ndarray) -> Tensor:
@@ -84,11 +82,12 @@ class Tape:
         in reverse; a tensor the loss does not depend on gets zeros.
         ``loss`` must be a single-element tensor.
 
-        ``on_final(leaf)`` is called once for each leaf with a gradient
-        buffer, as soon as its gradient is final: right after the backward
-        of the earliest record that takes it, or at once if no record does.
-        From then on no remaining closure reads the leaf's data or writes
-        its gradient, so the caller may update both while backward goes on.
+        ``on_final(leaf)`` is called once for every leaf, as soon as its
+        gradient is final: right after the backward of the earliest record
+        that takes it, or at once, with zeros, if no record does. From then
+        on no remaining closure reads the leaf's data or changes its
+        gradient, so the caller may update the one and read the other while
+        backward goes on.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss tensor belongs to a different tape")
@@ -96,9 +95,6 @@ class Tape:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
         for t in self._tensors:
             t.grad = None
-        for t, buf in self._buffers:
-            buf.fill(0)
-            t.grad = buf
         loss.grad = np.ones_like(loss.data)
         due = [[] for _ in self._records]  # due[i]: leaves final once record i has run
         if on_final is not None:
@@ -106,25 +102,26 @@ class Tape:
             for i, (_, _, inputs) in enumerate(self._records):
                 for t in inputs:
                     first.setdefault(id(t), i)
-            for t, _ in self._buffers:
+            for t in self._leaves:
                 if id(t) in first:
                     due[first[id(t)]].append(t)
                 else:
+                    t.grad = np.zeros_like(t.data)
                     on_final(t)
         for (fn, out, _), final in zip(reversed(self._records), reversed(due)):
             if out.grad is not None:
                 fn(out.grad)
             for t in final:
+                if t.grad is None:  # only records whose output got no gradient take it
+                    t.grad = np.zeros_like(t.data)
                 on_final(t)
         for t in self._tensors:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
 
 
-def _acc(t: Tensor, g) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _acc(t: Tensor, g: np.ndarray) -> None:
+    t.grad = g if t.grad is None else t.grad + g  # not in place: another tensor may hold t.grad
 
 
 def _op(name: str, data: np.ndarray, backward, *inputs: Tensor) -> Tensor:

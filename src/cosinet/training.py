@@ -9,10 +9,12 @@ either way the embedding table stays untouched.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -95,25 +97,25 @@ def pointwise_loss(scores: ndgrad.Tensor, labels) -> ndgrad.Tensor:
     return ndgrad.bce_logits_mean(scores, labels)
 
 
-BLOCK = 1 << 16  # elements per Adam block: its six operand blocks stay in cache
+BLOCK = 1 << 16  # elements per Adam block: its five operand blocks stay in cache
 
 
 class Adam:
-    """Adam with bias correction over one flat weight vector ``w``, on two threads.
+    """Adam (Kingma & Ba, ICLR 2015) over one flat weight vector ``w``, on two threads.
 
-    ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one
-    ``BLOCK`` at a time, in the elementwise operation order of
-    m += (1-BETA1)(g-m), v += (1-BETA2)(g*g-v), w -= lr (m/c1) / (sqrt(v/c2) + EPS),
-    so it is bit for bit that expression whichever thread runs a block, and
-    under the caller's ``np.errstate`` either way. The calling thread and
-    one worker thread each have their own pair of block-sized scratch
-    buffers. Use it in a ``with`` block, whose exit joins the worker.
+    ``step`` updates ``w`` and the flat moments ``m``/``v`` in place, one ``BLOCK`` at a
+    time, in the elementwise operation order of m += (1-BETA1)(g-m), v += (1-BETA2)(g*g-v),
+    w -= a_t (m / (sqrt(v) + e_t)). With a_t = lr sqrt(1-BETA2^t) / (1-BETA1^t) and e_t =
+    EPS sqrt(1-BETA2^t) that is the bias-corrected update, in the paper's cheaper order (end
+    of its section 2): 12 passes over a block. A block gets those bits whichever thread runs
+    it, under the caller's ``np.errstate`` either way. The calling thread and one worker
+    each have a block-sized scratch buffer. Use it in a ``with`` block, whose exit joins it.
     """
 
     def __init__(self, w: np.ndarray):
         self.t = 0
         self.m, self.v = np.zeros_like(w), np.zeros_like(w)
-        self._scratch = np.empty((2, 2, min(BLOCK, w.size)), dtype=w.dtype)  # caller, worker
+        self._scratch = np.empty((2, min(BLOCK, w.size)), dtype=w.dtype)  # caller, worker
         self._worker = ThreadPoolExecutor(1)  # its thread starts at the first step
 
     def __enter__(self):
@@ -122,65 +124,70 @@ class Adam:
     def __exit__(self, *exc):
         self._worker.shutdown()
 
-    def step(self, w: np.ndarray, g: np.ndarray, lr: float, backward) -> None:
+    def step(self, w: np.ndarray, lr: float, backward) -> None:
         """One update of all of ``w``; returns once every block is written.
 
-        ``backward(final)`` fills ``g`` and calls ``final(lo, hi)`` as soon
-        as ``g[lo:hi]`` is final and nothing reads ``w[lo:hi]`` any more;
-        those blocks join the worker's queue while backward goes on, and this
-        thread then takes every block whose future it can still cancel. If
-        ``backward`` raises, no further block starts, but the blocks
-        already written stay written and ``t`` stays advanced: the step is
-        left partial. A worker error is raised from ``step``, with any error
-        this thread raised first as its context.
+        ``backward(final)`` calls ``final(lo, g)`` once the 1-d array ``g`` is the final
+        gradient of ``w[lo:lo + g.size]`` and nothing reads that range of ``w`` any more.
+        Its blocks go on one queue that the worker reads while backward goes on; this thread
+        then takes every block still queued. ``g`` is only read. If ``backward`` raises, no
+        further block starts, but the blocks already written stay written and ``t`` stays
+        advanced: the step is left partial. A worker error is raised from ``step``, with any
+        error this thread raised first as its context.
         """
         self.t += 1
-        coef = (lr, 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t)
-        blocks = []  # (lo, hi, the worker's future) of each block, in hand-over order
-        err = np.geterr()  # numpy's error state is per thread: the worker takes the caller's
+        root = math.sqrt(1.0 - BETA2 ** self.t)
+        coef = float(lr) * root / (1.0 - BETA1 ** self.t), EPS * root  # Python floats: see _update
+        blocks = SimpleQueue()  # (lo, gradient) of each block not yet started; None ends
+        worker = self._worker.submit(self._work, blocks, w, coef, np.geterr())
 
-        def on_worker(*args):
-            with np.errstate(**err):
-                self._update(*args)
-
-        def final(lo, hi):
-            for a in range(lo, hi, BLOCK):
-                b = min(a + BLOCK, hi)
-                blocks.append((a, b, self._worker.submit(on_worker, w, g, a, b, coef, 1)))
+        def final(lo, g):
+            for a in range(0, g.size, BLOCK):
+                blocks.put((lo + a, g[a:a + BLOCK]))
 
         try:
             backward(final)
-            for lo, hi, job in blocks:
-                if job.cancel():  # the worker has not started it
-                    self._update(w, g, lo, hi, coef, 0)
+            for lo, g in _queued(blocks):
+                self._update(w, lo, g, coef, 0)
         except BaseException:
-            for *_, job in blocks:  # start no further block
-                job.cancel()
+            for _ in _queued(blocks):  # start no further block
+                pass
             raise
         finally:
-            started = [job for *_, job in blocks if not job.cancelled()]
-            wait(started)  # every block the worker started is written
-            for job in started:
-                job.result()  # raises the worker's error, if any
+            blocks.put(None)
+            worker.result()  # returns after the worker's last block; raises its error, if any
 
-    def _update(self, w, g, lo, hi, coef, thread) -> None:
-        lr, b1c, b2c = coef
-        wb, gb, m, v = (a[lo:hi] for a in (w, g, self.m, self.v))
-        s, u = self._scratch[thread, :, :hi - lo]
-        np.subtract(gb, m, out=s)
+    def _work(self, blocks, w, coef, err) -> None:
+        """The worker's part of a step, under the caller's numpy error state: blocks until None."""
+        with np.errstate(**err):
+            for lo, g in iter(blocks.get, None):
+                self._update(w, lo, g, coef, 1)
+
+    def _update(self, w, lo, g, coef, thread) -> None:
+        step_size, eps = coef  # Python floats, which numpy applies to float32 blocks in float32
+        wb, m, v = (a[lo:lo + g.size] for a in (w, self.m, self.v))
+        s = self._scratch[thread, :g.size]
+        np.subtract(g, m, out=s)
         s *= 1.0 - BETA1
         m += s
-        np.multiply(gb, gb, out=s)
+        np.multiply(g, g, out=s)
         s -= v
         s *= 1.0 - BETA2
         v += s
-        np.divide(v, b2c, out=s)
-        np.sqrt(s, out=s)
-        s += EPS
-        np.divide(m, b1c, out=u)
-        u *= lr
-        u /= s
-        wb -= u
+        np.sqrt(v, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= step_size
+        wb -= s
+
+
+def _queued(blocks: SimpleQueue):
+    """Take each item still in ``blocks`` without waiting."""
+    while True:
+        try:
+            yield blocks.get_nowait()
+        except Empty:
+            return
 
 
 @dataclass
@@ -222,7 +229,10 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     """Train ``params`` in place; returns the report with timing and losses.
 
     Wall-clock covers the optimization loop only (per-epoch dev evaluation,
-    when requested, is timed separately and excluded).
+    when requested, is timed separately and excluded). In each step's
+    backward, a parameter's gradient goes to ``Adam.step`` as soon as it is
+    final, with its offset in ``params.flat`` (which holds ``params.arrays``
+    back to back).
     """
     groups = _check_groups(groups)
     check_table_width(table, config, "fit")
@@ -230,13 +240,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
         raise ValueError("pointwise training scores pairs independently; "
                          "it cannot drive a rank contextualizer (use context=none)")
     rng = np.random.default_rng(train_config.seed)
-    grad = np.empty_like(params.flat)  # backward writes each leaf's gradient into its view
-
-    def span(leaf):
-        """The range of ``params.flat`` whose gradient is ``leaf.grad``, a view of ``grad``."""
-        lo = (leaf.grad.ctypes.data - grad.ctypes.data) // grad.itemsize
-        return lo, lo + leaf.grad.size
-
+    starts = list(itertools.accumulate((a.size for a in params.arrays.values()), initial=0))
     max_lr = train_config.resolved_max_lr
     listwise = train_config.loss == "listwise"
     objective = listwise_loss if listwise else pointwise_loss
@@ -265,7 +269,8 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
             epoch_losses = []
             for batch in epoch_batches():
                 tape = Tape(dtype=params.dtype)
-                leaves = params.as_leaves(tape, grad)
+                leaves = params.as_leaves(tape)
+                at = dict(zip(map(id, leaves.values()), starts))
                 scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config, leaves)
                 loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
                 value = float(loss.data[0, 0])
@@ -274,10 +279,9 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
                                      f"(batch of question {groups[batch[0][0]].question_id})")
 
                 def backward(final):
-                    # each leaf's update starts on the worker once its gradient is final
-                    tape.backward(loss, lambda leaf: final(*span(leaf)))
+                    tape.backward(loss, lambda leaf: final(at[id(leaf)], leaf.grad.reshape(-1)))
 
-                adam.step(params.flat, grad, stlr(step, total_steps, max_lr), backward)
+                adam.step(params.flat, stlr(step, total_steps, max_lr), backward)
                 step += 1
                 epoch_losses.append(value)
             report.loss_curve.extend(epoch_losses)

@@ -202,26 +202,38 @@ class TestBackwardConventions:
         np.testing.assert_array_equal(x.grad, first)
         np.testing.assert_allclose(first, [[4.0, -6.0]])
 
-    def test_leaf_gradient_is_written_into_its_buffer(self):
-        # the buffer starts dirty; backward zero-fills it before writing,
-        # so a second pass does not add to the first
+    def test_leaf_gradient_is_the_array_its_op_produced(self, monkeypatch):
+        # no gradient is zero-filled and then added to: a leaf's first
+        # gradient is the op's own array, and a second pass hands over a new
+        # one with the same values
         tape = nd.Tape(dtype=np.float64)
-        buf = np.full((1, 2), 7.0)
-        x = tape.leaf([[2.0, -3.0]], grad=buf)
-        loss = probe(nd.pair_combine(x, x))
+        x, w, b = (tape.leaf(a) for a in ([[2.0, -3.0]], [[1.0], [0.5]], [[0.0]]))
+        loss = probe(nd.linear(x, w, b))
+        handed, passes = {}, []
+        acc = nd._acc
+        monkeypatch.setattr(nd, "_acc", lambda t, g: (handed.setdefault(id(t), g), acc(t, g)))
         for _ in range(2):
+            handed.clear()
             tape.backward(loss)
-            assert x.grad is buf
-            np.testing.assert_array_equal(buf, [[4.0, -6.0]])
+            assert all(t.grad is handed[id(t)] for t in (x, w, b))
+            passes.append(w.grad)
+        assert passes[0] is not passes[1]
+        np.testing.assert_array_equal(passes[0], passes[1])
+        np.testing.assert_array_equal(w.grad, [[2.0], [-3.0]])
 
-    @pytest.mark.parametrize("tape_dtype, buf_dtype", [(np.float32, np.float64),
-                                                       (np.float64, np.float32)])
-    def test_leaf_rejects_a_mismatched_buffer(self, tape_dtype, buf_dtype):
-        tape = nd.Tape(dtype=tape_dtype)
-        with pytest.raises(ValueError, match="grad buffer"):
-            tape.leaf([[1.0, 2.0]], grad=np.zeros((1, 2), dtype=buf_dtype))
-        with pytest.raises(ValueError, match="grad buffer"):
-            tape.leaf([[1.0, 2.0]], grad=np.zeros((2, 1), dtype=tape_dtype))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaf_gradient_keeps_dtype_and_shape(self, dtype):
+        # a caller reads a leaf's gradient as it is (fit hands it to Adam
+        # flat), so every op gives its leaves gradients of their own dtype
+        # and shape
+        for case in ALL_CASES:
+            arrays, build = case(np.random.default_rng(2))
+            tape = nd.Tape(dtype=dtype)
+            leaves = [tape.leaf(a) for a in arrays]
+            tape.backward(build(tape, leaves))
+            for leaf in leaves:
+                assert (leaf.grad.dtype, leaf.grad.shape) == (leaf.data.dtype, leaf.data.shape), \
+                    case.__name__
 
     def test_unreached_trainable_leaf_gets_zeros(self):
         # so do operation outputs the loss does not depend on
@@ -236,19 +248,21 @@ class TestBackwardConventions:
 
     def test_backward_skips_records_whose_output_got_no_gradient(self, monkeypatch):
         # the tape runs an op's backward only once its output has a gradient;
-        # a buffered leaf that only such a skipped record takes is still
-        # reported, with zeros
+        # a leaf that only such a skipped record takes is still reported,
+        # with zeros
         tape = nd.Tape(dtype=np.float64)
         a = tape.leaf([[1.0, 2.0]])
-        u = tape.leaf([[5.0, 6.0]], grad=np.full((1, 2), 7.0))
+        u = tape.leaf([[5.0, 6.0]])
         unused = nd.pair_combine(u, u)
         loss = probe(a)
         written, reported = [], []
         acc = nd._acc
         monkeypatch.setattr(nd, "_acc", lambda t, g: (written.append(t), acc(t, g)))
-        tape.backward(loss, on_final=lambda leaf: reported.append(leaf.grad.copy()))
+        tape.backward(loss, on_final=lambda leaf: reported.append((leaf, leaf.grad.copy())))
         assert written and not any(t is u or t is unused for t in written)
-        assert len(reported) == 1 and (reported[0] == 0).all()
+        assert [leaf for leaf, _ in reported] == [a, u]
+        np.testing.assert_array_equal(reported[0][1], np.ones((1, 2)))
+        np.testing.assert_array_equal(reported[1][1], np.zeros((1, 2)))
         np.testing.assert_array_equal(u.grad, np.zeros((1, 2)))
         np.testing.assert_array_equal(unused.grad, np.zeros((1, 4)))
 
@@ -280,36 +294,39 @@ class TestBackwardConventions:
         tape.backward(probe(joined, [[0.0, 1.0]]))
         np.testing.assert_allclose(x.grad, [[4.0, 0.0]])
 
-    def test_on_final_reports_each_buffered_leaf_once_when_its_gradient_is_final(self):
+    def test_on_final_reports_every_leaf_once_when_final(self):
         # a feeds two records; the report comes after the earlier one's
         # backward, when a's gradient is complete, and never sooner; u feeds
-        # no record, so it is final at once; c and the ones have no buffer
-        # and are not reported
+        # no record, so it is final at once, with zeros; every leaf is
+        # reported once, and no reported gradient changes afterwards
         tape = nd.Tape(dtype=np.float64)
-        bufs = {name: np.full((1, 2), 7.0) for name in "abdu"}
-        a = tape.leaf([[2.0, -3.0]], grad=bufs["a"])
-        b = tape.leaf([[0.5, 4.0]], grad=bufs["b"])
-        d = tape.leaf([[1.0, 1.0]], grad=bufs["d"])
-        tape.leaf([[9.0, 9.0]], grad=bufs["u"])
+        a = tape.leaf([[2.0, -3.0]])
+        b = tape.leaf([[0.5, 4.0]])
+        d = tape.leaf([[1.0, 1.0]])
+        u = tape.leaf([[9.0, 9.0]])
         c = tape.leaf([[3.0, 3.0]])
         y = nd.pair_combine(a, b)  # [a * b, a - b]
-        with_a = nd.linear(a, tape.leaf(np.ones((2, 1))), probe(y))  # sum(a) + sum(y)
-        loss = nd.linear(nd.pair_combine(d, c), tape.leaf(np.ones((4, 1))), with_a)
-        names = {id(bufs[name]): name for name in bufs}
+        ones_a = tape.leaf(np.ones((2, 1)))
+        with_a = nd.linear(a, ones_a, probe(y))  # sum(a) + sum(y)
+        ones_dc = tape.leaf(np.ones((4, 1)))
+        loss = nd.linear(nd.pair_combine(d, c), ones_dc, with_a)
+        leaves = dict(a=a, b=b, d=d, u=u, c=c, ones_a=ones_a, ones_dc=ones_dc)
+        names = {id(t): name for name, t in leaves.items()}
         seen = []
 
         def on_final(leaf):
             # what the gradients hold at the moment of the report
-            seen.append((names[id(leaf.grad)], a.grad.copy(), y.grad is None))
+            seen.append((names[id(leaf)], leaf.grad, leaf.grad.copy(), a.grad is None,
+                         y.grad is None))
 
         tape.backward(loss, on_final=on_final)
-        assert [name for name, *_ in seen] == ["u", "d", "a", "b"]
-        _, a_at_u, y_unreached_at_u = seen[0]
-        _, a_at_d, _ = seen[1]
-        assert y_unreached_at_u and (a_at_u == 0).all()  # before any record ran
-        assert (a_at_d == 0).all()  # d is final before either record that takes a
-        for _, a_now, _ in seen[2:]:
-            np.testing.assert_array_equal(a_now, a.grad)
+        assert [name for name, *_ in seen] == ["u", "ones_dc", "d", "c", "ones_a", "a", "b"]
+        assert seen[0][3] and seen[0][4]  # u: before any record ran
+        np.testing.assert_array_equal(seen[0][2], np.zeros((1, 2)))
+        assert all(a_unreached for _, _, _, a_unreached, _ in seen[:4])  # before either record of a
+        for name, grad, grad_then, _, _ in seen:
+            assert leaves[name].grad is grad
+            np.testing.assert_array_equal(grad, grad_then)
         np.testing.assert_allclose(a.grad, b.data + 2)
         np.testing.assert_allclose(b.grad, a.data - 1)
         np.testing.assert_allclose(d.grad, c.data + 1)
@@ -323,7 +340,7 @@ class TestBackwardConventions:
         params = CosinetParams(config)
         group = toy_groups[0]
         tape = nd.Tape()
-        leaves = params.as_leaves(tape, np.zeros_like(params.flat))
+        leaves = params.as_leaves(tape)
         pairs = [prepare_pair(group.question_tokens, c.tokens, toy_table) for c in group.candidates]
         scores = score_pairs(pairs, toy_table, config, leaves)
         reported = []
@@ -332,6 +349,33 @@ class TestBackwardConventions:
         assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, leaves.values()))
         for leaf, grad_then in reported:
             np.testing.assert_array_equal(grad_then, leaf.grad)
+            assert (leaf.grad.dtype, leaf.grad.shape) == (leaf.data.dtype, leaf.data.shape)
+
+    def test_accumulating_never_changes_a_shared_array(self):
+        # rnn_cell hands one bias gradient array to both b_ih and b_hh; b_ih
+        # also feeds an earlier record, whose backward runs later and adds to
+        # b_ih only, so b_hh keeps the gradient it would have without it
+        rng = np.random.default_rng(5)
+        arrays = [rng.uniform(-1, 1, s) for s in ((4, 3), (3, 2), (2, 2), (1, 2), (1, 2))]
+
+        def run(early_use):
+            tape = nd.Tape(dtype=np.float64)
+            x, w_ih, w_hh, b_ih, b_hh = leaves = [tape.leaf(a) for a in arrays]
+            early = probe(b_ih, 3.0)
+            loss = probe(nd.rnn_cell(x, [w_ih, w_hh, b_ih, b_hh]))
+            if early_use:
+                loss = nd.linear(early, tape.leaf([[1.0]]), loss)  # 3 sum(b_ih) + loss
+            reported = []
+            tape.backward(loss, on_final=lambda leaf: reported.append((leaf.grad,
+                                                                       leaf.grad.copy())))
+            for grad, grad_then in reported:
+                np.testing.assert_array_equal(grad, grad_then)
+            return b_ih.grad, b_hh.grad
+
+        _, alone = run(False)
+        b_ih, b_hh = run(True)
+        np.testing.assert_array_equal(b_hh, alone)
+        np.testing.assert_allclose(b_ih, alone + 3.0)
 
     def test_dropped_tape_is_freed_without_cycle_collection(self):
         # tensors refer to their tape weakly and no record holds the tape, so

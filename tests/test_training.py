@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import sys
 import threading
@@ -236,67 +237,124 @@ def worker_fails(update):
     that surfaces."""
     started = threading.Event()
 
-    def failing(self, w, g, lo, hi, coef, thread):
+    def failing(self, w, lo, g, coef, thread):
         if thread == 1:
             started.set()
             raise RuntimeError("worker failed")
         assert started.wait(timeout=30)
-        update(self, w, g, lo, hi, coef, thread)
+        update(self, w, lo, g, coef, thread)
 
     return failing
+
+
+def whole(g):
+    """A backward that hands over all of ``g`` as the gradient from offset 0."""
+    return lambda final: final(0, g)
+
+
+def reference_step(w, m, v, g, lr, t):
+    """One step of the documented expression, op for op, in place: the textbook
+    moments, then w -= a_t (m / (sqrt(v) + e_t)) with Python-float a_t and e_t."""
+    m += (1.0 - 0.9) * (g - m)
+    v += (1.0 - 0.999) * (g * g - v)
+    root = math.sqrt(1.0 - 0.999 ** t)
+    w -= (lr * root / (1.0 - 0.9 ** t)) * (m / (np.sqrt(v) + 1e-8 * root))
+
+
+def textbook_step(w, m, v, g, lr, t):
+    """Kingma & Ba's update with bias-corrected moments, in place."""
+    m += (1.0 - 0.9) * (g - m)
+    v += (1.0 - 0.999) * (g * g - v)
+    w -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
 
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         x = np.array([5.0])
         adam = Adam(x)
-        adam.step(x, np.array([0.37]), 0.01, lambda final: final(0, x.size))
+        adam.step(x, 0.01, whole(np.array([0.37])))
         np.testing.assert_allclose(x, [5.0 - 0.01], atol=1e-6)
 
     def test_minimizes_quadratic(self):
         x = np.array([8.0])
         adam = Adam(x)
         for _ in range(400):
-            adam.step(x, 2.0 * (x - 3.0), 0.05, lambda final: final(0, x.size))
+            adam.step(x, 0.05, whole(2.0 * (x - 3.0)))
         np.testing.assert_allclose(x, [3.0], atol=1e-2)
 
     def test_state_is_per_parameter(self):
         # one slot per element: a zero gradient leaves its weights alone
         x = np.concatenate([np.zeros(4), np.ones(3)])
         adam = Adam(x)
-        adam.step(x, np.concatenate([np.ones(4), np.zeros(3)]), 0.1,
-                  lambda final: final(0, x.size))
+        adam.step(x, 0.1, whole(np.concatenate([np.ones(4), np.zeros(3)])))
         assert (x[:4] != 0).all()
         np.testing.assert_array_equal(x[4:], np.ones(3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_step_matches_reference_expression_bitwise(self, dtype):
-        # 2.5 blocks: two full blocks and a half block share the scratch buffers
+        # 2.5 blocks: two full blocks and a half block share the scratch buffer
         rng = np.random.default_rng(9)
         n = BLOCK * 5 // 2
         w = rng.standard_normal(n).astype(dtype)
         ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
-        b1, b2, eps = 0.9, 0.999, 1e-8
         adam = Adam(w)
         for t in range(1, 6):
             g = rng.standard_normal(n).astype(dtype)
             lr = 1e-3 * t
-            adam.step(w, g, lr, lambda final: final(0, w.size))
-            b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
-            ref_m += (1.0 - b1) * (g - ref_m)
-            ref_v += (1.0 - b2) * (g * g - ref_v)
-            ref -= lr * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + eps)
+            adam.step(w, lr, whole(g))
+            reference_step(ref, ref_m, ref_v, g, lr, t)
             assert w.dtype == dtype
             np.testing.assert_array_equal(w, ref)
             np.testing.assert_array_equal(adam.m, ref_m)
             np.testing.assert_array_equal(adam.v, ref_v)
 
+    def test_float64_steps_track_the_textbook_update(self):
+        # folding the bias corrections into the step size and epsilon is the
+        # same update: over 120 float64 steps, with gradients from 1e-9 to 1e3
+        # (so that epsilon matters for some), m and v stay the textbook bits
+        # and w stays within rtol 1e-12 of the textbook weights (|w| > 0.8)
+        rng = np.random.default_rng(12)
+        n = BLOCK + 1000
+        w = rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n)
+        ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+        scale = rng.choice([1e-9, 1e-6, 1.0, 1e3], n)
+        with Adam(w) as adam:
+            for t in range(1, 121):
+                g = rng.standard_normal(n) * scale
+                adam.step(w, 1e-3, whole(g))
+                textbook_step(ref, ref_m, ref_v, g, 1e-3, t)
+        np.testing.assert_array_equal(adam.m, ref_m)
+        np.testing.assert_array_equal(adam.v, ref_v)
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0)
+
+    def test_float32_extreme_gradients_stay_finite_near_textbook(self):
+        # every sequence of three gradients from 0, +-1e-20 and +-1e15, so
+        # some elements see an extreme value after a zero history (1e15
+        # squares to 1e30, near float32's limit; 1e-20 squares to a
+        # subnormal); every weight stays finite, within 1e-6 (about 16
+        # float32 ulps at |w| = 1, where one step moves at most about 3e-3)
+        # of the float64 textbook update, and an element whose gradients are
+        # all 0 keeps its weight exactly
+        values = [0.0, 1e-20, -1e-20, 1e15, -1e15]
+        grads = np.array(list(itertools.product(values, repeat=3)), dtype=np.float32).T
+        w = np.ones(grads.shape[1], dtype=np.float32)
+        ref, ref_m, ref_v = (np.asarray(a, dtype=np.float64) for a in (w, 0 * w, 0 * w))
+        with Adam(w) as adam:
+            for t, g in enumerate(grads, start=1):
+                adam.step(w, 1e-3, whole(g))
+                textbook_step(ref, ref_m, ref_v, g.astype(np.float64), 1e-3, t)
+                assert np.isfinite(w).all() and np.isfinite(adam.m).all()
+                assert np.isfinite(adam.v).all()
+                np.testing.assert_allclose(w, ref, rtol=0, atol=1e-6)
+        assert w[0] == 1.0 and (grads[:, 0] == 0).all()
+        assert (w != 1.0).sum() > grads.shape[1] // 2  # the extreme gradients moved weights
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_threaded_step_over_shuffled_final_ranges_matches_reference_bitwise(self, dtype):
-        # backward hands over the ranges of 2.5 blocks in a shuffled order,
-        # writing each range's gradient just before; the worker and the
-        # calling thread then update disjoint blocks, and the result is still
-        # bit for bit the whole-vector expression
+        # backward hands over the gradients of 2.5 blocks' ranges in a
+        # shuffled order, writing each range's gradient just before; the
+        # worker and the calling thread then update disjoint blocks, and the
+        # result is still bit for bit the whole-vector expression
         rng = np.random.default_rng(4)
         n = BLOCK * 5 // 2
         cuts = [0, 1, 1000, BLOCK + 5, 2 * BLOCK + 17, n]  # one range spans more than a block
@@ -304,7 +362,6 @@ class TestAdam:
         w = rng.standard_normal(n).astype(dtype)
         g = np.empty_like(w)
         ref, ref_m, ref_v = w.copy(), np.zeros_like(w), np.zeros_like(w)
-        b1, b2, eps = 0.9, 0.999, 1e-8
         with Adam(w) as adam:
             for t in range(1, 6):
                 grad = rng.standard_normal(n).astype(dtype)
@@ -315,14 +372,11 @@ class TestAdam:
                     for i in order:
                         lo, hi = ranges[i]
                         g[lo:hi] = grad[lo:hi]
-                        final(lo, hi)
+                        final(lo, g[lo:hi])
 
                 lr = 1e-3 * t
-                adam.step(w, g, lr, backward)
-                b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
-                ref_m += (1.0 - b1) * (grad - ref_m)
-                ref_v += (1.0 - b2) * (grad * grad - ref_v)
-                ref -= lr * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + eps)
+                adam.step(w, lr, backward)
+                reference_step(ref, ref_m, ref_v, grad, lr, t)
                 np.testing.assert_array_equal(w, ref)
                 np.testing.assert_array_equal(adam.m, ref_m)
                 np.testing.assert_array_equal(adam.v, ref_v)
@@ -349,13 +403,10 @@ class TestAdam:
                         for i in rng.permutation(len(ranges)):
                             lo, hi = ranges[i]
                             g[lo:hi] = grad[lo:hi]
-                            final(lo, hi)
+                            final(lo, g[lo:hi])
 
-                    adam.step(w, g, 1e-3, backward)
-                    b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-                    ref_m += (1.0 - 0.9) * (grad - ref_m)
-                    ref_v += (1.0 - 0.999) * (grad * grad - ref_v)
-                    ref -= 1e-3 * (ref_m / b1c) / (np.sqrt(ref_v / b2c) + 1e-8)
+                    adam.step(w, 1e-3, backward)
+                    reference_step(ref, ref_m, ref_v, grad, 1e-3, t)
             out[seed] = bool((w == ref).all() and (adam.m == ref_m).all() and (adam.v == ref_v).all())
 
         interval = sys.getswitchinterval()
@@ -377,37 +428,54 @@ class TestAdam:
         w = np.zeros(BLOCK * 3)
         with Adam(w) as adam:
             with pytest.raises(RuntimeError, match="worker failed"):
-                adam.step(w, np.ones_like(w), 0.1, lambda final: final(0, w.size))
+                adam.step(w, 0.1, whole(np.ones_like(w)))
         assert (w != 0).any()  # the calling thread wrote the blocks it took
 
-    def test_backward_error_leaves_a_partial_step_and_a_free_worker(self):
-        # backward hands over one block, waits until the worker has written
-        # it, hands over another and raises: the step stays partial, the
-        # worker is free again and the next step updates everything
+    def test_backward_error_leaves_a_partial_step_and_a_free_worker(self, monkeypatch):
+        # backward hands over one block, which the worker takes and holds
+        # until the calling thread has emptied the queue, hands over another
+        # and raises: the second block never starts on either thread, the
+        # step stays partial, the worker is free again and the next step
+        # updates everything
         w = np.zeros(BLOCK * 3)
+        g = np.ones_like(w)
+        taken, drained = threading.Event(), threading.Event()
+        update, queued = Adam._update, training._queued
+
+        def held(self, w, lo, g, coef, thread):
+            if thread == 1:
+                taken.set()
+                assert drained.wait(timeout=30)
+            update(self, w, lo, g, coef, thread)
+
+        def draining(blocks):
+            yield from queued(blocks)
+            drained.set()
+
+        monkeypatch.setattr(Adam, "_update", held)
+        monkeypatch.setattr(training, "_queued", draining)
         with Adam(w) as adam:
             def backward(final):
-                final(0, BLOCK)
-                while w[BLOCK - 1] == 0:
-                    time.sleep(1e-3)
-                final(BLOCK, 2 * BLOCK)
+                final(0, g[:BLOCK])
+                assert taken.wait(timeout=30)
+                final(BLOCK, g[BLOCK:2 * BLOCK])
                 raise RuntimeError("backward failed")
 
             with pytest.raises(RuntimeError, match="backward failed"):
-                adam.step(w, np.ones_like(w), 0.1, backward)
-            assert (w[:BLOCK] != 0).all() and (w[2 * BLOCK:] == 0).all()
-            adam.step(w, np.ones_like(w), 0.1, lambda final: final(0, w.size))
-        assert adam.t == 2 and (w[2 * BLOCK:] != 0).all()
+                adam.step(w, 0.1, backward)
+            assert (w[:BLOCK] != 0).all() and (w[BLOCK:] == 0).all()
+            adam.step(w, 0.1, whole(g))
+        assert adam.t == 2 and (w[BLOCK:] != 0).all()
 
     def test_worker_error_keeps_the_backward_error_as_its_context(self, monkeypatch):
         started = threading.Event()
 
-        def failing(self, w, g, lo, hi, coef, thread):
+        def failing(self, w, lo, g, coef, thread):
             started.set()
             raise RuntimeError("worker failed")
 
         def backward(final):
-            final(0, BLOCK)
+            final(0, np.ones(BLOCK))
             assert started.wait(timeout=30)
             raise KeyError("backward failed")
 
@@ -415,7 +483,7 @@ class TestAdam:
         w = np.zeros(BLOCK)
         with Adam(w) as adam:
             with pytest.raises(RuntimeError, match="worker failed") as info:
-                adam.step(w, np.ones_like(w), 0.1, backward)
+                adam.step(w, 0.1, backward)
         assert isinstance(info.value.__context__, KeyError)
 
     def test_worker_blocks_run_under_the_callers_error_state(self):
@@ -427,15 +495,15 @@ class TestAdam:
         g = np.full_like(w, 1e30)
         with Adam(w) as adam:
             def backward(final):
-                final(0, BLOCK)
+                final(0, g[:BLOCK])
                 deadline = time.monotonic() + 30
                 while adam.m[0] == 0 and time.monotonic() < deadline:  # the worker took it
                     time.sleep(1e-3)
                 assert adam.m[0] != 0
-                final(BLOCK, w.size)
+                final(BLOCK, g[BLOCK:])
 
             with np.errstate(all="ignore"):
-                adam.step(w, g, 0.1, backward)
+                adam.step(w, 0.1, backward)
         assert np.isinf(adam.v).all() and np.isfinite(w).all()
 
 
@@ -604,8 +672,8 @@ class TestFit:
 
     def test_update_in_backward_matches_update_after_it_bitwise(self, toy_groups, toy_table,
                                                                monkeypatch):
-        # the ranges fit hands over in backward tile params.flat exactly, and
-        # updating each as soon as it is final gives the bits of updating
+        # the gradients fit hands over in backward tile params.flat exactly,
+        # and updating each as soon as it is final gives the bits of updating
         # them all once backward has ended
         config = small_config("bilstm")
         early = CosinetParams(config)
@@ -613,13 +681,14 @@ class TestFit:
         early_report = fit(toy_groups, toy_table, early, config, TrainConfig(epochs=2))
         step = Adam.step
 
-        def after_backward(self, w, g, lr, backward):
-            ranges = []
-            backward(lambda lo, hi: ranges.append((lo, hi)))
-            ranges.sort()
-            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-            assert ranges[-1][1] == w.size
-            step(self, w, g, lr, lambda final: [final(lo, hi) for lo, hi in ranges])
+        def after_backward(self, w, lr, backward):
+            handed = []
+            backward(lambda lo, g: handed.append((lo, g)))
+            handed.sort(key=lambda h: h[0])
+            ends = [lo + g.size for lo, g in handed]
+            assert [lo for lo, _ in handed] == [0] + ends[:-1] and ends[-1] == w.size
+            assert all(g.ndim == 1 and g.dtype == w.dtype for _, g in handed)
+            step(self, w, lr, lambda final: [final(lo, g) for lo, g in handed])
 
         monkeypatch.setattr(Adam, "step", after_backward)
         late_report = fit(toy_groups, toy_table, late, config, TrainConfig(epochs=2))
