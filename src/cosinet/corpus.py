@@ -83,18 +83,33 @@ def _build_groups(raw_groups):
     (the rest keep their order, so a candidate's position is its rank),
     questions that tokenize to nothing, and groups without a single
     positive label.
+
+    Every occurrence of a token is the same ``str`` object: each distinct
+    lowercased whitespace word is tokenized once, its tokens taken from one
+    shared set.
     """
+    words, shared = {}, {}  # word -> its token tuple; token -> its one str object
+
+    def tokens_of(text):
+        out = []
+        for word in text.lower().split():
+            tokens = words.get(word)
+            if tokens is None:
+                tokens = words[word] = tuple(shared.setdefault(t, t) for t in tokenize(word))
+            out += tokens
+        return tuple(out)
+
     groups, report = [], IngestReport()
     for qid, question, rows in raw_groups:
         report.total_questions += 1
         report.total_candidates += len(rows)
-        q_tokens = tuple(tokenize(question))
+        q_tokens = tokens_of(question)
         if not q_tokens:
             report.dropped_empty_questions += 1
             continue
         cands = []
         for text, label in rows:
-            tokens = tuple(tokenize(text))
+            tokens = tokens_of(text)
             if not tokens:
                 report.dropped_empty_candidates += 1
                 continue

@@ -7,6 +7,8 @@ all-zero vector.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .corpus import read_lines
@@ -53,50 +55,29 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     Any other line with the wrong number of fields, or a kept line whose
     values or float32 squared norm are not finite, is rejected by line number.
 
-    The kept lines' values are converted in one ``np.loadtxt`` call. Where
-    that call raises or returns another shape, the per-line parser decides,
-    so the accepted values and the first error reported are the same either
-    way.
+    The kept lines' values go into one ``np.loadtxt`` call as they are read,
+    so no line's text is held once its row is parsed. Where that call raises
+    or returns another shape, or a dropped line has the wrong field count,
+    the file is read again by the per-line parser, which decides: the
+    accepted values and the first error reported are the same either way.
     """
     vocab: dict[str, int] = {}
-    values: list[str] = []  # each kept line's value text, unparsed
     linenos: list[int] = []  # source line of each kept line, for error messages
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(read_lines(path, fh), start=1):
-            head = line.split(None, 1)
-            if not head:
-                continue
-            if lineno == 1 and len(parts := line.split()) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            token = head[0]
-            if token.startswith(CONCEPT_PREFIX):
-                token = token[len(CONCEPT_PREFIX):]
-            if (vocab_filter is not None and token not in vocab_filter) or token in vocab:
-                n_fields = len(line.split())
-                if n_fields != dimension + 1:
-                    # an earlier kept line's error comes first
-                    _parse_rows(path, values, linenos, dimension)
-                    raise _field_count_error(path, lineno, dimension, n_fields)
-                continue
-            vocab[token] = len(values)
-            values.append(head[1] if len(head) > 1 else "")
-            linenos.append(lineno)
-    # np.loadtxt accepts a subset of what the per-line parser does (no "1_0",
-    # no non-ASCII digits), splits on the same whitespace and reads the same
-    # float32 bits; comments=None keeps a "#" from cutting a line short, and
-    # an empty list is left out, as np.loadtxt warns on it
-    matrix = None
-    if values:
+        values = _kept_lines(path, fh, vocab_filter, dimension, vocab, linenos)
+        # np.loadtxt accepts a subset of what the per-line parser does (no "1_0",
+        # no non-ASCII digits), splits on the same whitespace and reads the same
+        # float32 bits; comments=None keeps a "#" from cutting a line short, and
+        # a file that keeps no line is left out, as np.loadtxt warns on no lines
         try:
-            matrix = np.loadtxt(values, dtype=np.float32, ndmin=2, comments=None)
+            first = next(values, None)
+            matrix = (np.zeros((0, dimension), dtype=np.float32) if first is None else
+                      np.loadtxt(itertools.chain([first], values), dtype=np.float32,
+                                 ndmin=2, comments=None))
         except ValueError:
-            pass
-    if matrix is None or matrix.shape != (len(values), dimension):
-        matrix = _parse_rows(path, values, linenos, dimension)
+            matrix = None
+    if matrix is None or matrix.shape != (len(linenos), dimension):
+        vocab, linenos, matrix = _parse_file(path, vocab_filter, dimension)
     with np.errstate(over="ignore"):  # NaN, inf and a norm past float32 all square to non-finite
         bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", matrix, matrix)))
     if bad.size:
@@ -104,9 +85,61 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     return EmbeddingTable(vocab, matrix)
 
 
-def _field_count_error(path, lineno: int, dimension: int, n_fields: int) -> ValueError:
-    return ValueError(
-        f"{path}:{lineno}: expected token + {dimension} values, got {n_fields} fields")
+class _DroppedLineError(ValueError):
+    """A dropped line with the wrong field count."""
+
+
+def _kept_lines(path, fh, vocab_filter, dimension: int, vocab: dict, linenos: list):
+    """Yield the value text of each line of ``fh`` that ``load_embeddings`` keeps.
+
+    Before a line is yielded its token takes the next row of ``vocab`` and its
+    line number is appended to ``linenos``. A dropped line with the wrong
+    field count raises ``_DroppedLineError``.
+    """
+    for lineno, line in enumerate(read_lines(path, fh), start=1):
+        head = line.split(None, 1)
+        if not head:
+            continue
+        if lineno == 1 and len(parts := line.split()) == 2:
+            try:
+                int(parts[0]), int(parts[1])
+                continue  # header line
+            except ValueError:
+                pass
+        token = head[0]
+        if token.startswith(CONCEPT_PREFIX):
+            token = token[len(CONCEPT_PREFIX):]
+        if (vocab_filter is not None and token not in vocab_filter) or token in vocab:
+            n_fields = len(line.split())
+            if n_fields != dimension + 1:
+                raise _DroppedLineError(_field_count_error(path, lineno, dimension, n_fields))
+            continue
+        vocab[token] = len(linenos)
+        linenos.append(lineno)
+        yield head[1] if len(head) > 1 else ""
+
+
+def _parse_file(path, vocab_filter, dimension: int):
+    """The per-line parser over ``path``: (vocab, linenos, matrix), or the first bad line's error.
+
+    Every kept line's value text is read before any is parsed, so an
+    undecodable byte anywhere in the file comes before a kept line's error;
+    a dropped line's wrong field count comes after the kept lines before it.
+    """
+    vocab, linenos, values = {}, [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for text in _kept_lines(path, fh, vocab_filter, dimension, vocab, linenos):
+                values.append(text)
+        except _DroppedLineError as exc:
+            # an earlier kept line's error comes first
+            _parse_rows(path, values, linenos, dimension)
+            raise ValueError(*exc.args) from None
+    return vocab, linenos, _parse_rows(path, values, linenos, dimension)
+
+
+def _field_count_error(path, lineno: int, dimension: int, n_fields: int) -> str:
+    return f"{path}:{lineno}: expected token + {dimension} values, got {n_fields} fields"
 
 
 def _parse_rows(path, values: list[str], linenos: list[int], dimension: int) -> np.ndarray:
@@ -120,7 +153,7 @@ def _parse_rows(path, values: list[str], linenos: list[int], dimension: int) -> 
         for text, lineno in zip(values, linenos):
             fields = text.split()
             if len(fields) != dimension:
-                raise _field_count_error(path, lineno, dimension, len(fields) + 1)
+                raise ValueError(_field_count_error(path, lineno, dimension, len(fields) + 1))
             try:
                 rows.append(np.array(fields, dtype=np.float32))
             except ValueError as exc:

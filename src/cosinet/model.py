@@ -22,10 +22,12 @@ so they enter as plain arrays and nothing back-propagates through them.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import math
 import struct
+import sys
 import typing
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -336,52 +338,64 @@ def write_model(fh, config: CosinetConfig, params: CosinetParams, table: Embeddi
 def load_model(path):
     """Read a model container back; returns (config, params, table) or raises ValueError.
 
-    Every error starts with ``path``. Nothing is allocated before the manifest
-    is the layout the header's config derives and the payload is its size.
+    Every error starts with ``path``. The preamble and the header are read
+    first; nothing else is allocated before the manifest is the layout the
+    header's config derives and the file's size leaves exactly that layout's
+    payload before the digest. The payload is then read straight into the
+    table's matrix and ``params.flat`` under a running SHA-256, and nothing is
+    returned unless the digest matches.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        if len(blob) < 20 + 32 or blob[:8] != MAGIC:
-            raise ValueError("not a model file (too short or bad magic)")
-        version, header_len = struct.unpack_from("<IQ", blob, 8)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        header_end = 20 + header_len
-        if header_end > len(blob) - 32:
-            raise ValueError(f"header length {header_len} runs past the end of the file")
-        body = memoryview(blob)[:-32]
-        if hashlib.sha256(body).digest() != blob[-32:]:
-            raise ValueError("checksum mismatch (corrupt file)")
-        header = json.loads(blob[20:header_end].decode("utf-8"))
-        config = CosinetConfig(**header["config"])
-        vocab, width = header["vocab"], config.embedding_dim
-        rows = {tok: i for i, tok in enumerate(vocab) if isinstance(tok, str)}
-        if not isinstance(vocab, list) or len(rows) != len(vocab):
-            raise ValueError("vocab is not a list of distinct strings")
-        # header values compare as JSON text, so 4.0 is no 4 and true no 1
-        if json.dumps(header["embedding_dim"]) != str(width):
-            raise ValueError(f"header embedding_dim {header['embedding_dim']!r} is not "
-                             f"the config's embedding_dim {width}")
-        layout = file_manifest(config, len(vocab))
-        manifest = list(header["tensors"])
-        texts = [[json.dumps(entry) for entry in entries] for entries in (manifest, layout)]
-        if texts[0] != texts[1]:  # name the first entry where the two differ
-            i = next(i for i, (a, b) in enumerate(itertools.zip_longest(*texts)) if a != b)
-            got, want = (e[i] if i < len(e) else "nothing" for e in (manifest, layout))
-            raise ValueError(f"manifest entry {i} is {got}, the layout its config derives "
-                             f"has {want}")
-        payload, size = body[header_end:], 4 * sum(math.prod(shape) for _, shape in layout)
-        if len(payload) != size:
-            raise ValueError(f"payload is {len(payload)} bytes, its layout takes {size}")
-    except (KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed header ({exc})") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        if not fh.seekable():  # a pipe: its size is known only once it is read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        try:
+            preamble = fh.read(20)
+            if size < 20 + 32 or preamble[:8] != MAGIC:
+                raise ValueError("not a model file (too short or bad magic)")
+            version, header_len = struct.unpack_from("<IQ", preamble, 8)
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported format version {version}")
+            if 20 + header_len > size - 32:
+                raise ValueError(f"header length {header_len} runs past the end of the file")
+            raw = fh.read(header_len)
+            header = json.loads(raw.decode("utf-8"))
+            config = CosinetConfig(**header["config"])
+            vocab, width = header["vocab"], config.embedding_dim
+            rows = {tok: i for i, tok in enumerate(vocab) if isinstance(tok, str)}
+            if not isinstance(vocab, list) or len(rows) != len(vocab):
+                raise ValueError("vocab is not a list of distinct strings")
+            # header values compare as JSON text, so 4.0 is no 4 and true no 1
+            if json.dumps(header["embedding_dim"]) != str(width):
+                raise ValueError(f"header embedding_dim {header['embedding_dim']!r} is not "
+                                 f"the config's embedding_dim {width}")
+            layout = file_manifest(config, len(vocab))
+            manifest = list(header["tensors"])
+            texts = [[json.dumps(entry) for entry in entries] for entries in (manifest, layout)]
+            if texts[0] != texts[1]:  # name the first entry where the two differ
+                i = next(i for i, (a, b) in enumerate(itertools.zip_longest(*texts)) if a != b)
+                got, want = (e[i] if i < len(e) else "nothing" for e in (manifest, layout))
+                raise ValueError(f"manifest entry {i} is {got}, the layout its config derives "
+                                 f"has {want}")
+            payload = size - 20 - header_len - 32
+            want = 4 * sum(math.prod(shape) for _, shape in layout)
+            if payload != want:
+                raise ValueError(f"payload is {payload} bytes, its layout takes {want}")
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"{path}: malformed header ({exc})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
-    floats, n_matrix = np.frombuffer(payload, "<f4"), len(vocab) * width
-    matrix = floats[:n_matrix].reshape(len(vocab), width).copy()  # its own rows, not the file's
-    table = EmbeddingTable(rows, matrix)
-    params = CosinetParams(config, draw=False)
-    params.flat[...] = floats[n_matrix:]
-    return config, params, table
+        digest = hashlib.sha256(preamble)
+        digest.update(raw)
+        matrix = np.empty((len(vocab), width), dtype=np.float32)
+        params = CosinetParams(config, draw=False)
+        for floats in (matrix, params.flat):
+            fh.readinto(floats)
+            digest.update(floats)
+            if sys.byteorder == "big":  # the file's floats are little-endian
+                floats.byteswap(inplace=True)
+        if fh.read(32) != digest.digest():
+            raise ValueError(f"{path}: checksum mismatch (corrupt file)")
+    return config, params, EmbeddingTable(rows, matrix)

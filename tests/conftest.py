@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,21 @@ def make_table(words, dim=16, seed=0):
 def table_digest(table):
     """SHA-256 of an embedding table's matrix, to show it stayed frozen."""
     return hashlib.sha256(table.matrix.tobytes()).digest()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn``'s result, and the most bytes the call held allocated at once as tracemalloc saw it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def make_group(question_id, question, rows):

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -350,3 +351,63 @@ def test_type_confused_record_is_a_value_error(tmp_path, question, text):
     else:
         with pytest.raises(ValueError, match=":1:"):
             ingest_jsonl(path)
+
+
+class TestSharedTokens:
+    """One ingest call holds each distinct token as one ``str`` object."""
+
+    TEXTS = [("The cat sat.", "The CAT sat on the mat.", "cat-like cats: the end"),
+             ("Where's the cat?", "The mat, the cat.", "Sat sat SAT")]
+
+    @staticmethod
+    def assert_one_object_per_token(groups):
+        tokens = [t for g in groups for t in g.question_tokens]
+        tokens += [t for g in groups for c in g.candidates for t in c.tokens]
+        assert len(tokens) > len(set(tokens))  # the same words come back
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+    def test_jsonl(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps({
+            "question_id": f"q{i}", "question": question,
+            "candidates": [{"text": text, "label": j % 2} for j, text in enumerate(cands)]})
+            + "\n" for i, (question, *cands) in enumerate(self.TEXTS)), encoding="utf-8")
+        groups, _ = ingest_jsonl(path)
+        assert len(groups) == 2
+        self.assert_one_object_per_token(groups)
+
+    def test_wikiqa(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_text(MINI_WIKIQA_HEADER + "".join(
+            f"Q{i}\t{question}\tD{i}\tT\tD{i}-{j}\t{text}\t{j % 2}\n"
+            for i, (question, *cands) in enumerate(self.TEXTS)
+            for j, text in enumerate(cands)), encoding="utf-8")
+        groups, _ = ingest_wikiqa(path)
+        assert len(groups) == 2
+        self.assert_one_object_per_token(groups)
+
+
+# every str.isspace code point, and letters whose lowercase depends on context
+# (final sigma) or is longer than the letter (dotted capital I) or is not ASCII
+SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+TRICKY_TEXT = st.text(
+    st.characters() | st.sampled_from("\u0130\u00df\u03a3\u03c3\u03c2Aa9_-." + SPACES), max_size=40)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=st.lists(TRICKY_TEXT, min_size=1, max_size=6))
+def test_ingested_tokens_are_tokenize_of_the_text(tmp_path, texts):
+    # texts of one call share words, so one word's tokens serve many texts
+    records = [{"question_id": "all", "question": "q",
+                "candidates": [{"text": t, "label": 1} for t in texts + ["a"]]}]
+    records += [{"question_id": str(i), "question": t, "candidates": [{"text": "a", "label": 1}]}
+                for i, t in enumerate(texts)]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+    groups, _ = ingest_jsonl(path)
+    got = [(c.text, c.tokens) for c in groups[0].candidates]
+    got += [(g.question, g.question_tokens) for g in groups[1:]]
+    want = [(t, tuple(tokenize(t))) for t in texts + ["a"] if tokenize(t)]
+    want += [(t, tuple(tokenize(t))) for t in texts if tokenize(t)]
+    assert got == want

@@ -10,7 +10,7 @@ from cosinet.embeddings import (
     embed_sequence,
     load_embeddings,
 )
-from conftest import table_digest
+from conftest import table_digest, traced_peak
 
 
 def write_lines(tmp_path, lines, name="vecs.txt"):
@@ -200,6 +200,16 @@ class TestBulkParity:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         table = load_embeddings(path, vocab_filter, dimension=2)
         assert table.matrix.shape == (0, 2) and table.vocabulary == {}
+
+
+def test_load_holds_little_beside_the_matrix(tmp_path):
+    # the kept lines' text is parsed as it is read, not held next to the rows
+    rng = np.random.default_rng(5)
+    path = write_lines(tmp_path, [f"w{i} " + " ".join(f"{v:.6f}" for v in rng.uniform(-1, 1, 300))
+                                  for i in range(1000)])
+    table, peak = traced_peak(load_embeddings, path, dimension=300)
+    assert table.matrix.shape == (1000, 300)
+    assert peak < 2 * table.matrix.nbytes
 
 
 class TestTable:

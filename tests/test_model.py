@@ -2,7 +2,10 @@ import collections
 import contextlib
 import copy
 import hashlib
+import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from cosinet.embeddings import UNKNOWN, embed_sequence
 from cosinet.metrics import evaluate
 from cosinet.ndgrad import Tape
 from cosinet.training import listwise_loss, pointwise_loss
-from conftest import make_group, make_table
+from conftest import make_group, make_table, traced_peak
 from fdcheck import max_rel_error, numeric_gradient, probe
 from modelfile import model_file, saved_model_bytes, small_model, split_model_file
 
@@ -822,9 +825,6 @@ class TestSerialization:
         np.testing.assert_array_equal(before, after)
 
     def test_layout(self, tmp_path):
-        import json
-        import struct
-
         config, params, table = self.build()
         path = tmp_path / "m.bin"
         save_model(path, config, params, table)
@@ -849,6 +849,50 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
             load_model(path)
+
+    def test_bytes_after_the_digest_rejected(self, tmp_path):
+        # the reader checks the file's size, not only that the arrays fill up
+        blob = saved_model_bytes()
+        n = len(split_model_file(blob)[1])
+        path = tmp_path / "m.bin"
+        for extra in (b"\x00", blob[-32:], bytes(4096)):
+            path.write_bytes(blob + extra)
+            with pytest.raises(ValueError, match=f"^{path}: payload is {n + len(extra)} bytes, "
+                                                 f"its layout takes {n}$"):
+                load_model(path)
+
+    def test_load_holds_little_beside_its_arrays(self, tmp_path):
+        # the payload is read into the returned arrays, not into a copy of the file first
+        config = CosinetConfig(embedding_dim=32, conv_hidden=64, kernel_width=3,
+                               context="birnn")
+        table = make_table([f"w{i}" for i in range(200)], dim=32)
+        path = tmp_path / "m.bin"
+        save_model(path, config, CosinetParams(config), table)
+        header, payload = split_model_file(path.read_bytes())
+        assert len(payload) > 20 * len(json.dumps(header))
+        (_, params, table2), peak = traced_peak(load_model, path)
+        assert table2.matrix.tobytes() == table.matrix.tobytes()
+        assert peak < 1.5 * (params.flat.nbytes + table2.matrix.nbytes)
+
+    def test_loads_from_a_pipe(self, tmp_path):
+        # a FIFO has no size to check before it is read
+        blob = saved_model_bytes()
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb") as fh:
+                fh.write(blob)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        config, params, table = load_model(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want_config, want_params, want_table = small_model()
+        assert config == want_config
+        assert params.flat.tobytes() == want_params.flat.tobytes()
+        assert table.matrix.tobytes() == want_table.matrix.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
