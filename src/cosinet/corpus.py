@@ -29,17 +29,34 @@ def tokenize(text: str) -> list[str]:
 
     Contiguous letter-or-digit runs stay whole; every other character
     becomes its own single-character token. Deterministic, whitespace
-    never yields tokens. A whitespace-separated word that is all letters
-    and digits is one token as it stands; only the other words go through
-    the regex.
+    never yields tokens.
     """
-    tokens = []
-    for word in text.lower().split():
-        if word.isalnum():
-            tokens.append(word)
-        else:
-            tokens += _SUBTOKEN.findall(word)
-    return tokens
+    return list(_Tokenizer()(text))
+
+
+class _Tokenizer(dict):
+    """``tokenize`` with a memo: each lowercased whitespace word -> its token tuple.
+
+    Calling it on a text gives the text's tokens as a tuple. A word is
+    tokenized the first time it is seen, and every occurrence of a token is
+    then the same ``str`` object. A word that is all letters and digits is one
+    token as it stands; only the other words go through the regex.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._shared = {}  # token -> its one str object
+
+    def __missing__(self, word: str) -> tuple:
+        tokens = [word] if word.isalnum() else _SUBTOKEN.findall(word)
+        self[word] = tokens = tuple([self._shared.setdefault(t, t) for t in tokens])
+        return tokens
+
+    def __call__(self, text: str) -> tuple:
+        tokens = []
+        for word in text.lower().split():
+            tokens += self[word]
+        return tuple(tokens)
 
 
 @dataclass(frozen=True)
@@ -84,20 +101,10 @@ def _build_groups(raw_groups):
     questions that tokenize to nothing, and groups without a single
     positive label.
 
-    Every occurrence of a token is the same ``str`` object: each distinct
-    lowercased whitespace word is tokenized once, its tokens taken from one
-    shared set.
+    Every occurrence of a token is the same ``str`` object: one tokenizer
+    memo serves the whole call.
     """
-    words, shared = {}, {}  # word -> its token tuple; token -> its one str object
-
-    def tokens_of(text):
-        out = []
-        for word in text.lower().split():
-            tokens = words.get(word)
-            if tokens is None:
-                tokens = words[word] = tuple(shared.setdefault(t, t) for t in tokenize(word))
-            out += tokens
-        return tuple(out)
+    tokens_of = _Tokenizer()
 
     groups, report = [], IngestReport()
     for qid, question, rows in raw_groups:

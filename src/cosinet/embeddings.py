@@ -58,26 +58,36 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     The kept lines' values go into one ``np.loadtxt`` call as they are read,
     so no line's text is held once its row is parsed. Where that call raises
     or returns another shape, or a dropped line has the wrong field count,
-    the file is read again by the per-line parser, which decides: the
-    accepted values and the first error reported are the same either way.
+    the file is read again from its start by the per-line parser, which
+    decides: the accepted values and the first error reported are the same
+    either way. A file that cannot seek, such as a pipe, is read once: its
+    kept lines' text is held, as the per-line parser may need it.
     """
     vocab: dict[str, int] = {}
     linenos: list[int] = []  # source line of each kept line, for error messages
     with open(path, "r", encoding="utf-8") as fh:
         values = _kept_lines(path, fh, vocab_filter, dimension, vocab, linenos)
+        if not fh.seekable():  # read once, so the kept lines' text is held for both parsers
+            values = _held(path, values, linenos, dimension)
         # np.loadtxt accepts a subset of what the per-line parser does (no "1_0",
         # no non-ASCII digits), splits on the same whitespace and reads the same
         # float32 bits; comments=None keeps a "#" from cutting a line short, and
         # a file that keeps no line is left out, as np.loadtxt warns on no lines
         try:
-            first = next(values, None)
+            rest = iter(values)
+            first = next(rest, None)
             matrix = (np.zeros((0, dimension), dtype=np.float32) if first is None else
-                      np.loadtxt(itertools.chain([first], values), dtype=np.float32,
+                      np.loadtxt(itertools.chain([first], rest), dtype=np.float32,
                                  ndmin=2, comments=None))
         except ValueError:
             matrix = None
-    if matrix is None or matrix.shape != (len(linenos), dimension):
-        vocab, linenos, matrix = _parse_file(path, vocab_filter, dimension)
+        if matrix is None or matrix.shape != (len(linenos), dimension):
+            if fh.seekable():
+                fh.seek(0)
+                vocab, linenos = {}, []
+                values = _held(path, _kept_lines(path, fh, vocab_filter, dimension, vocab,
+                                                 linenos), linenos, dimension)
+            matrix = _parse_rows(path, values, linenos, dimension)
     with np.errstate(over="ignore"):  # NaN, inf and a norm past float32 all square to non-finite
         bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", matrix, matrix)))
     if bad.size:
@@ -119,23 +129,21 @@ def _kept_lines(path, fh, vocab_filter, dimension: int, vocab: dict, linenos: li
         yield head[1] if len(head) > 1 else ""
 
 
-def _parse_file(path, vocab_filter, dimension: int):
-    """The per-line parser over ``path``: (vocab, linenos, matrix), or the first bad line's error.
+def _held(path, values, linenos: list[int], dimension: int) -> list[str]:
+    """Every value text of the ``_kept_lines`` generator ``values``, in a list.
 
-    Every kept line's value text is read before any is parsed, so an
-    undecodable byte anywhere in the file comes before a kept line's error;
-    a dropped line's wrong field count comes after the kept lines before it.
+    Every kept line's text is read before any is parsed, so an undecodable
+    byte anywhere in the file comes before a kept line's error; a dropped
+    line's wrong field count comes after the kept lines before it.
     """
-    vocab, linenos, values = {}, [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for text in _kept_lines(path, fh, vocab_filter, dimension, vocab, linenos):
-                values.append(text)
-        except _DroppedLineError as exc:
-            # an earlier kept line's error comes first
-            _parse_rows(path, values, linenos, dimension)
-            raise ValueError(*exc.args) from None
-    return vocab, linenos, _parse_rows(path, values, linenos, dimension)
+    held = []
+    try:
+        for text in values:
+            held.append(text)
+    except _DroppedLineError as exc:
+        _parse_rows(path, held, linenos, dimension)  # an earlier kept line's error comes first
+        raise ValueError(*exc.args) from None
+    return held
 
 
 def _field_count_error(path, lineno: int, dimension: int, n_fields: int) -> str:

@@ -411,3 +411,5 @@ def test_ingested_tokens_are_tokenize_of_the_text(tmp_path, texts):
     want = [(t, tuple(tokenize(t))) for t in texts + ["a"] if tokenize(t)]
     want += [(t, tuple(tokenize(t))) for t in texts if tokenize(t)]
     assert got == want
+    # tokenize runs the same memo on one text, so the reference tokenizer checks the rule
+    assert all(list(tokens) == loop_tokenize(text) for text, tokens in want)

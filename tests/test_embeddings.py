@@ -1,4 +1,7 @@
+import contextlib
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +203,56 @@ class TestBulkParity:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         table = load_embeddings(path, vocab_filter, dimension=2)
         assert table.matrix.shape == (0, 2) and table.vocabulary == {}
+
+    @pytest.mark.parametrize("lines,vocab_filter", [
+        (["cat 1 2 3", "dog 4 5 6"], None),
+        (["2 3", "cat 1 2 3", "dog 4 1_0 6"], None),  # only the per-line parser reads these
+        (["cat 1 2 3", "dog 4 \u0661\u0662 6"], None),
+        ([f"w{i} 1 2 3" for i in range(20000)] + ["dog 4 1_0 6"], None),  # past a pipe's buffer
+        (["cat 1 2 3", "dog 4 x 6", "eel 7 8 9"], None),
+        (["cat 1 2 3", "dog 4 5", "eel 7 8 9"], {"cat", "eel"}),
+        (["cat nan 2 3", "eel 1 1_0 3", "dog 4 5"], {"cat", "eel"}),
+        (["cat 1 2 3", "eel 1 1_0 3", "dog 4 1e39 6"], None),
+    ])
+    def test_a_pipe_loads_as_a_file_does(self, tmp_path, lines, vocab_filter):
+        # a pipe is read once, so the per-line parser cannot read it again
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(data)
+        want = load_outcome(path, lambda: load_embeddings(path, vocab_filter, dimension=3))
+        fifo = tmp_path / "vecs.fifo"
+        got = load_outcome(fifo, lambda: load_from_a_fifo(fifo, data, vocab_filter, 3))
+        assert got == want
+
+
+def load_outcome(path, load):
+    """(tokens, matrix bytes) of the table ``load`` returns, or its error with ``path`` cut out."""
+    try:
+        table = load()
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return table.tokens_in_order(), table.matrix.tobytes()
+
+
+def load_from_a_fifo(path, data, vocab_filter, dimension):
+    """``load_embeddings`` on a new FIFO at ``path`` that a thread writes ``data`` into."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)  # a reader that stops at an error leaves a broken pipe
+        if not done.wait(10):
+            with open(path, "wb"):  # end a second open of the path, which waits for a writer
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return load_embeddings(path, vocab_filter, dimension=dimension)
+    finally:
+        done.set()
+        writer.join(timeout=20)
 
 
 def test_load_holds_little_beside_the_matrix(tmp_path):
