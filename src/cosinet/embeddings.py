@@ -19,13 +19,15 @@ NO_TOKENS = "embed_sequence: empty token list: a question or candidate has no to
 
 
 class EmbeddingTable:
-    """token -> row-index map over a frozen |V| x dim float32 matrix; dim is its width."""
+    """One-to-one token -> row map onto a frozen |V| x dim float32 matrix; dim is its width."""
 
     def __init__(self, vocabulary: dict[str, int], matrix: np.ndarray):
         if matrix.ndim != 2:
             raise ValueError(f"embedding matrix must be |V| x dim, got shape {matrix.shape}")
         if len(vocabulary) != matrix.shape[0]:
             raise ValueError("vocabulary size does not match matrix rows")
+        if set(vocabulary.values()) != set(range(len(vocabulary))):
+            raise ValueError("vocabulary does not map its tokens one-to-one onto rows 0 ... V-1")
         self.dimension = matrix.shape[1]
         self.vocabulary = dict(vocabulary)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)

@@ -114,9 +114,9 @@ def file_manifest(config: CosinetConfig, n_words: int) -> list[list]:
 class CosinetParams:
     """All trainable weights in one contiguous ``flat`` vector, laid out by ``param_layout``.
 
-    ``arrays`` is a read-only name -> view mapping into ``flat`` in declaration
-    (and serialization) order, derived on every access so a deep copy's views
-    stay tied to its own buffer. The drawn weights come from one seeded generator.
+    ``arrays`` is a read-only name -> view mapping into ``flat`` in declaration (and
+    serialization) order, derived on every access so a deep copy's views stay tied to its own
+    buffer; ``offsets`` holds each view's start. The drawn weights come from one seeded generator.
     """
 
     def __init__(self, config: CosinetConfig, dtype=np.float32, *, draw: bool = True):
@@ -131,6 +131,7 @@ class CosinetParams:
         self._slots = {name: (slice(end - size, end), shape)
                        for (name, (shape, _)), size, end
                        in zip(layout.items(), sizes, itertools.accumulate(sizes))}
+        self.offsets = {name: s.start for name, (s, _) in self._slots.items()}
         self.flat = np.zeros(sum(sizes), dtype=self.dtype)
         if draw:
             rng = np.random.default_rng(config.seed)

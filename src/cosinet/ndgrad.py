@@ -75,19 +75,19 @@ class Tape:
         self._tensors.append(t)
         return t
 
-    def backward(self, loss: Tensor, on_final=None) -> None:
+    def backward(self, loss: Tensor, on_final=lambda leaf: None) -> None:
         """Fill ``grad`` on every tensor of the tape with d(loss)/d(tensor).
 
         Resets all gradients on the tape first, then walks the records once
         in reverse; a tensor the loss does not depend on gets zeros.
         ``loss`` must be a single-element tensor.
 
-        ``on_final(leaf)`` is called once for every leaf, as soon as its
-        gradient is final: right after the backward of the earliest record
-        that takes it, or at once, with zeros, if no record does. From then
-        on no remaining closure reads the leaf's data or changes its
-        gradient, so the caller may update the one and read the other while
-        backward goes on.
+        ``on_final(leaf)``, a no-op by default, is called once for every
+        leaf, as soon as its gradient is final: right after the backward of
+        the earliest record that takes it, or at once, with zeros, if no
+        record does. From then on no remaining closure reads the leaf's data
+        or changes its gradient, so the caller may update the one and read
+        the other while backward goes on.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss tensor belongs to a different tape")
@@ -97,17 +97,16 @@ class Tape:
             t.grad = None
         loss.grad = np.ones_like(loss.data)
         due = [[] for _ in self._records]  # due[i]: leaves final once record i has run
-        if on_final is not None:
-            first = {}
-            for i, (_, _, inputs) in enumerate(self._records):
-                for t in inputs:
-                    first.setdefault(id(t), i)
-            for t in self._leaves:
-                if id(t) in first:
-                    due[first[id(t)]].append(t)
-                else:
-                    t.grad = np.zeros_like(t.data)
-                    on_final(t)
+        first = {}
+        for i, (_, _, inputs) in enumerate(self._records):
+            for t in inputs:
+                first.setdefault(id(t), i)
+        for t in self._leaves:
+            if id(t) in first:
+                due[first[id(t)]].append(t)
+            else:
+                t.grad = np.zeros_like(t.data)
+                on_final(t)
         for (fn, out, _), final in zip(reversed(self._records), reversed(due)):
             if out.grad is not None:
                 fn(out.grad)
@@ -143,12 +142,6 @@ def _op(name: str, data: np.ndarray, backward, *inputs: Tensor) -> Tensor:
 
 def _shape_error(name: str, *shapes) -> ValueError:
     return ValueError(f"{name}: incompatible shapes " + " vs ".join(str(tuple(s)) for s in shapes))
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow in exp, in the dtype of ``v``."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(v.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +422,13 @@ def bce_logits_mean(scores: Tensor, labels) -> Tensor:
     if y.size != s.size:
         raise _shape_error("bce_logits_mean", s.shape, y.shape)
     y = y.reshape(s.shape)
-    per = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
+    e = np.exp(-np.abs(s))
+    per = np.maximum(s, 0.0) - s * y + np.log1p(e)
     n = s.size
 
-    def backward(g):
-        _acc(scores, g[0, 0] * (_sigmoid(s) - y) / n)
+    def backward(g):  # sigmoid(s) from the same e, without overflow
+        sig = np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(s.dtype)
+        _acc(scores, g[0, 0] * (sig - y) / n)
 
     return _op("bce_logits_mean", np.asarray(per.mean(), dtype=s.dtype).reshape(1, 1),
                backward, scores)

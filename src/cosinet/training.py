@@ -9,7 +9,6 @@ either way the embedding table stays untouched.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -231,8 +230,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
     Wall-clock covers the optimization loop only (per-epoch dev evaluation,
     when requested, is timed separately and excluded). In each step's
     backward, a parameter's gradient goes to ``Adam.step`` as soon as it is
-    final, with its offset in ``params.flat`` (which holds ``params.arrays``
-    back to back).
+    final, with its offset in ``params.flat``, from ``params.offsets``.
     """
     groups = _check_groups(groups)
     check_table_width(table, config, "fit")
@@ -240,7 +238,6 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
         raise ValueError("pointwise training scores pairs independently; "
                          "it cannot drive a rank contextualizer (use context=none)")
     rng = np.random.default_rng(train_config.seed)
-    starts = list(itertools.accumulate((a.size for a in params.arrays.values()), initial=0))
     max_lr = train_config.resolved_max_lr
     listwise = train_config.loss == "listwise"
     objective = listwise_loss if listwise else pointwise_loss
@@ -270,7 +267,7 @@ def fit(groups, table, params: CosinetParams, config: CosinetConfig,
             for batch in epoch_batches():
                 tape = Tape(dtype=params.dtype)
                 leaves = params.as_leaves(tape)
-                at = dict(zip(map(id, leaves.values()), starts))
+                at = {id(leaves[name]): lo for name, lo in params.offsets.items()}
                 scores = score_pairs([inputs[gi][ci] for gi, ci in batch], table, config, leaves)
                 loss = objective(scores, [groups[gi].candidates[ci].label for gi, ci in batch])
                 value = float(loss.data[0, 0])

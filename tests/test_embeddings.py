@@ -286,6 +286,14 @@ class TestTable:
         with pytest.raises(ValueError, match="vocabulary"):
             EmbeddingTable({"a": 0, "b": 1}, np.zeros((1, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("vocabulary, n_rows", [({"a": 0, "b": 0}, 2), ({"a": 5}, 1),
+                                                    ({"a": -1}, 1), ({"a": 1, "b": 2}, 2)])
+    def test_vocab_not_one_to_one_onto_rows_rejected(self, vocabulary, n_rows):
+        # two tokens on one row would read different rows after a save/load
+        # round trip, and a value past the rows would fail only at lookup
+        with pytest.raises(ValueError, match="one-to-one"):
+            EmbeddingTable(vocabulary, np.zeros((n_rows, 3), dtype=np.float32))
+
     def test_tokens_in_order_matches_rows(self, tmp_path):
         lines = ["cat 1 1 1", "dog 2 2 2", "eel 3 3 3"]
         table = load_embeddings(write_lines(tmp_path, lines), dimension=3)

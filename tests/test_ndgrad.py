@@ -890,8 +890,15 @@ class TestPrimitiveSemantics:
             nd.kl_logits(tape.leaf(np.zeros((1, 3))), np.ones((1, 2)) / 2)
 
     def test_sigmoid_extremes_stay_in_unit_interval(self):
-        # the stable logistic of bce_logits_mean
-        out = nd._sigmoid(np.array([[-80.0, -1.0, 0.0, 1.0, 80.0]], dtype=np.float32))
+        # the stable logistic of bce_logits_mean: at one score with label 0,
+        # its gradient is sigmoid(score)
+        grads = []
+        for v in (-80.0, -1.0, 0.0, 1.0, 80.0):
+            tape = nd.Tape(dtype=np.float32)
+            s = tape.leaf([[v]])
+            tape.backward(nd.bce_logits_mean(s, [[0.0]]))
+            grads.append(s.grad)
+        out = np.concatenate(grads, axis=1)
         assert out.dtype == np.float32
         assert np.isfinite(out).all()
         assert (out >= 0).all() and (out <= 1).all()
