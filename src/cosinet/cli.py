@@ -28,10 +28,11 @@ def _ingest(path):
 
 
 def _load_groups(path):
-    groups, _ = _ingest(path)
+    """(groups, report) of a data file that keeps at least one answered question group."""
+    groups, report = _ingest(path)
     if not groups:
         raise ValueError(f"{path}: no answered question groups")
-    return groups
+    return groups, report
 
 
 def _emit(obj) -> None:
@@ -48,7 +49,7 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_baseline(args) -> None:
-    groups = _load_groups(args.data)
+    groups, _ = _load_groups(args.data)
     result = metrics.evaluate(baselines.SCORERS[args.method], groups)
     _emit(result.to_dict())
 
@@ -86,8 +87,8 @@ def _train_configs(args):
 def cmd_train(args) -> None:
     cfg, tc = _train_configs(args)
 
-    train_groups = _load_groups(args.train)
-    dev_groups = _load_groups(args.dev) if args.dev else None
+    train_groups, _ = _load_groups(args.train)
+    dev_groups = _load_groups(args.dev)[0] if args.dev else None
 
     vocab = set()
     for groups in (train_groups, dev_groups or []):
@@ -111,14 +112,14 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     cfg, params, table = model.load_model(args.model)
-    groups = _load_groups(args.data)
+    groups, _ = _load_groups(args.data)
     result = metrics.evaluate(model.make_scorer(params, cfg, table), groups)
     _emit(result.to_dict())
 
 
 def cmd_predict(args) -> None:
     cfg, params, table = model.load_model(args.model)
-    groups = _load_groups(args.data)
+    groups, report = _load_groups(args.data)
     n = 0
     with corpus.atomic_open(args.scores_out, "w", encoding="utf-8", newline="\n") as fh:
         for g in groups:
@@ -128,7 +129,8 @@ def cmd_predict(args) -> None:
             for s in scores:
                 fh.write(f"{float(s):.9g}\n")  # 9 digits round-trip every float32
                 n += 1
-    _emit({"n_scores": n, "n_questions": len(groups), "output": args.scores_out})
+    _emit({"n_scores": n, "n_unscored": report.total_candidates - n,
+           "n_questions": len(groups), "output": args.scores_out})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,11 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset path (default: none, required)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="write per-candidate scores in input order")
+    p = sub.add_parser("predict", help="write one score per candidate that ingestion keeps, "
+                                       "in input order")
     p.add_argument("--model", required=True, help="model file path (default: none, required)")
     p.add_argument("--data", required=True, help="dataset path (default: none, required)")
     p.add_argument("--scores-out", required=True, dest="scores_out",
-                   help="output path, one score per line (default: none, required)")
+                   help="output path: one score per candidate that ingestion keeps, in input "
+                        "order (default: none, required)")
     p.set_defaults(func=cmd_predict)
     return parser
 

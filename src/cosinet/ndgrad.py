@@ -17,7 +17,7 @@ Conventions:
     added out of place, never into an array another tensor may hold;
   - every tensor on a tape takes a gradient: leaves are trainable
     parameters, and frozen inputs are passed as plain arrays instead;
-  - a tensor refers to its tape weakly, so the tape (records, tensors and
+  - a tensor refers to its tape weakly, so the tape (leaves, records and
     their buffers) is freed as soon as the caller drops it.
 """
 
@@ -61,18 +61,12 @@ class Tape:
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         self._records = []      # (backward closure, output, input tensors), in forward order
-        self._tensors = []      # every tensor created on this tape
-        self._leaves = []       # the tensors made by ``leaf``
+        self._leaves = []       # the tensors made by ``leaf``; the rest are the records' outputs
 
     def leaf(self, data) -> Tensor:
         """A trainable input, in the tape's dtype."""
-        t = self._output(np.ascontiguousarray(data, dtype=self.dtype))
+        t = Tensor(np.ascontiguousarray(data, dtype=self.dtype), self)
         self._leaves.append(t)
-        return t
-
-    def _output(self, data: np.ndarray) -> Tensor:
-        t = Tensor(data, self)
-        self._tensors.append(t)
         return t
 
     def backward(self, loss: Tensor, on_final=lambda leaf: None) -> None:
@@ -93,7 +87,8 @@ class Tape:
             raise ValueError("backward: loss tensor belongs to a different tape")
         if loss.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-        for t in self._tensors:
+        tensors = self._leaves + [out for _, out, _ in self._records]
+        for t in tensors:
             t.grad = None
         loss.grad = np.ones_like(loss.data)
         due = [[] for _ in self._records]  # due[i]: leaves final once record i has run
@@ -114,7 +109,7 @@ class Tape:
                 if t.grad is None:  # only records whose output got no gradient take it
                     t.grad = np.zeros_like(t.data)
                 on_final(t)
-        for t in self._tensors:
+        for t in tensors:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
 
@@ -135,7 +130,7 @@ def _op(name: str, data: np.ndarray, backward, *inputs: Tensor) -> Tensor:
     for t in inputs[1:]:
         if t.tape is not tape:
             raise ValueError(f"{name}: inputs recorded on different tapes")
-    out = tape._output(data)
+    out = Tensor(data, tape)
     tape._records.append((backward, out, inputs))
     return out
 
@@ -224,8 +219,8 @@ def conv1d(rows, ids, r, lens, w: Tensor, b: Tensor) -> Tensor:
     and channel takes the gradient: the first maximum, or a NaN, as in
     ``np.argmax``. The backward finds those N * C_out winners and works in
     token space: for each offset k, ``np.bincount`` sums the gradient onto
-    the distinct rows the winners read at k, and gw[k, :-1] = rows[kept].T @
-    those sums, with kept at most min(U + 1, N * C_out) rows. It builds no
+    all U + 1 rows (the zero tap row included; a row no winner reads at k
+    gets zeros), and gw[k, :-1] = rows.T @ those sums. It builds no
     (W, C_out) gradient and no (W, K * (C_in - 1)) im2col matrix.
     """
     rows = np.asarray(rows, dtype=w.data.dtype)
@@ -269,11 +264,9 @@ def conv1d(rows, ids, r, lens, w: Tensor, b: Tensor) -> Tensor:
         col = np.arange(c_out)
         gw = np.empty_like(w.data)
         for j in range(k):
-            u = win_ids[win, j]
-            kept = np.bincount(u.ravel(), minlength=len(rows)) > 0
-            block = np.bincount(((np.cumsum(kept) - 1)[u] * c_out + col).ravel(),
-                                weights=g.ravel(), minlength=kept.sum() * c_out)
-            gw[j, :e] = rows[kept].T @ block.reshape(-1, c_out).astype(gw.dtype, copy=False)
+            block = np.bincount((win_ids[win, j] * c_out + col).ravel(), weights=g.ravel(),
+                                minlength=len(rows) * c_out)
+            gw[j, :e] = rows.T @ block.reshape(-1, c_out).astype(gw.dtype, copy=False)
             gw[j, e] = (win_r[win, j] * g).sum(axis=0)
         _acc(w, gw)
         _acc(b, g.sum(axis=0))

@@ -434,7 +434,7 @@ class TestEvalPredict:
         rep = run_json(["predict", "--model", trained_model, "--data", toy_jsonl,
                         "--scores-out", str(scores_path)], capsys)
         n_candidates = sum(len(g.candidates) for g in toy_groups)
-        assert rep["n_scores"] == n_candidates
+        assert (rep["n_scores"], rep["n_unscored"]) == (n_candidates, 0)
         assert rep["n_questions"] == len(toy_groups)
         written = [float(x) for x in scores_path.read_text().split()]
         assert len(written) == n_candidates
@@ -442,6 +442,25 @@ class TestEvalPredict:
         want = np.concatenate([model.score_group(g, table, params, cfg)
                                for g in toy_groups])
         np.testing.assert_array_equal(np.float32(written), want)
+
+    def test_predict_counts_the_candidates_ingestion_drops(self, trained_model, tmp_path,
+                                                           capsys):
+        # 3 questions and 7 candidates; the all-negative question is dropped
+        # at ingestion, so its 2 candidates get no line
+        path = tmp_path / "data.jsonl"
+        export_jsonl([make_group("q1", "how do plants make food ?",
+                                 [("plants make food .", 1), ("some plants are green .", 0),
+                                  ("food is sold in shops .", 0)]),
+                      make_group("q2", "when did the war end ?",
+                                 [("the weather was cold .", 0), ("the war ended .", 1)]),
+                      make_group("q3", "who wrote the book ?",
+                                 [("books are made of paper .", 0), ("nobody knows .", 0)])],
+                     path)
+        scores_path = tmp_path / "scores.txt"
+        rep = run_json(["predict", "--model", trained_model, "--data", str(path),
+                        "--scores-out", str(scores_path)], capsys)
+        assert (rep["n_scores"], rep["n_unscored"], rep["n_questions"]) == (5, 2, 2)
+        assert len(scores_path.read_text().splitlines()) == 5
 
     def test_predict_is_deterministic(self, trained_model, toy_jsonl,
                                       tmp_path, capsys):
