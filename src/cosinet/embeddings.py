@@ -7,8 +7,6 @@ all-zero vector.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .corpus import read_lines
@@ -16,6 +14,9 @@ from .corpus import read_lines
 CONCEPT_PREFIX = "/c/en/"
 UNKNOWN = -1  # the id of a token without a vector
 NO_TOKENS = "embed_sequence: empty token list: a question or candidate has no tokens"
+# kept lines per parse: their value text is all the loader holds beside the matrix,
+# and each parse is one np.loadtxt call, so a smaller chunk holds less but calls more
+CHUNK = 64
 
 
 class EmbeddingTable:
@@ -57,39 +58,19 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     Any other line with the wrong number of fields, or a kept line whose
     values or float32 squared norm are not finite, is rejected by line number.
 
-    The kept lines' values go into one ``np.loadtxt`` call as they are read,
-    so no line's text is held once its row is parsed. Where that call raises
-    or returns another shape, or a dropped line has the wrong field count,
-    the file is read again from its start by the per-line parser, which
-    decides: the accepted values and the first error reported are the same
-    either way. A file that cannot seek, such as a pipe, is read once: its
-    kept lines' text is held, as the per-line parser may need it.
+    The file is read once, a pipe as a file is. The kept lines' values are
+    parsed ``CHUNK`` lines at a time as they are read (see ``_parse_rows``),
+    so the first fault in read order is reported: an undecodable byte, a kept
+    line's bad value or field count, or a dropped line's field count. The
+    non-finite check then runs over the whole matrix.
     """
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
     vocab: dict[str, int] = {}
     linenos: list[int] = []  # source line of each kept line, for error messages
     with open(path, "r", encoding="utf-8") as fh:
-        values = _kept_lines(path, fh, vocab_filter, dimension, vocab, linenos)
-        if not fh.seekable():  # read once, so the kept lines' text is held for both parsers
-            values = _held(path, values, linenos, dimension)
-        # np.loadtxt accepts a subset of what the per-line parser does (no "1_0",
-        # no non-ASCII digits), splits on the same whitespace and reads the same
-        # float32 bits; comments=None keeps a "#" from cutting a line short, and
-        # a file that keeps no line is left out, as np.loadtxt warns on no lines
-        try:
-            rest = iter(values)
-            first = next(rest, None)
-            matrix = (np.zeros((0, dimension), dtype=np.float32) if first is None else
-                      np.loadtxt(itertools.chain([first], rest), dtype=np.float32,
-                                 ndmin=2, comments=None))
-        except ValueError:
-            matrix = None
-        if matrix is None or matrix.shape != (len(linenos), dimension):
-            if fh.seekable():
-                fh.seek(0)
-                vocab, linenos = {}, []
-                values = _held(path, _kept_lines(path, fh, vocab_filter, dimension, vocab,
-                                                 linenos), linenos, dimension)
-            matrix = _parse_rows(path, values, linenos, dimension)
+        rows = _kept_rows(path, fh, vocab_filter, dimension, vocab, linenos)
+        matrix = np.fromiter(rows, dtype=np.dtype((np.float32, dimension)))
     with np.errstate(over="ignore"):  # NaN, inf and a norm past float32 all square to non-finite
         bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", matrix, matrix)))
     if bad.size:
@@ -97,17 +78,15 @@ def load_embeddings(path, vocab_filter=None, *, dimension: int) -> EmbeddingTabl
     return EmbeddingTable(vocab, matrix)
 
 
-class _DroppedLineError(ValueError):
-    """A dropped line with the wrong field count."""
+def _kept_rows(path, fh, vocab_filter, dimension: int, vocab: dict, linenos: list):
+    """Yield the float32 row of each line of ``fh`` that ``load_embeddings`` keeps.
 
-
-def _kept_lines(path, fh, vocab_filter, dimension: int, vocab: dict, linenos: list):
-    """Yield the value text of each line of ``fh`` that ``load_embeddings`` keeps.
-
-    Before a line is yielded its token takes the next row of ``vocab`` and its
-    line number is appended to ``linenos``. A dropped line with the wrong
-    field count raises ``_DroppedLineError``.
+    A kept line's token takes the next row of ``vocab`` and its line number is
+    appended to ``linenos``; its value text waits for the chunk's parse. A
+    dropped line with the wrong field count raises once the kept lines before
+    it are parsed, so that an earlier kept line's error comes first.
     """
+    texts: list[str] = []
     for lineno, line in enumerate(read_lines(path, fh), start=1):
         head = line.split(None, 1)
         if not head:
@@ -124,43 +103,43 @@ def _kept_lines(path, fh, vocab_filter, dimension: int, vocab: dict, linenos: li
         if (vocab_filter is not None and token not in vocab_filter) or token in vocab:
             n_fields = len(line.split())
             if n_fields != dimension + 1:
-                raise _DroppedLineError(_field_count_error(path, lineno, dimension, n_fields))
+                _parse_rows(path, texts, linenos, dimension)
+                raise ValueError(_field_count_error(path, lineno, dimension, n_fields))
             continue
         vocab[token] = len(linenos)
         linenos.append(lineno)
-        yield head[1] if len(head) > 1 else ""
-
-
-def _held(path, values, linenos: list[int], dimension: int) -> list[str]:
-    """Every value text of the ``_kept_lines`` generator ``values``, in a list.
-
-    Every kept line's text is read before any is parsed, so an undecodable
-    byte anywhere in the file comes before a kept line's error; a dropped
-    line's wrong field count comes after the kept lines before it.
-    """
-    held = []
-    try:
-        for text in values:
-            held.append(text)
-    except _DroppedLineError as exc:
-        _parse_rows(path, held, linenos, dimension)  # an earlier kept line's error comes first
-        raise ValueError(*exc.args) from None
-    return held
+        texts.append(head[1] if len(head) > 1 else "")
+        if len(texts) == CHUNK:
+            yield from _parse_rows(path, texts, linenos, dimension)
+            texts = []
+    yield from _parse_rows(path, texts, linenos, dimension)
 
 
 def _field_count_error(path, lineno: int, dimension: int, n_fields: int) -> str:
     return f"{path}:{lineno}: expected token + {dimension} values, got {n_fields} fields"
 
 
-def _parse_rows(path, values: list[str], linenos: list[int], dimension: int) -> np.ndarray:
-    """The per-line parser: one float32 row per value text, or the first bad line's error.
+def _parse_rows(path, texts: list[str], linenos: list[int], dimension: int):
+    """The float32 rows of value ``texts``, or the first bad one's error.
 
-    A value past the float32 range reads as infinite without a warning, as
-    in ``np.loadtxt``.
+    ``linenos`` ends with the texts' line numbers. One ``np.loadtxt`` call
+    parses them. It accepts a subset of what the per-line loop below does (no
+    "1_0", no non-ASCII digits), splits on the same whitespace and reads the
+    same float32 bits; comments=None keeps a "#" from cutting a line short.
+    Where it raises or returns another shape, or a text is empty (it skips an
+    empty line, and warns on no lines), the per-line loop decides. A value
+    past the float32 range reads as infinite without a warning either way.
     """
+    if texts and all(texts):
+        try:
+            matrix = np.loadtxt(texts, dtype=np.float32, ndmin=2, comments=None)
+            if matrix.shape == (len(texts), dimension):
+                return matrix
+        except ValueError:
+            pass
     rows = []
     with np.errstate(over="ignore"):
-        for text, lineno in zip(values, linenos):
+        for text, lineno in zip(texts, linenos[len(linenos) - len(texts):]):
             fields = text.split()
             if len(fields) != dimension:
                 raise ValueError(_field_count_error(path, lineno, dimension, len(fields) + 1))
@@ -168,7 +147,7 @@ def _parse_rows(path, values: list[str], linenos: list[int], dimension: int) -> 
                 rows.append(np.array(fields, dtype=np.float32))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    return np.vstack(rows) if rows else np.zeros((0, dimension), dtype=np.float32)
+    return rows
 
 
 def embed_sequence(tokens, table: EmbeddingTable):

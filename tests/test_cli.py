@@ -770,6 +770,16 @@ def test_changed_vector_file_is_one_error_line(tmp_path, capsys, toy_jsonl, toy_
                        "--config", small_settings, "--out", out_dir / "m.bin"], out_dir, capsys)
 
 
+def test_vector_file_of_bare_tokens_is_one_error_line(tmp_path, capsys, toy_jsonl,
+                                                      small_settings, out_dir):
+    # np.loadtxt warned "input contained no data" before the field-count error
+    path = tmp_path / "vec.txt"
+    path.write_text("who\nwrote\n", encoding="utf-8")
+    assert exit_status(path, ["train", "--train", toy_jsonl, "--embeddings", path,
+                              "--config", small_settings, "--out", out_dir / "m.bin"],
+                       out_dir, capsys) == 1
+
+
 def valid_settings(text: bytes) -> bool:
     """Whether ``text`` is a settings file that ``train`` accepts on its own."""
     try:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosinet.embeddings import (
+    CHUNK,
     CONCEPT_PREFIX,
     UNKNOWN,
     EmbeddingTable,
@@ -88,6 +89,17 @@ class TestLoad:
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite"):
             load_embeddings(write_lines(tmp_path, lines), dimension=3)
 
+    def test_bare_tokens_are_a_field_count_error_without_a_warning(self, tmp_path):
+        # np.loadtxt warned "input contained no data" on value texts that are all empty
+        path = write_lines(tmp_path, ["cat", "dog"])
+        with pytest.raises(ValueError, match=r"vecs\.txt:1: expected token \+ 3 values, got 1"):
+            load_embeddings(path, dimension=3)
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_is_rejected(self, tmp_path, dimension):
+        with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dimension}"):
+            load_embeddings(write_lines(tmp_path, ["cat 1 2 3"]), dimension=dimension)
+
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError) as info:
             load_embeddings(tmp_path / "nope.txt", dimension=3)
@@ -108,17 +120,25 @@ class TestLoad:
             np.testing.assert_array_equal(row(table, tok), vec)
 
 
+# one full chunk of kept lines, so that the next kept line starts the second chunk
+FULL_CHUNK = [f"w{i} {i} 2 3" for i in range(CHUNK)]
+
+
 class TestBulkParity:
-    """The bulk parse and its per-line fallback accept and reject what the per-line parser does."""
+    """Each chunk's bulk parse and its per-line fallback accept and reject what the
+    per-line parser alone would, at any chunk boundary."""
 
     @staticmethod
-    def assert_loads_as_reference(path, lines, dimension, vocab_filter=None):
-        table = load_embeddings(path, vocab_filter, dimension=dimension)
+    def reference_outcome(lines, dimension, vocab_filter=None):
+        """The ``load_outcome`` that ``parse_reference`` gives ``lines``."""
         want = {tok: vec for tok, vec in parse_reference(lines, dimension).items()
                 if vocab_filter is None or tok in vocab_filter}
-        assert table.tokens_in_order() == list(want)
-        np.testing.assert_array_equal(
-            table.matrix, np.array(list(want.values())).reshape(-1, dimension))
+        matrix = np.array(list(want.values()), dtype=np.float32).reshape(-1, dimension)
+        return list(want), matrix.tobytes()
+
+    def assert_loads_as_reference(self, path, lines, dimension, vocab_filter=None):
+        got = load_outcome(path, lambda: load_embeddings(path, vocab_filter, dimension=dimension))
+        assert got == self.reference_outcome(lines, dimension, vocab_filter)
 
     @staticmethod
     def message(path, lineno, rest):
@@ -127,7 +147,7 @@ class TestBulkParity:
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "+1_000.5"])
     def test_values_only_the_per_line_parser_reads_still_load(self, tmp_path, value):
-        # np.loadtxt rejects these; the fallback parses them, it does not only locate an error
+        # np.loadtxt rejects these; the per-line loop parses them, it does not only locate an error
         lines = ["cat 1 2 3", f"dog 4 {value} 6", "eel 7 8 9"]
         self.assert_loads_as_reference(write_lines(tmp_path, lines), lines, 3)
 
@@ -193,6 +213,40 @@ class TestBulkParity:
         with pytest.raises(ValueError, match=self.message(path, 3, "non-finite value")):
             load_embeddings(path, dimension=3)
 
+    @pytest.mark.parametrize("n_kept,value", [(n, "5") for n in (CHUNK - 1, CHUNK, CHUNK + 1,
+                                                                2 * CHUNK)]
+                             + [(CHUNK + 1, "1_0"), (2 * CHUNK, "1_0")])
+    def test_chunk_boundaries_load_as_reference(self, tmp_path, n_kept, value):
+        # ``value`` starts the second chunk where there is one; dropped repeats fall between
+        lines = ["9 3"] + [f"w{i} {value if i == CHUNK else i} 2 3" for i in range(n_kept)]
+        lines[CHUNK // 2:CHUNK // 2] = ["w0 9 9 9", f"{CONCEPT_PREFIX}w1 9 9 9"]
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(data)
+        fifo = tmp_path / "vecs.fifo"
+        want = self.reference_outcome(lines, 3)
+        assert load_outcome(path, lambda: load_embeddings(path, dimension=3)) == want
+        assert load_outcome(fifo, lambda: load_from_a_fifo(fifo, data, None, 3)) == want
+
+    @pytest.mark.parametrize("last,rest", [
+        ("dog 4 x 6", "non-numeric value"),
+        ("w0 1 2", "expected token + 3 values, got 3 fields"),  # a dropped repeat
+    ])
+    def test_a_fault_after_a_full_chunk_names_its_line(self, tmp_path, last, rest):
+        path = write_lines(tmp_path, FULL_CHUNK + [last])
+        with pytest.raises(ValueError, match=self.message(path, CHUNK + 1, rest)):
+            load_embeddings(path, dimension=3)
+
+    def test_first_fault_in_read_order_is_reported(self, tmp_path):
+        # a bad value on line 1 is parsed long before the reader decodes line 2,901
+        lines = [f"w{i} 1 2 3".encode() for i in range(3001)]
+        lines[0] = b"w0 1 x 3"
+        lines[2900] = b"w2900 1 2 \xff"
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=self.message(path, 1, "non-numeric value")):
+            load_embeddings(path, dimension=3)
+
     @pytest.mark.parametrize("lines,vocab_filter", [
         (["3 2"], None),
         (["3 2", "cat 1 2", "dog 3 4"], {"eel"}),
@@ -213,9 +267,12 @@ class TestBulkParity:
         (["cat 1 2 3", "dog 4 5", "eel 7 8 9"], {"cat", "eel"}),
         (["cat nan 2 3", "eel 1 1_0 3", "dog 4 5"], {"cat", "eel"}),
         (["cat 1 2 3", "eel 1 1_0 3", "dog 4 1e39 6"], None),
+        (FULL_CHUNK + ["dog 4 x 6"], None),  # faults that start the second chunk
+        (FULL_CHUNK + ["w0 1 2"], None),
+        (["cat", "dog"], None),
     ])
     def test_a_pipe_loads_as_a_file_does(self, tmp_path, lines, vocab_filter):
-        # a pipe is read once, so the per-line parser cannot read it again
+        # a pipe and a file run the same code: one read, a chunk at a time
         data = ("\n".join(lines) + "\n").encode("utf-8")
         path = tmp_path / "vecs.txt"
         path.write_bytes(data)
